@@ -5,7 +5,8 @@ manifest carrying the resolved parameters, the spectral-density
 convention, the tool version, and a hash of the input parameter file, so
 that any result can be recomputed bit for bit from its manifest.
 
-Exit codes: 0 success, 1 validation-gate failure, 2 usage error.
+Exit codes: 0 success, 1 validation-gate failure, 2 usage or input error
+(bad flags, unreadable or malformed parameter files).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, optimize, spectra, stochastic
 from .core import (
@@ -36,8 +38,6 @@ from .core import (
 )
 from .dynamics import psd_from_response
 from .errors import NoBandError, SqzSensorError
-
-ENV_THREADS = "SQZ_SENSOR_THREADS"
 
 _SCENARIO_CHOICES = (
     "no-squeeze",
@@ -73,6 +73,12 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _library_versions() -> dict:
+    # Bit-for-bit recomputation depends on numpy's noise generators and
+    # scipy's lfilter/welch.
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
 def _sha256(path: str | Path | None) -> str | None:
     if path is None:
         return None
@@ -99,6 +105,7 @@ def build_manifest(command: str, params: SensorParams, *, params_file=None,
     manifest = {
         "command": command,
         "tool_version": __version__,
+        "library_versions": _library_versions(),
         "timestamp": _timestamp(),
         "psd_convention": PSD_CONVENTION,
         "params_file": str(params_file) if params_file else None,
@@ -325,6 +332,7 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
     return {
         "command": "validate",
         "tool_version": __version__,
+        "library_versions": _library_versions(),
         "timestamp": _timestamp(),
         "psd_convention": PSD_CONVENTION,
         "params": params_to_dict(params),
@@ -406,20 +414,18 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _apply_thread_cap() -> None:
-    value = os.environ.get(ENV_THREADS)
-    if not value:
-        return
-    try:
-        n = max(1, int(value))
-    except ValueError:
-        raise SqzSensorError(f"{ENV_THREADS} must be an integer, got {value!r}")
-    try:
-        import numba
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-    except ImportError:
-        pass
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--omega-min", type=float, default=0.0)
     p_spec.add_argument("--omega-max", type=float, default=None,
                         help="default: 4 kappa_prime")
-    p_spec.add_argument("--points", type=int, default=401)
+    p_spec.add_argument("--points", type=_positive_int, default=401)
     p_spec.add_argument("--normalize", action="store_true",
                         help="report S in units of kappa_prime/N and omega in kappa_prime")
     p_spec.add_argument("--out", required=True)
@@ -445,15 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig2 = sub.add_parser("fig2", help="emit the four reference curves")
     p_fig2.add_argument("--out-dir", required=True)
-    p_fig2.add_argument("--points", type=int, default=401)
+    p_fig2.add_argument("--points", type=_positive_int, default=401)
     p_fig2.add_argument("--format", choices=("csv", "json"), default="csv")
     p_fig2.set_defaults(func=cmd_fig2)
 
     p_val = sub.add_parser("validate", help="run the dual-oracle validation gates")
     p_val.add_argument("--params", required=True)
-    p_val.add_argument("--budget", type=int, default=800,
+    p_val.add_argument("--budget", type=_positive_int, default=800,
                        help="spectral-averaging segments for the stochastic gate")
-    p_val.add_argument("--seed", type=int, default=12345)
+    p_val.add_argument("--seed", type=_non_negative_int, default=12345)
     p_val.add_argument("--out", default="validation_report.json")
     p_val.add_argument("--mutate", action="store_true",
                        help="negative control: corrupt the closed forms by 1 ppm")
@@ -479,12 +485,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_thread_cap()
         return args.func(args)
-    except SqzSensorError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: parameter file is not valid JSON: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (SqzSensorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

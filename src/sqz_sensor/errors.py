@@ -31,8 +31,8 @@ class NoBandError(SqzSensorError, RuntimeError):
 
 
 class ConfigError(SqzSensorError, ValueError):
-    """Invalid configuration (simulation settings, backend selection, or
-    parameter-file schema)."""
+    """Invalid configuration (simulation settings or parameter-file
+    schema)."""
 
 
 class GridError(SqzSensorError, ValueError):

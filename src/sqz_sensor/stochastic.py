@@ -7,8 +7,9 @@ spectrum is estimated with a segment-averaged periodogram.  Nothing here
 reuses the closed-form algebra of :mod:`sqz_sensor.spectra`.
 
 Noise generation uses one counter-based stream per input field, keyed by
-``(seed, stream id)``, so realizations are reproducible bit for bit on
-any platform for a fixed backend.
+``(seed, stream id)``, and the integrator runs as a linear filter
+(:func:`scipy.signal.lfilter`), so realizations are reproducible bit for
+bit on any platform for pinned numpy/scipy versions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as _scipy_signal
 
-from ._kernels import active_backend, euler_maruyama_loop, exact_relax_loop
 from .core import (
     NORMALIZATION_RAW,
     PSD_CONVENTION,
@@ -40,6 +40,9 @@ from .errors import ConfigError, GridError, RangeError, SnrError
 
 METHOD_EULER = "euler"
 METHOD_EXACT = "exact"
+
+#: Integrator implementation recorded on every run.
+BACKEND = "lfilter"
 
 #: Stream ids for the counter-based noise generators.
 STREAM_A_C = 0
@@ -61,7 +64,8 @@ class SimulationConfig:
     ``duration`` is the retained span; a transient of ``burn_in`` seconds
     (default: eight times the slowest relaxation time) is integrated
     first and discarded, so retained samples are effectively stationary.
-    The seed fully determines the realization for a given backend.
+    The seed fully determines the realization for pinned numpy/scipy
+    versions.
     """
 
     dt: float
@@ -219,7 +223,7 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
         config=config,
         input_psds=input_noise_psds(params),
         t0=0.0,
-        backend=active_backend(),
+        backend=BACKEND,
         b_c=b_c[n_burn:].copy() if b_c is not None else None,
         b_s=b_s[n_burn:].copy() if b_s is not None else None,
     )
@@ -234,9 +238,12 @@ def _output_coefficients(params: SensorParams) -> tuple[float, float, float]:
     return p_bs, q_as, q_us
 
 
-def _run_euler(params: SensorParams, config: SimulationConfig, n_total: int):
-    drift = drift_matrix(params)
-    m = drift.matrix
+def _euler_drives(params: SensorParams, config: SimulationConfig, n_total: int):
+    """Bin-averaged white-noise inputs and signal drive, one chunk at a time.
+
+    Yields ``(i0, a_c, a_s, v_c, v_s, u_s, xi_drive)`` for steps
+    ``i0 .. i0 + len(a_s)``; each sample has variance PSD/dt.
+    """
     dt = config.dt
     psds = input_noise_psds(params)
     sig_ac = math.sqrt(psds["a_c"] / dt)
@@ -244,25 +251,15 @@ def _run_euler(params: SensorParams, config: SimulationConfig, n_total: int):
     sig_vc = math.sqrt(psds["v_c"] / dt)
     sig_vs = math.sqrt(psds["v_s"] / dt)
     sig_u = math.sqrt(psds["u_s"] / dt)
-    c_a = math.sqrt(2.0 * params.kappa_prime)
-    c_v = math.sqrt(2.0 * params.kappa_double_prime)
-    p_bs, q_as, q_us = _output_coefficients(params)
+    coupling = drift_matrix(params).signal_coupling
 
     g_ac = _stream(config.seed, STREAM_A_C)
     g_as = _stream(config.seed, STREAM_A_S)
     g_v = _stream(config.seed, STREAM_V)
     g_u = _stream(config.seed, STREAM_U)
 
-    out_d = np.empty(n_total)
-    store = config.store_state
-    out_bc = np.empty(n_total if store else 0)
-    out_bs = np.empty(n_total if store else 0)
-    empty = np.empty(0)
-
     n_burn = n_total - int(config.duration / config.dt)
     zero_signal = config.signal.kind == "zero"
-    bc = 0.0
-    bs = 0.0
     for i0 in range(0, n_total, _CHUNK):
         i1 = min(i0 + _CHUNK, n_total)
         n = i1 - i0
@@ -276,37 +273,70 @@ def _run_euler(params: SensorParams, config: SimulationConfig, n_total: int):
             xi_drive = np.zeros(n)
         else:
             t = (np.arange(i0, i1) - n_burn) * dt
-            xi_drive = drift.signal_coupling * config.signal.evaluate(t)
-        bc, bs = euler_maruyama_loop(
-            bc, bs, m[0, 0], m[0, 1], m[1, 0], m[1, 1], dt,
-            a_c, a_s, v_c, v_s, u_s, xi_drive,
-            p_bs, q_as, q_us, c_a, c_v,
-            out_d[i0:i1],
-            out_bc[i0:i1] if store else empty,
-            out_bs[i0:i1] if store else empty,
-            store,
-        )
-    if store:
-        return out_d, out_bc, out_bs
-    return out_d, None, None
+            xi_drive = coupling * config.signal.evaluate(t)
+        yield i0, a_c, a_s, v_c, v_s, u_s, xi_drive
 
 
-def _run_exact(params: SensorParams, config: SimulationConfig, n_total: int):
-    if not params.is_spm_cancelled:
-        raise ConfigError(
-            "exact method needs the self-phase-modulation coupling cancelled "
-            "(k_s = 2 * gamma_spm * n_photons); use method='euler' otherwise"
-        )
-    drift = drift_matrix(params)
-    lam = drift.matrix[1, 1]  # relaxation rate of the measured quadrature
+def _run_euler(params: SensorParams, config: SimulationConfig, n_total: int):
+    # The Euler-Maruyama step x[n+1] = A x[n] + dt f[n], A = I - dt M, is
+    # a two-state linear recursion, so each recorded series is a sum of
+    # second-order IIR filters (common denominator det(I - A/z)) of the
+    # drives f_c and f_s.  The detected sample combines the bin average
+    # of the intracavity state, taken as the midpoint 0.5 (b_s[n] +
+    # b_s[n+1]) of the step, with the same a_s sample that drives the
+    # cavity over the bin; an endpoint state would bias the interference
+    # term at first order in dt.  Filter states carry across chunks.
     dt = config.dt
-    decay = math.exp(-lam * dt)
+    a = np.eye(2) - dt * drift_matrix(params).matrix
+    a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+    den = np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10])
+    c_a = math.sqrt(2.0 * params.kappa_prime)
+    c_v = math.sqrt(2.0 * params.kappa_double_prime)
+    p_bs, q_as, q_us = _output_coefficients(params)
+    h = 0.5 * dt * p_bs
+
+    # Numerators (on f_c, on f_s) of each recorded series.
+    numerators = [(h * np.array([0.0, a10, a10]), h * np.array([1.0, 1.0 - a00, -a00]))]
+    if config.store_state:
+        numerators.append((np.array([0.0, dt, -dt * a11]), np.array([0.0, 0.0, dt * a01])))
+        numerators.append((np.array([0.0, 0.0, dt * a10]), np.array([0.0, dt, -dt * a00])))
+    outs = [np.empty(n_total) for _ in numerators]
+    zi = np.zeros((len(numerators), 2, 2))
+
+    for i0, a_c, a_s, v_c, v_s, u_s, xi_drive in _euler_drives(params, config, n_total):
+        i1 = i0 + a_s.size
+        f_c = c_a * a_c + c_v * v_c
+        f_s = c_a * a_s + c_v * v_s + xi_drive
+        for k, (num_c, num_s) in enumerate(numerators):
+            y_c, zi[k, 0] = _scipy_signal.lfilter(num_c, den, f_c, zi=zi[k, 0])
+            y_s, zi[k, 1] = _scipy_signal.lfilter(num_s, den, f_s, zi=zi[k, 1])
+            outs[k][i0:i1] = y_c + y_s
+        outs[0][i0:i1] += q_as * a_s + q_us * u_s
+        # Free this chunk's work arrays before the next chunk is drawn.
+        del f_c, f_s, y_c, y_s
+    if config.store_state:
+        return outs[0], outs[1], outs[2]
+    return outs[0], None, None
+
+
+def _exact_decay(params: SensorParams, dt: float) -> tuple[float, float]:
+    """Relaxation rate of the measured quadrature and its one-step decay."""
+    lam = drift_matrix(params).matrix[1, 1]
+    return lam, math.exp(-lam * dt)
+
+
+def _exact_drives(params: SensorParams, config: SimulationConfig, n_total: int):
+    """Exact per-step drive increments of the measured quadrature.
+
+    Yields ``(i0, a_bar, w_drive, u_s)`` per chunk: the bin average of
+    a_s is correlated with its exponentially filtered integral, so the
+    pair is sampled jointly (Gillespie 1996, exact OU update).
+    """
+    dt = config.dt
+    lam, decay = _exact_decay(params, dt)
     psds = input_noise_psds(params)
     s_as, s_vs, s_u = psds["a_s"], psds["v_s"], psds["u_s"]
 
-    # Per-step stochastic integrals of the measured-quadrature drives:
-    # the bin average of a_s is correlated with its exponentially
-    # filtered integral, so the pair is sampled jointly.
     var0 = s_as * dt
     var1 = s_as * (1.0 - decay * decay) / (2.0 * lam)
     cov01 = s_as * (1.0 - decay) / lam
@@ -318,20 +348,14 @@ def _run_exact(params: SensorParams, config: SimulationConfig, n_total: int):
     c_a = math.sqrt(2.0 * params.kappa_prime)
     c_v = math.sqrt(2.0 * params.kappa_double_prime)
     sig_gain = (1.0 - decay) / lam
-    p_bs, q_as, q_us = _output_coefficients(params)
+    coupling = drift_matrix(params).signal_coupling
 
     g_as = _stream(config.seed, STREAM_A_S)
     g_v = _stream(config.seed, STREAM_V)
     g_u = _stream(config.seed, STREAM_U)
 
-    out_d = np.empty(n_total)
-    store = config.store_state
-    out_bs = np.empty(n_total if store else 0)
-    empty = np.empty(0)
-
     n_burn = n_total - int(config.duration / config.dt)
     zero_signal = config.signal.kind == "zero"
-    bs = 0.0
     for i0 in range(0, n_total, _CHUNK):
         i1 = min(i0 + _CHUNK, n_total)
         n = i1 - i0
@@ -345,18 +369,37 @@ def _run_exact(params: SensorParams, config: SimulationConfig, n_total: int):
             sig_term = np.zeros(n)
         else:
             t = (np.arange(i0, i1) - n_burn) * dt
-            sig_term = drift.signal_coupling * sig_gain * config.signal.evaluate(t)
-        w_drive = c_a * i1_a + c_v * i1_v + sig_term
-        bs = exact_relax_loop(
-            bs, decay, a_bar, w_drive, u_s,
-            p_bs, q_as, q_us,
-            out_d[i0:i1],
-            out_bs[i0:i1] if store else empty,
-            store,
+            sig_term = coupling * sig_gain * config.signal.evaluate(t)
+        yield i0, a_bar, c_a * i1_a + c_v * i1_v + sig_term, u_s
+
+
+def _run_exact(params: SensorParams, config: SimulationConfig, n_total: int):
+    # Exact one-step relaxation b_s[n+1] = decay b_s[n] + w[n] of the
+    # decoupled measured quadrature, run as a first-order IIR filter; the
+    # detector uses the same midpoint state average as the Euler path.
+    if not params.is_spm_cancelled:
+        raise ConfigError(
+            "exact method needs the self-phase-modulation coupling cancelled "
+            "(k_s = 2 * gamma_spm * n_photons); use method='euler' otherwise"
         )
-    if store:
-        return out_d, out_bs
-    return out_d, None
+    _, decay = _exact_decay(params, config.dt)
+    den = np.array([1.0, -decay])
+    p_bs, q_as, q_us = _output_coefficients(params)
+
+    numerators = [0.5 * p_bs * np.array([1.0, 1.0])]
+    if config.store_state:
+        numerators.append(np.array([0.0, 1.0]))
+    outs = [np.empty(n_total) for _ in numerators]
+    zi = np.zeros((len(numerators), 1))
+
+    for i0, a_bar, w_drive, u_s in _exact_drives(params, config, n_total):
+        i1 = i0 + a_bar.size
+        for k, num in enumerate(numerators):
+            outs[k][i0:i1], zi[k] = _scipy_signal.lfilter(num, den, w_drive, zi=zi[k])
+        outs[0][i0:i1] += q_as * a_bar + q_us * u_s
+    if config.store_state:
+        return outs[0], outs[1]
+    return outs[0], None
 
 
 def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> SpectrumCurve:

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy
 
 import sqz_sensor as sq
-from sqz_sensor.cli import main, reference_params
+from sqz_sensor.cli import main, reference_params, run_validation
 
 FIG2_FILE = {
     "kappa_prime": 1.0,
@@ -227,16 +228,51 @@ class TestOptimizeCommand:
         assert "reason" in result
 
 
-class TestEnvironment:
-    def test_thread_cap_env(self, params_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("SQZ_SENSOR_THREADS", "1")
-        out = tmp_path / "curve.csv"
-        rc = main(["spectrum", "--params", str(params_file), "--scenario", "snl",
-                   "--points", "3", "--out", str(out)])
-        assert rc == 0
-
-    def test_bad_thread_cap(self, params_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("SQZ_SENSOR_THREADS", "many")
-        rc = main(["spectrum", "--params", str(params_file), "--scenario", "snl",
-                   "--points", "3", "--out", str(tmp_path / "x.csv")])
+class TestExitCodes:
+    @pytest.mark.parametrize("content", [b'{"kappa_prime": 1.0,', b"\xff\xfe"])
+    def test_malformed_json_params_is_input_error(self, content, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        rc = main(["validate", "--params", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_directory_as_params_is_input_error(self, tmp_path, capsys):
+        rc = main(["validate", "--params", str(tmp_path), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("validate", "--budget", "-3"),
+        ("validate", "--budget", "0"),
+        ("validate", "--seed", "-1"),
+        ("spectrum", "--points", "0"),
+        ("fig2", "--points", "-5"),
+    ])
+    def test_out_of_range_integer_flags_are_usage_errors(self, command, flag, value,
+                                                         params_file, tmp_path, capsys):
+        required = {
+            "validate": ["--params", str(params_file)],
+            "spectrum": ["--params", str(params_file), "--scenario", "snl",
+                         "--out", str(tmp_path / "x.csv")],
+            "fig2": ["--out-dir", str(tmp_path / "fig2")],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            main([command, *required, flag, value])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+
+class TestProvenance:
+    def test_manifest_and_report_record_library_versions(self, params_file, tmp_path):
+        expected = {"numpy": np.__version__, "scipy": scipy.__version__}
+        out = tmp_path / "curve.csv"
+        assert main(["spectrum", "--params", str(params_file), "--scenario", "snl",
+                     "--points", "3", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
+        assert manifest["library_versions"] == expected
+        report = run_validation(reference_params(), budget=20, seed=1)
+        assert report["library_versions"] == expected
