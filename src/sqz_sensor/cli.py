@@ -428,6 +428,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqz-sensor",
@@ -439,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="evaluate a scenario spectrum on a grid")
     p_spec.add_argument("--params", required=True, help="JSON parameter file")
     p_spec.add_argument("--scenario", required=True, choices=_SCENARIO_CHOICES)
-    p_spec.add_argument("--omega-min", type=float, default=0.0)
-    p_spec.add_argument("--omega-max", type=float, default=None,
+    p_spec.add_argument("--omega-min", type=_finite_float, default=0.0)
+    p_spec.add_argument("--omega-max", type=_finite_float, default=None,
                         help="default: 4 kappa_prime")
     p_spec.add_argument("--points", type=_positive_int, default=401)
     p_spec.add_argument("--normalize", action="store_true",
@@ -470,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--target", required=True, choices=("kc", "snl_kappa", "band"))
     p_opt.add_argument("--scenario", default="double-squeeze-optimal",
                        choices=_SCENARIO_CHOICES[:4])
-    p_opt.add_argument("--omega", type=float, default=1.0,
+    p_opt.add_argument("--omega", type=_finite_float, default=1.0,
                        help="probe frequency for kc/snl_kappa targets")
-    p_opt.add_argument("--omega-min", type=float, default=0.0)
-    p_opt.add_argument("--omega-max", type=float, default=None,
+    p_opt.add_argument("--omega-min", type=_finite_float, default=0.0)
+    p_opt.add_argument("--omega-max", type=_finite_float, default=None,
                        help="band search upper edge, default 8 kappa_prime")
     p_opt.add_argument("--out", default=None)
     p_opt.set_defaults(func=cmd_optimize)
@@ -491,6 +498,9 @@ def main(argv=None) -> int:
         return 2
     except (SqzSensorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"error: parameters out of floating-point range: {exc}", file=sys.stderr)
         return 2
 
 

@@ -234,6 +234,14 @@ _PARAM_FILE_KEYS = {
 }
 
 
+def _number(data: dict, key: str, default: float = 0.0) -> float:
+    """A numeric schema value; JSON booleans and strings are not numbers."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"parameter {key!r} must be a number, got {type(value).__name__}")
+    return float(value)
+
+
 def params_from_dict(data: dict) -> SensorParams:
     """Build :class:`SensorParams` from the parameter-file schema.
 
@@ -241,7 +249,8 @@ def params_from_dict(data: dict) -> SensorParams:
     ``n_photons``.  Squeezing may be given as ``squeeze_db`` (decibels)
     or directly as ``r_squeeze``.  The sine-quadrature gain is either
     ``k_s`` or computed by ``"auto_spm_cancel": true``; supplying both is
-    an error.
+    an error.  Rates and factors must be JSON numbers, ``auto_spm_cancel``
+    a JSON boolean and ``units`` a string.
     """
     if not isinstance(data, dict):
         raise ConfigError("parameter file must contain a JSON object")
@@ -253,30 +262,37 @@ def params_from_dict(data: dict) -> SensorParams:
             raise ConfigError(f"missing required parameter {key!r}")
     if "squeeze_db" in data and "r_squeeze" in data:
         raise ConfigError("give either squeeze_db or r_squeeze, not both")
-    if "k_s" in data and data.get("auto_spm_cancel"):
+    auto_spm_cancel = data.get("auto_spm_cancel", False)
+    if not isinstance(auto_spm_cancel, bool):
+        raise ConfigError("parameter 'auto_spm_cancel' must be true or false, "
+                          f"got {type(auto_spm_cancel).__name__}")
+    if "k_s" in data and auto_spm_cancel:
         raise ConfigError("give either k_s or auto_spm_cancel, not both")
+    units = data.get("units", UNITS_KAPPA_PRIME)
+    if not isinstance(units, str):
+        raise ConfigError(f"parameter 'units' must be a string, got {type(units).__name__}")
 
-    gamma_spm = float(data.get("gamma_spm", 0.0))
-    n_photons = float(data["n_photons"])
-    if data.get("auto_spm_cancel"):
+    gamma_spm = _number(data, "gamma_spm")
+    n_photons = _number(data, "n_photons")
+    if auto_spm_cancel:
         k_s = spm_cancelling_ks(gamma_spm, n_photons)
     else:
-        k_s = float(data.get("k_s", 0.0))
+        k_s = _number(data, "k_s")
     if "squeeze_db" in data:
-        r_squeeze = r_from_db(float(data["squeeze_db"]))
+        r_squeeze = r_from_db(_number(data, "squeeze_db"))
     else:
-        r_squeeze = float(data.get("r_squeeze", 0.0))
+        r_squeeze = _number(data, "r_squeeze")
 
     return SensorParams(
-        kappa_prime=float(data["kappa_prime"]),
-        kappa_double_prime=float(data["kappa_double_prime"]),
-        eta=float(data["eta"]),
+        kappa_prime=_number(data, "kappa_prime"),
+        kappa_double_prime=_number(data, "kappa_double_prime"),
+        eta=_number(data, "eta"),
         n_photons=n_photons,
         gamma_spm=gamma_spm,
         r_squeeze=r_squeeze,
-        k_c=float(data.get("k_c", 0.0)),
+        k_c=_number(data, "k_c"),
         k_s=k_s,
-        units=str(data.get("units", UNITS_KAPPA_PRIME)),
+        units=units,
     )
 
 

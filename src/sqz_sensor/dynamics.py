@@ -23,9 +23,6 @@ from .core import (
 )
 from .errors import InstabilityError, RangeError
 
-#: Fractional stability margin used when classifying drift eigenvalues.
-_STABILITY_EPS = 0.0
-
 
 @dataclass(frozen=True)
 class DriftMatrix:
@@ -51,7 +48,7 @@ class DriftMatrix:
 
     @property
     def is_stable(self) -> bool:
-        return bool(np.all(self.eigenvalues().real > _STABILITY_EPS))
+        return bool(np.all(self.eigenvalues().real > 0.0))
 
 
 def drift_matrix(params: SensorParams) -> DriftMatrix:
@@ -166,20 +163,6 @@ def frequency_response(params: SensorParams, omega) -> FrequencyResponse:
         omega=w, gain=gain, t_a_c=t_a_c, t_a_s=t_a_s,
         t_v_c=t_v_c, t_v_s=t_v_s, t_u_s=t_u_s,
     )
-
-
-def sum_noise_psd_general(params: SensorParams, omega):
-    """Detected-quadrature noise density from the general solver."""
-    resp = frequency_response(params, omega)
-    psds = input_noise_psds(params)
-    total = (
-        np.abs(resp.t_a_c) ** 2 * psds["a_c"]
-        + np.abs(resp.t_a_s) ** 2 * psds["a_s"]
-        + np.abs(resp.t_v_c) ** 2 * psds["v_c"]
-        + np.abs(resp.t_v_s) ** 2 * psds["v_s"]
-        + np.abs(resp.t_u_s) ** 2 * psds["u_s"]
-    )
-    return total
 
 
 def psd_from_response(params: SensorParams, omegas, xi_referred: bool = True) -> SpectrumCurve:

@@ -2,7 +2,10 @@
 
 The closed-form optima have independent numeric counterparts (coarse grid
 scan, golden-section refinement, parabolic polish) so every analytic
-result in the package can be cross-checked without reusing its algebra.
+optimum in the package can be cross-checked without reusing its algebra.
+Sub-shot-noise bands are analytic: every closed-form spectrum is one
+quadratic in omega, so the band edges are the roots of that quadratic
+minus the linear shot-noise limit.
 """
 
 from __future__ import annotations
@@ -190,7 +193,7 @@ def numeric_min_kappa(
     def objective(kappa: float) -> float:
         p = SensorParams(kappa_prime=kappa, kappa_double_prime=0.0,
                          eta=1.0, n_photons=n_photons)
-        return spectra.no_squeeze_psd(p, w)
+        return spectra.measurement_psd_raw(p, w)
 
     x, y, boundary = _grid_refine(objective, xs, rel_tol, polish_h=1e-5 * w)
     return OptimizationResult(
@@ -225,91 +228,42 @@ class SnlBand:
         return self.lower == self.upper
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float, rel_tol: float) -> float:
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise ConvergenceError("bisection bracket does not straddle a sign change")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if (b - a) <= rel_tol * max(abs(a), abs(b)):
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    raise ConvergenceError("bisection failed to converge in 200 iterations")
-
-
 def snl_crossings(
     scenario: Scenario,
     params: SensorParams,
     search_interval: tuple[float, float],
-    n_grid: int = 512,
-    rel_tol: float = 1e-10,
 ) -> SnlBand:
-    """Locate the band where the scenario spectrum dips below the SNL.
+    """The band where the scenario spectrum dips below the SNL.
 
-    Scans ``search_interval`` for sign changes of (spectrum - limit),
-    bisects each bracket, and returns the widest sub-limit band.  A
-    tangency collapses to a zero-width band; if the spectrum stays above
-    the limit everywhere, :class:`NoBandError` is raised.  Zero frequency
-    is never inside a band because the spectrum is positive there while
-    the limit vanishes.
+    The band edges are the roots of ``c2 w^2 - w/(4N) + c0``, with the
+    scenario's quadratic coefficients from
+    :func:`spectra.quadratic_coefficients`, clipped to
+    ``search_interval``.  A spectrum that only touches the limit, within
+    1e-9 of the spectrum plus the limit at the vertex, gives a
+    zero-width band there; if the spectrum stays above the limit on the
+    interval, :class:`NoBandError` is raised.  Zero frequency is never
+    inside a band because the spectrum is positive there while the limit
+    vanishes.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not (hi > lo >= 0.0):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     params_m = scenario.materialize(params)
-
-    def f(w: float) -> float:
-        return spectra.closed_form_psd(scenario, params_m, w) - spectra.snl(params_m, w)
-
-    xs = np.linspace(lo, hi, n_grid)
-    ys = np.array([f(x) for x in xs])
-
-    roots = []
-    for i in range(len(xs) - 1):
-        if ys[i] == 0.0:
-            roots.append(xs[i])
-        elif ys[i] * ys[i + 1] < 0.0:
-            roots.append(_bisect(f, xs[i], xs[i + 1], ys[i], ys[i + 1], rel_tol))
-    if ys[-1] == 0.0:
-        roots.append(xs[-1])
-
-    if not roots:
-        # No crossing on the grid: the minimum decides between "always
-        # above", tangency, and a band narrower than the grid spacing.
-        i = int(np.argmin(ys))
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, len(xs) - 1)]
-        x_min, f_min = golden_section(f, a, b, rel_tol=1e-12)
-        x_min, f_min = _parabolic_polish(f, x_min, 1e-5 * max(x_min, hi * 1e-3), lo, hi)
-        scale = abs(spectra.closed_form_psd(scenario, params_m, x_min)) + abs(spectra.snl(params_m, x_min))
-        tol = 1e-9 * scale
-        if f_min > tol:
-            raise NoBandError("spectrum stays above the shot-noise limit on the interval")
-        if abs(f_min) <= tol:
-            return SnlBand(lower=x_min, upper=x_min)
-        left = _bisect(f, a, x_min, f(a), f_min, rel_tol)
-        right = _bisect(f, x_min, b, f_min, f(b), rel_tol)
-        return SnlBand(lower=left, upper=right)
-
-    # Assemble candidate bands from the sign pattern between the roots.
-    edges = [lo] + roots + [hi]
-    best: SnlBand | None = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        if f(0.5 * (a + b)) < 0.0:
-            band = SnlBand(lower=a, upper=b)
-            if best is None or band.width > best.width:
-                best = band
-    if best is None:
-        raise NoBandError("spectrum touches but never dips below the shot-noise limit")
-    return best
+    scenario.check(params_m)
+    c2, c0 = spectra.quadratic_coefficients(params_m)
+    b = 0.25 / params_m.n_photons
+    disc = b * b - 4.0 * c2 * c0
+    w_v = b / (2.0 * c2)
+    # (spectrum - limit) at the vertex is -disc / (4 c2).
+    if abs(disc) / (4.0 * c2) <= 1e-9 * (c2 * w_v * w_v + c0 + b * w_v):
+        lower = upper = w_v
+    elif disc < 0.0:
+        raise NoBandError("spectrum stays above the shot-noise limit")
+    else:
+        # Cancellation-free roots: b > 0, so b + sqrt(disc) loses nothing.
+        q = 0.5 * (b + math.sqrt(disc))
+        lower, upper = c0 / q, q / c2
+    lower, upper = max(lower, lo), min(upper, hi)
+    if upper < lower:
+        raise NoBandError(f"no sub-shot-noise frequency in ({lo}, {hi})")
+    return SnlBand(lower=lower, upper=upper)

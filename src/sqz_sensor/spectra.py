@@ -6,6 +6,11 @@ sine-quadrature noise referred to the sensed eigenfrequency perturbation
 is the un-referred detected noise.  The closed forms assume the
 self-phase-modulation coupling is cancelled by the sine parametric gain;
 the general solver in :mod:`sqz_sensor.dynamics` covers everything else.
+
+All closed-form scenarios share one model, the quadratic
+``S(omega) = c2 omega^2 + c0(k_c)`` of :func:`quadratic_coefficients`: a
+scenario is nothing but a choice of the cosine gain ``k_c`` (zero, or
+the loss-optimal value) applied by :meth:`Scenario.materialize`.
 """
 
 from __future__ import annotations
@@ -18,9 +23,6 @@ import numpy as np
 from .core import (
     NORMALIZATION_KP_OVER_N,
     NORMALIZATION_RAW,
-    SCENARIO_DOUBLE_SQUEEZE_OPTIMAL,
-    SCENARIO_INPUT_SQUEEZE,
-    SCENARIO_NO_SQUEEZE,
     SCENARIO_SNL,
     Scenario,
     SensorParams,
@@ -52,63 +54,34 @@ def sum_noise_psd(params: SensorParams, omega):
     return _shape_match(omega, values)
 
 
+def quadratic_coefficients(params: SensorParams) -> tuple[float, float]:
+    """Coefficients ``(c2, c0)`` of the sensitivity spectrum ``c2 w^2 + c0``.
+
+    Every closed-form scenario is this one quadratic in omega; the
+    scenarios differ only in the cosine gain ``k_c`` carried by
+    ``params``, which enters the frequency-independent floor ``c0``
+    alone.  Requires ``|k_c| < kappa`` for stability.
+    """
+    if abs(params.k_c) >= params.kappa:
+        raise RangeError(f"|k_c| = {abs(params.k_c)} must be < kappa = {params.kappa}")
+    kp, kpp, kc = params.kappa_prime, params.kappa_double_prime, params.k_c
+    em2r = math.exp(-2.0 * params.r_squeeze)
+    eps2 = params.epsilon_sq
+    scale = 8.0 * kp * params.n_photons
+    c2 = (em2r + eps2) / scale
+    c0 = ((kp - kpp - kc) ** 2 * em2r + 4.0 * kp * kpp + eps2 * (params.kappa + kc) ** 2) / scale
+    return c2, c0
+
+
 def measurement_psd_raw(params: SensorParams, omega):
     """Sensitivity spectral density for an arbitrary cosine gain k_c.
 
     This is the sum noise divided by the squared gain magnitude; the
-    cavity response cancels out of the ratio, leaving a quadratic in
-    omega.  Requires ``|k_c| < kappa`` for stability.
+    cavity response cancels out of the ratio, leaving the quadratic of
+    :func:`quadratic_coefficients`.
     """
-    if abs(params.k_c) >= params.kappa:
-        raise RangeError(f"|k_c| = {abs(params.k_c)} must be < kappa = {params.kappa}")
-    w2 = np.square(np.asarray(omega, dtype=float))
-    kp, kpp, kc = params.kappa_prime, params.kappa_double_prime, params.k_c
-    em2r = math.exp(-2.0 * params.r_squeeze)
-    eps2 = params.epsilon_sq
-    values = (
-        (em2r + eps2) * w2
-        + (kp - kpp - kc) ** 2 * em2r
-        + 4.0 * kp * kpp
-        + eps2 * (params.kappa + kc) ** 2
-    ) / (8.0 * kp * params.n_photons)
-    return _shape_match(omega, values)
-
-
-def no_squeeze_psd(params: SensorParams, omega):
-    """Sensitivity spectral density with a coherent probe and no internal gain."""
-    w2 = np.square(np.asarray(omega, dtype=float))
-    values = (w2 + params.kappa ** 2) / (8.0 * params.kappa_prime * params.eta * params.n_photons)
-    return _shape_match(omega, values)
-
-
-def input_squeeze_psd(params: SensorParams, omega):
-    """Sensitivity spectral density with input squeezing only (k_c = 0)."""
-    w2 = np.square(np.asarray(omega, dtype=float))
-    kp, kpp = params.kappa_prime, params.kappa_double_prime
-    em2r = math.exp(-2.0 * params.r_squeeze)
-    eps2 = params.epsilon_sq
-    inner = ((em2r + eps2) * w2 + (kp - kpp) ** 2 * em2r + eps2 * params.kappa ** 2) / (4.0 * kp)
-    values = 0.5 * (inner + kpp) / params.n_photons
-    return _shape_match(omega, values)
-
-
-def double_squeeze_optimal_psd(params: SensorParams, omega):
-    """Sensitivity spectral density at the loss-optimal internal gain.
-
-    The optimum of the k_c-dependent terms is frequency independent, so
-    the whole spectrum keeps the quadratic-in-omega form with its floor
-    set by the balance of input squeezing against output losses.
-    """
-    w2 = np.square(np.asarray(omega, dtype=float))
-    kp, kpp = params.kappa_prime, params.kappa_double_prime
-    em2r = math.exp(-2.0 * params.r_squeeze)
-    e2r = math.exp(2.0 * params.r_squeeze)
-    eps2 = params.epsilon_sq
-    values = 0.5 * (
-        (em2r + eps2) * w2 / (4.0 * kp)
-        + eps2 * kp / (1.0 + eps2 * e2r)
-        + kpp
-    ) / params.n_photons
+    c2, c0 = quadratic_coefficients(params)
+    values = c2 * np.square(np.asarray(omega, dtype=float)) + c0
     return _shape_match(omega, values)
 
 
@@ -123,18 +96,12 @@ def snl(params: SensorParams, omega):
 
 
 def closed_form_psd(scenario: Scenario, params: SensorParams, omega):
-    """Dispatch to the closed form matching ``scenario``.
+    """Closed-form spectrum of ``scenario`` at materialized ``params``.
 
     Raises :class:`ScenarioMismatchError` when the parameters contradict
     the scenario (for example a nonzero k_c in the input-squeeze case).
     """
     scenario.check(params)
-    if scenario.tag == SCENARIO_NO_SQUEEZE:
-        return no_squeeze_psd(params, omega)
-    if scenario.tag == SCENARIO_INPUT_SQUEEZE:
-        return input_squeeze_psd(params, omega)
-    if scenario.tag == SCENARIO_DOUBLE_SQUEEZE_OPTIMAL:
-        return double_squeeze_optimal_psd(params, omega)
     return measurement_psd_raw(params, omega)
 
 

@@ -17,6 +17,19 @@ FIG2_FILE = {
     "r_squeeze": 0.5 * math.log(30.0),
 }
 
+# The parameter file shown in the README.
+README_FILE = {
+    "kappa_prime": 1.0,
+    "kappa_double_prime": 0.1,
+    "eta": 0.7,
+    "n_photons": 1.0,
+    "gamma_spm": 0.0,
+    "squeeze_db": 14.77,
+    "k_c": 0.0,
+    "auto_spm_cancel": True,
+    "units": "kappa_prime",
+}
+
 
 @pytest.fixture
 def params_file(tmp_path):
@@ -60,7 +73,7 @@ class TestSpectrumCommand:
         omegas, values, _ = read_curve_csv(out)
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         params = sq.params_from_dict(manifest["params"])
-        recomputed = sq.input_squeeze_psd(params, omegas)
+        recomputed = sq.closed_form_psd(sq.Scenario.input_squeeze(), params, omegas)
         assert np.array_equal(values, recomputed)
 
     def test_single_point_lossless(self, tmp_path):
@@ -218,6 +231,30 @@ class TestOptimizeCommand:
         assert band["lower"] == pytest.approx(0.2799567425, abs=1e-6)
         assert band["upper"] == pytest.approx(4.0499401647, abs=1e-6)
 
+    def test_band_search_inside_the_band(self, tmp_path):
+        pfile = tmp_path / "readme.json"
+        pfile.write_text(json.dumps(README_FILE))
+        out = tmp_path / "band.json"
+        rc = main(["optimize", "--params", str(pfile), "--target", "band",
+                   "--scenario", "input-squeeze", "--omega-min", "3", "--omega-max", "3.5",
+                   "--out", str(out)])
+        assert rc == 0
+        band = json.loads(out.read_text())["band"]
+        assert (band["lower"], band["upper"]) == (3.0, 3.5)
+
+    def test_lossless_no_squeeze_band_is_degenerate_at_kappa(self, tmp_path):
+        pfile = tmp_path / "lossless.json"
+        pfile.write_text(json.dumps({
+            "kappa_prime": 1.0, "kappa_double_prime": 0.0, "eta": 1.0, "n_photons": 1.0,
+        }))
+        out = tmp_path / "band.json"
+        rc = main(["optimize", "--params", str(pfile), "--target", "band",
+                   "--scenario", "no-squeeze", "--out", str(out)])
+        assert rc == 0
+        band = json.loads(out.read_text())["band"]
+        assert band["degenerate"]
+        assert band["lower"] == pytest.approx(1.0, rel=1e-6)
+
     def test_band_absent_is_a_result(self, params_file, tmp_path):
         out = tmp_path / "noband.json"
         rc = main(["optimize", "--params", str(params_file), "--target", "band",
@@ -264,6 +301,51 @@ class TestExitCodes:
             main([command, *required, flag, value])
         assert err.value.code == 2
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("override", [
+        {"kappa_prime": "1"},
+        {"kappa_double_prime": True},
+        {"eta": None},
+        {"n_photons": [1.0]},
+        {"r_squeeze": "1.7"},
+        {"auto_spm_cancel": "false"},
+        {"auto_spm_cancel": 1},
+        {"units": 1},
+    ])
+    def test_schema_types_are_input_errors(self, override, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(FIG2_FILE | override))
+        rc = main(["optimize", "--params", str(bad), "--target", "kc"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert next(iter(override)) in err
+
+    @pytest.mark.parametrize("override", [{"kappa_prime": 10 ** 400},
+                                          {"kappa_double_prime": 1.5e154}])
+    def test_values_beyond_float_range_are_input_errors(self, override, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(FIG2_FILE | override))
+        rc = main(["spectrum", "--params", str(bad), "--scenario", "no-squeeze",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target, flag, value", [
+        ("kc", "--omega", "nan"),
+        ("snl_kappa", "--omega", "-inf"),
+        ("band", "--omega-max", "inf"),
+        ("band", "--omega-min", "nan"),
+    ])
+    def test_non_finite_frequency_flags_are_usage_errors(self, target, flag, value,
+                                                         params_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["optimize", "--params", str(params_file), "--target", target,
+                  f"{flag}={value}"])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be finite" in capsys.readouterr().err
 
 
 class TestProvenance:

@@ -16,6 +16,7 @@ from sqz_sensor import (
 from sqz_sensor.optimize import golden_section
 
 from conftest import random_cancelled_params
+from test_spectra import S_DOUBLE_0, S_DOUBLE_1, S_INPUT_0
 
 KC_OPT_REFERENCE = float(Fraction(-927, 970))
 
@@ -98,8 +99,7 @@ class TestNumericMinKc:
 
     def test_objective_value_consistent(self, fig2_params):
         res = sq.numeric_min_kc(fig2_params, omega_probe=1.0)
-        assert res.value == pytest.approx(
-            sq.double_squeeze_optimal_psd(fig2_params, 1.0), rel=1e-12)
+        assert res.value == pytest.approx(S_DOUBLE_1, rel=1e-12)
 
 
 class TestGoldenSection:
@@ -149,8 +149,7 @@ class TestSnlCrossings:
     def test_input_squeeze_band_matches_quadratic_oracle(self, fig2_params):
         em2r = math.exp(-2.0 * fig2_params.r_squeeze)
         c2 = (em2r + fig2_params.epsilon_sq) / (8.0 * fig2_params.kappa_prime)
-        c0 = sq.input_squeeze_psd(fig2_params, 0.0)
-        expected = quadratic_crossings(c2, c0)
+        expected = quadratic_crossings(c2, S_INPUT_0)
         band = sq.snl_crossings(Scenario.input_squeeze(), fig2_params, (0.0, 8.0))
         assert band.lower == pytest.approx(expected[0], abs=1e-8)
         assert band.upper == pytest.approx(expected[1], abs=1e-8)
@@ -158,8 +157,7 @@ class TestSnlCrossings:
     def test_double_squeeze_band_matches_quadratic_oracle(self, fig2_params):
         em2r = math.exp(-2.0 * fig2_params.r_squeeze)
         c2 = (em2r + fig2_params.epsilon_sq) / (8.0 * fig2_params.kappa_prime)
-        c0 = sq.double_squeeze_optimal_psd(fig2_params, 0.0)
-        expected = quadratic_crossings(c2, c0)
+        expected = quadratic_crossings(c2, S_DOUBLE_0)
         band = sq.snl_crossings(Scenario.double_squeeze_optimal(), fig2_params, (0.0, 8.0))
         assert band.lower == pytest.approx(expected[0], abs=1e-8)
         assert band.upper == pytest.approx(expected[1], abs=1e-8)
@@ -179,7 +177,7 @@ class TestSnlCrossings:
         band = sq.snl_crossings(Scenario.input_squeeze(), fig2_params, (0.0, 8.0))
         p = Scenario.input_squeeze().materialize(fig2_params)
         mid = np.linspace(band.lower * 1.01, band.upper * 0.99, 17)
-        assert np.all(sq.input_squeeze_psd(p, mid) < sq.snl(p, mid))
+        assert np.all(sq.closed_form_psd(Scenario.input_squeeze(), p, mid) < sq.snl(p, mid))
 
     def test_lossless_no_squeeze_tangency(self):
         # With no squeezing the lossless spectrum touches the limit at
@@ -188,6 +186,10 @@ class TestSnlCrossings:
         band = sq.snl_crossings(Scenario.no_squeeze(), p, (0.0, 10.0))
         assert band.is_degenerate
         assert band.lower == pytest.approx(2.0, rel=1e-6)
+
+    def test_interval_inside_band_is_the_band(self, fig2_params):
+        band = sq.snl_crossings(Scenario.input_squeeze(), fig2_params, (3.0, 3.5))
+        assert (band.lower, band.upper) == (3.0, 3.5)
 
     def test_lossy_no_squeeze_has_no_band(self, fig2_params):
         with pytest.raises(NoBandError):

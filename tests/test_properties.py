@@ -1,0 +1,149 @@
+"""Property tests: band edges, closed forms and parameter files on random inputs.
+
+Every oracle here is independent of the code it checks: band edges come
+from a companion-matrix root solver on a quadratic whose omega^2
+coefficient is written out below and whose floor is the frequency-domain
+solver at DC; closed forms are checked against that solver over the whole
+grid.  Examples are derandomized so the suite stays deterministic.
+"""
+
+import io
+import json
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import sqz_sensor as sq
+from sqz_sensor import NoBandError, Scenario, SensorParams
+from sqz_sensor.cli import main
+
+PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+SCENARIOS = (Scenario.no_squeeze(), Scenario.input_squeeze(), Scenario.double_squeeze_optimal())
+
+
+@st.composite
+def cancelled_params(draw) -> SensorParams:
+    """Stable draws with the spurious coupling cancelled (k_c = 0).
+
+    Efficiencies stop short of 1 so that no draw puts the optimal gain on
+    the stability edge of a lossless resonator.
+    """
+    n_photons = math.exp(draw(st.floats(math.log(0.25), math.log(4.0))))
+    gamma_spm = draw(st.floats(0.0, 0.2))
+    return SensorParams(
+        kappa_prime=1.0,
+        kappa_double_prime=draw(st.floats(0.0, 0.5)),
+        eta=draw(st.floats(0.3, 0.99)),
+        n_photons=n_photons,
+        gamma_spm=gamma_spm,
+        r_squeeze=draw(st.floats(0.0, 1.5)),
+        k_s=2.0 * gamma_spm * n_photons,
+    )
+
+
+def quadratic_roots(params_m: SensorParams) -> np.ndarray:
+    """Roots of S(w) - w/(4N) with S = c2 w^2 + S(0), S(0) from the solver."""
+    c2 = (math.exp(-2.0 * params_m.r_squeeze) + params_m.epsilon_sq) / (
+        8.0 * params_m.kappa_prime * params_m.n_photons)
+    c0 = sq.psd_from_response(params_m, np.array([0.0])).values[0]
+    return np.roots([c2, -0.25 / params_m.n_photons, c0])
+
+
+# Hypothesis favours the first choice, so the scenarios that have bands
+# come first.
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(params=cancelled_params(), scenario=st.sampled_from(SCENARIOS[::-1]),
+       ends=st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)))
+def test_band_edges_match_quadratic_roots(params, scenario, ends):
+    params_m = scenario.materialize(params)
+    roots = quadratic_roots(params_m)
+    vertex = float(np.mean(roots.real))
+    # Near a tangency the roots are ill-conditioned; the tangency case has
+    # its own deterministic tests.
+    assume(abs(roots[1] - roots[0]) > 1e-6 * vertex)
+    band_exists = not np.iscomplexobj(roots) or np.all(roots.imag == 0.0)
+    lower, upper = sorted(float(r) for r in roots.real) if band_exists else (0.0, 2.0 * vertex)
+    # Interval ends in units of the band (of twice the vertex without a
+    # band), so that intervals lie inside the band, clip it, contain it or
+    # miss it.
+    lo, hi = (max(lower + e * (upper - lower), 0.0) for e in sorted(ends))
+    assume(hi > lo)
+    clipped = (max(lower, lo), min(upper, hi))
+    # An interval end within the gate of a band edge may fall either way.
+    assume(abs(clipped[1] - clipped[0]) > 1e-8)
+
+    if not band_exists or clipped[0] > clipped[1]:
+        with pytest.raises(NoBandError):
+            sq.snl_crossings(scenario, params, (lo, hi))
+    else:
+        band = sq.snl_crossings(scenario, params, (lo, hi))
+        assert band.lower == pytest.approx(clipped[0], abs=1e-8)
+        assert band.upper == pytest.approx(clipped[1], abs=1e-8)
+
+
+@PROPERTY_SETTINGS
+@given(params=cancelled_params(),
+       scenario=st.one_of(st.sampled_from(SCENARIOS),
+                          st.floats(-0.9, 0.9).map(Scenario.custom)),
+       omegas=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8, unique=True).map(sorted))
+def test_closed_form_matches_frequency_domain_solver(params, scenario, omegas):
+    if scenario.custom_kc is not None:
+        scenario = Scenario.custom(scenario.custom_kc * params.kappa)
+    params_m = scenario.materialize(params)
+    w = np.array(omegas)
+    oracle = sq.psd_from_response(params_m, w).values
+    assert sq.closed_form_psd(scenario, params_m, w) == pytest.approx(oracle, rel=1e-12)
+
+
+VALID_FILE = {
+    "kappa_prime": 1.0,
+    "kappa_double_prime": 0.1,
+    "eta": 0.7,
+    "n_photons": 1.0,
+    "r_squeeze": 1.7,
+}
+FILE_KEYS = sorted(VALID_FILE) + [
+    "gamma_spm", "squeeze_db", "k_c", "k_s", "auto_spm_cancel", "units", "bandwidth"]
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 20, 10 ** 20), st.floats(),
+    st.text(max_size=6), st.lists(st.floats(0.0, 2.0), max_size=2),
+    st.sampled_from(["kappa_prime", "si", "true", "1.0"]),
+)
+COMMANDS = (
+    ["spectrum", "--scenario", "no-squeeze", "--points", "5"],
+    ["spectrum", "--scenario", "input-squeeze", "--points", "5"],
+    ["spectrum", "--scenario", "double-squeeze-optimal", "--points", "5"],
+    ["spectrum", "--scenario", "custom", "--points", "5"],
+    ["spectrum", "--scenario", "snl", "--points", "5"],
+    ["optimize", "--target", "kc"],
+    ["optimize", "--target", "snl_kappa"],
+    ["optimize", "--target", "band", "--scenario", "input-squeeze"],
+    ["optimize", "--target", "band", "--scenario", "double-squeeze-optimal"],
+)
+
+
+@PROPERTY_SETTINGS
+@given(dropped=st.sets(st.sampled_from(sorted(VALID_FILE)), max_size=1),
+       overrides=st.dictionaries(st.sampled_from(FILE_KEYS), JSON_VALUES, max_size=3),
+       command=st.sampled_from(COMMANDS))
+def test_parameter_file_fuzz_exits_cleanly(dropped, overrides, command):
+    data = {k: v for k, v in VALID_FILE.items() if k not in dropped} | overrides
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        pfile = Path(tmp) / "params.json"
+        pfile.write_text(json.dumps(data))
+        argv = [command[0], "--params", str(pfile), *command[1:]]
+        if command[0] == "spectrum":
+            argv += ["--out", str(Path(tmp) / "curve.csv")]
+        rc = main(argv)
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -17,6 +17,8 @@ from sqz_sensor.spectra import LOSSLESS_DOUBLE, LOSSLESS_INPUT_ONLY
 
 from conftest import random_cancelled_params
 
+SCENARIOS = (Scenario.no_squeeze(), Scenario.input_squeeze(), Scenario.double_squeeze_optimal())
+
 # Spot values for the reference parameters (kp=1, kpp=1/10, eta=7/10,
 # exp(2r)=30, N=1), derived independently with rational arithmetic.
 S_NO_SQUEEZE_0 = float(Fraction(121, 560))
@@ -27,6 +29,15 @@ S_DOUBLE_0 = float(Fraction(127, 1940))
 S_DOUBLE_1 = float(Fraction(20077, 162960))
 SUM_NOISE_0 = float(Fraction(7, 20) * Fraction(6619, 8470))
 KC_OPT = float(Fraction(-927, 970))
+
+
+def optimal_gain_psd(p, w):
+    """The paper's spectrum at the loss-optimal internal gain, written out:
+    [(exp(-2r) + eps^2) w^2 / (4 kp) + eps^2 kp / (1 + eps^2 exp(2r)) + kpp] / (2 N)."""
+    eps2 = p.epsilon_sq
+    floor = eps2 * p.kappa_prime / (1.0 + eps2 * math.exp(2.0 * p.r_squeeze)) + p.kappa_double_prime
+    slope = (math.exp(-2.0 * p.r_squeeze) + eps2) / (4.0 * p.kappa_prime)
+    return 0.5 * (slope * np.square(w) + floor) / p.n_photons
 
 
 class TestSumNoise:
@@ -57,8 +68,8 @@ class TestMeasurementPsd:
         w = np.linspace(0.0, 4.0, 33)
         for _ in range(20):
             p = replace(random_cancelled_params(rng, with_kc=False), r_squeeze=0.0)
-            assert sq.measurement_psd_raw(p, w) == pytest.approx(
-                sq.no_squeeze_psd(p, w), rel=5e-15)
+            coherent = (w ** 2 + p.kappa ** 2) / (8.0 * p.kappa_prime * p.eta * p.n_photons)
+            assert sq.measurement_psd_raw(p, w) == pytest.approx(coherent, rel=5e-15)
 
     def test_reference_spot_values(self, fig2_params):
         assert sq.measurement_psd_raw(fig2_params, 1.0) == pytest.approx(S_INPUT_1, rel=1e-13)
@@ -78,7 +89,7 @@ class TestMeasurementPsd:
             p = random_cancelled_params(rng)
             popt = replace(p, k_c=sq.optimal_kc(p))
             assert sq.measurement_psd_raw(popt, w) == pytest.approx(
-                sq.double_squeeze_optimal_psd(p, w), rel=1e-12)
+                optimal_gain_psd(p, w), rel=1e-12)
 
 
 class TestClosedFormDispatch:
@@ -114,25 +125,26 @@ class TestClosedFormDispatch:
         for _ in range(20):
             p = replace(random_cancelled_params(rng, with_kc=False),
                         r_squeeze=rng.uniform(0.1, 1.5), eta=rng.uniform(0.3, 0.95))
-            s_no = sq.no_squeeze_psd(Scenario.no_squeeze().materialize(p), w)
-            s_in = sq.input_squeeze_psd(p, w)
-            s_db = sq.double_squeeze_optimal_psd(p, w)
+            s_no, s_in, s_db = (sq.scenario_curve(sc, p, w).values for sc in SCENARIOS)
             assert np.all(s_db < s_in)
             assert np.all(s_in < s_no)
 
     def test_all_spectra_scale_inversely_with_photon_number(self, fig2_params):
         w = np.linspace(0.0, 4.0, 9)
-        for fn in (sq.no_squeeze_psd, sq.input_squeeze_psd, sq.double_squeeze_optimal_psd, sq.snl):
-            base = fn(replace(fig2_params, r_squeeze=0.0), w) if fn is sq.no_squeeze_psd \
-                else fn(fig2_params, w)
-            scaled = fn(replace(fig2_params, r_squeeze=0.0, n_photons=8.0), w) if fn is sq.no_squeeze_psd \
-                else fn(replace(fig2_params, n_photons=8.0), w)
+        eight = replace(fig2_params, n_photons=8.0)
+        for sc in SCENARIOS:
+            base = sq.scenario_curve(sc, fig2_params, w).values
+            scaled = sq.scenario_curve(sc, eight, w).values
             assert scaled == pytest.approx(base / 8.0, rel=1e-14)
+        assert sq.snl(eight, w) == pytest.approx(sq.snl(fig2_params, w) / 8.0, rel=1e-14)
 
     def test_even_in_frequency(self, fig2_params):
         w = np.linspace(0.25, 4.0, 8)
-        for fn in (sq.input_squeeze_psd, sq.double_squeeze_optimal_psd, sq.snl):
-            assert fn(fig2_params, w) == pytest.approx(fn(fig2_params, -w), rel=1e-15)
+        for sc in SCENARIOS[1:]:
+            p = sc.materialize(fig2_params)
+            assert sq.closed_form_psd(sc, p, w) == pytest.approx(
+                sq.closed_form_psd(sc, p, -w), rel=1e-15)
+        assert sq.snl(fig2_params, w) == pytest.approx(sq.snl(fig2_params, -w), rel=1e-15)
 
 
 class TestSnl:
@@ -175,8 +187,9 @@ class TestLosslessForms:
     def test_input_only_reduces_to_no_squeeze(self):
         p = SensorParams(kappa_prime=2.0, kappa_double_prime=0.0, eta=1.0, n_photons=1.5)
         w = np.linspace(0.0, 5.0, 21)
+        coherent = (w ** 2 + p.kappa ** 2) / (8.0 * p.kappa_prime * p.eta * p.n_photons)
         assert sq.lossless_resonator_psd(LOSSLESS_INPUT_ONLY, p, w) == pytest.approx(
-            sq.no_squeeze_psd(p, w), rel=1e-15)
+            coherent, rel=1e-15)
 
     def test_double_is_strictly_better_off_balance(self):
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.0, eta=0.7,
@@ -188,13 +201,22 @@ class TestLosslessForms:
         # The DC floor of the optimal-gain spectrum (lossless resonator)
         # is epsilon^2 kappa' / (1 + epsilon^2 exp(2r)) and dies off
         # either as the output loss disappears or as squeezing grows.
+        # At eta = 1 the optimal gain sits on the stability edge, so the
+        # loss is taken to zero as a limit.
         base = dict(kappa_prime=1.0, kappa_double_prime=0.0, n_photons=1.0)
-        no_loss = SensorParams(eta=1.0, r_squeeze=0.5, **base)
-        assert sq.double_squeeze_optimal_psd(no_loss, 0.0) == 0.0
-        floors = [
-            sq.double_squeeze_optimal_psd(SensorParams(eta=0.7, r_squeeze=r, **base), 0.0)
-            for r in (0.5, 1.0, 2.0, 4.0, 8.0)
-        ]
+        scenario = Scenario.double_squeeze_optimal()
+
+        def floor(p):
+            value = sq.closed_form_psd(scenario, scenario.materialize(p), 0.0)
+            assert value == pytest.approx(optimal_gain_psd(p, 0.0), rel=1e-12)
+            return value
+
+        vanishing_loss = [floor(SensorParams(eta=1.0 - 10.0 ** -k, r_squeeze=0.5, **base))
+                          for k in (2, 4, 6, 8, 10)]
+        assert np.all(np.diff(vanishing_loss) < 0.0)
+        assert vanishing_loss[-1] < 1e-10
+        floors = [floor(SensorParams(eta=0.7, r_squeeze=r, **base))
+                  for r in (0.5, 1.0, 2.0, 4.0, 8.0)]
         assert np.all(np.diff(floors) < 0.0)
         assert floors[-1] < 1e-7
 
@@ -245,7 +267,7 @@ class TestAntisqueeze:
                 eta=sq.spectra.effective_eta(eps2),
                 n_photons=1.0, r_squeeze=1.0,
             )
-            values.append(sq.input_squeeze_psd(p, 0.7))
+            values.append(sq.closed_form_psd(Scenario.input_squeeze(), p, 0.7))
         assert np.all(np.diff(values) < 0.0)
 
     def test_two_stage_composition(self):
