@@ -165,6 +165,10 @@ class SensorParams:
                      "gamma_spm", "r_squeeze", "k_c", "k_s"):
             if not math.isfinite(getattr(self, name)):
                 raise RangeError(f"{name} must be finite")
+        if not math.isfinite(self.kappa):
+            raise RangeError(
+                f"kappa = kappa_prime + kappa_double_prime = {self.kappa} must be finite"
+            )
 
     @property
     def kappa(self) -> float:

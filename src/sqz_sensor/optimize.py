@@ -123,8 +123,13 @@ def optimal_kc(params: SensorParams) -> float:
     """
     em2r = math.exp(-2.0 * params.r_squeeze)
     eps2 = params.epsilon_sq
+    den = em2r + eps2
+    if den == 0.0:
+        # eta = 1 and exp(-2r) underflows: the eta = 1 optimum holds for
+        # any squeezing.
+        return params.kappa_prime - params.kappa_double_prime
     num = (params.kappa_prime - params.kappa_double_prime) * em2r - eps2 * params.kappa
-    return num / (em2r + eps2)
+    return num / den
 
 
 def numeric_min_kc(

@@ -9,17 +9,25 @@ reuses the closed-form algebra of :mod:`sqz_sensor.spectra`.
 Noise generation uses one counter-based stream per input field, keyed by
 ``(seed, stream id)``, and the integrator runs as a linear filter
 (:func:`scipy.signal.lfilter`), so realizations are reproducible bit for
-bit on any platform for pinned numpy/scipy versions.
+bit on any platform for pinned numpy/scipy versions.  The streams are
+drawn concurrently, one task per stream and chunk, which leaves every
+sequence as a serial draw gives it, whatever the core count.  The
+periodogram is Welch's estimate computed as batched real FFTs of the
+windowed segments.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as _scipy_signal
 
 from .core import (
@@ -50,8 +58,14 @@ STREAM_A_S = 1
 STREAM_V = 2
 STREAM_U = 3
 
+#: Noise streams each integration method draws from.
+_N_STREAMS = {METHOD_EULER: 4, METHOD_EXACT: 3}
+
 #: Fixed chunk length; reproducibility must not depend on memory layout.
 _CHUNK = 1 << 20
+
+#: Periodogram segments transformed per batched FFT; bounds work memory.
+_SEGMENT_BATCH = 32
 
 #: Margin against the fastest relaxation rate when validating the step.
 _DT_MARGIN = 0.1
@@ -211,11 +225,16 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
         raise ConfigError("duration shorter than one step")
     n_total = n_burn + n_out
 
-    if config.method == METHOD_EXACT:
-        d, b_s = _run_exact(params, config, n_total)
-        b_c = None
-    else:
-        d, b_c, b_s = _run_euler(params, config, n_total)
+    # The streams of a chunk are drawn concurrently (numpy releases the
+    # GIL while it draws).  The pool ends with the call, so no idle
+    # workers outlive it or are inherited by a forked child.
+    workers = min(_N_STREAMS[config.method], os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        if config.method == METHOD_EXACT:
+            d, b_s = _run_exact(params, config, n_total, pool)
+            b_c = None
+        else:
+            d, b_c, b_s = _run_euler(params, config, n_total, pool)
 
     run = SimulationRun(
         d_s=d[n_burn:].copy(),
@@ -238,11 +257,35 @@ def _output_coefficients(params: SensorParams) -> tuple[float, float, float]:
     return p_bs, q_as, q_us
 
 
-def _euler_drives(params: SensorParams, config: SimulationConfig, n_total: int):
+def _fill(gen: np.random.Generator, out: np.ndarray, scales: tuple) -> None:
+    """Draw standard normals into ``out`` and scale them in place.
+
+    Interleaved columns take their own factor: ``out[j::len(scales)]``
+    is multiplied by ``scales[j]``.
+    """
+    gen.standard_normal(out=out)
+    for j, scale in enumerate(scales):
+        out[j::len(scales)] *= scale
+
+
+def _draw(pool: ThreadPoolExecutor, jobs) -> None:
+    """Run every ``(stream, out, scales)`` job of one chunk on ``pool``.
+
+    Each stream is drawn by exactly one task per chunk and the chunks
+    follow one another, so every stream yields the same sequence as a
+    serial draw.
+    """
+    for future in [pool.submit(_fill, *job) for job in jobs]:
+        future.result()
+
+
+def _euler_drives(params: SensorParams, config: SimulationConfig, n_total: int,
+                  pool: ThreadPoolExecutor):
     """Bin-averaged white-noise inputs and signal drive, one chunk at a time.
 
     Yields ``(i0, a_c, a_s, v_c, v_s, u_s, xi_drive)`` for steps
-    ``i0 .. i0 + len(a_s)``; each sample has variance PSD/dt.
+    ``i0 .. i0 + len(a_s)``; each sample has variance PSD/dt.  The noise
+    arrays are views into one buffer per chunk.
     """
     dt = config.dt
     psds = input_noise_psds(params)
@@ -263,21 +306,20 @@ def _euler_drives(params: SensorParams, config: SimulationConfig, n_total: int):
     for i0 in range(0, n_total, _CHUNK):
         i1 = min(i0 + _CHUNK, n_total)
         n = i1 - i0
-        a_c = sig_ac * g_ac.standard_normal(n)
-        a_s = sig_as * g_as.standard_normal(n)
-        v = g_v.standard_normal(2 * n)
-        v_c = sig_vc * v[0::2]
-        v_s = sig_vs * v[1::2]
-        u_s = sig_u * g_u.standard_normal(n)
+        buf = np.empty(5 * n)
+        a_c, a_s, v, u_s = buf[:n], buf[n:2 * n], buf[2 * n:4 * n], buf[4 * n:]
+        _draw(pool, [(g_ac, a_c, (sig_ac,)), (g_as, a_s, (sig_as,)),
+                     (g_v, v, (sig_vc, sig_vs)), (g_u, u_s, (sig_u,))])
         if zero_signal:
             xi_drive = np.zeros(n)
         else:
             t = (np.arange(i0, i1) - n_burn) * dt
             xi_drive = coupling * config.signal.evaluate(t)
-        yield i0, a_c, a_s, v_c, v_s, u_s, xi_drive
+        yield i0, a_c, a_s, v[0::2], v[1::2], u_s, xi_drive
 
 
-def _run_euler(params: SensorParams, config: SimulationConfig, n_total: int):
+def _run_euler(params: SensorParams, config: SimulationConfig, n_total: int,
+               pool: ThreadPoolExecutor):
     # The Euler-Maruyama step x[n+1] = A x[n] + dt f[n], A = I - dt M, is
     # a two-state linear recursion, so each recorded series is a sum of
     # second-order IIR filters (common denominator det(I - A/z)) of the
@@ -303,7 +345,7 @@ def _run_euler(params: SensorParams, config: SimulationConfig, n_total: int):
     outs = [np.empty(n_total) for _ in numerators]
     zi = np.zeros((len(numerators), 2, 2))
 
-    for i0, a_c, a_s, v_c, v_s, u_s, xi_drive in _euler_drives(params, config, n_total):
+    for i0, a_c, a_s, v_c, v_s, u_s, xi_drive in _euler_drives(params, config, n_total, pool):
         i1 = i0 + a_s.size
         f_c = c_a * a_c + c_v * v_c
         f_s = c_a * a_s + c_v * v_s + xi_drive
@@ -325,7 +367,8 @@ def _exact_decay(params: SensorParams, dt: float) -> tuple[float, float]:
     return lam, math.exp(-lam * dt)
 
 
-def _exact_drives(params: SensorParams, config: SimulationConfig, n_total: int):
+def _exact_drives(params: SensorParams, config: SimulationConfig, n_total: int,
+                  pool: ThreadPoolExecutor):
     """Exact per-step drive increments of the measured quadrature.
 
     Yields ``(i0, a_bar, w_drive, u_s)`` per chunk: the bin average of
@@ -359,21 +402,23 @@ def _exact_drives(params: SensorParams, config: SimulationConfig, n_total: int):
     for i0 in range(0, n_total, _CHUNK):
         i1 = min(i0 + _CHUNK, n_total)
         n = i1 - i0
-        za = g_as.standard_normal(2 * n)
-        a_bar = sig_abar * za[0::2]
-        i1_a = gain01 * (a_bar * dt) + resid * za[1::2]
-        zv = g_v.standard_normal(2 * n)
-        i1_v = sig_i1v * zv[1::2]
-        u_s = sig_u * g_u.standard_normal(n)
+        buf = np.empty(5 * n)
+        za, zv, u_s = buf[:2 * n], buf[2 * n:4 * n], buf[4 * n:]
+        # Only the odd draws of the v stream enter the drive.
+        _draw(pool, [(g_as, za, (sig_abar, resid)), (g_v, zv, (sig_i1v,)),
+                     (g_u, u_s, (sig_u,))])
+        a_bar = za[0::2]
+        i1_a = gain01 * (a_bar * dt) + za[1::2]
         if zero_signal:
             sig_term = np.zeros(n)
         else:
             t = (np.arange(i0, i1) - n_burn) * dt
             sig_term = coupling * sig_gain * config.signal.evaluate(t)
-        yield i0, a_bar, c_a * i1_a + c_v * i1_v + sig_term, u_s
+        yield i0, a_bar, c_a * i1_a + c_v * zv[1::2] + sig_term, u_s
 
 
-def _run_exact(params: SensorParams, config: SimulationConfig, n_total: int):
+def _run_exact(params: SensorParams, config: SimulationConfig, n_total: int,
+               pool: ThreadPoolExecutor):
     # Exact one-step relaxation b_s[n+1] = decay b_s[n] + w[n] of the
     # decoupled measured quadrature, run as a first-order IIR filter; the
     # detector uses the same midpoint state average as the Euler path.
@@ -392,7 +437,7 @@ def _run_exact(params: SensorParams, config: SimulationConfig, n_total: int):
     outs = [np.empty(n_total) for _ in numerators]
     zi = np.zeros((len(numerators), 1))
 
-    for i0, a_bar, w_drive, u_s in _exact_drives(params, config, n_total):
+    for i0, a_bar, w_drive, u_s in _exact_drives(params, config, n_total, pool):
         i1 = i0 + a_bar.size
         for k, num in enumerate(numerators):
             outs[k][i0:i1], zi[k] = _scipy_signal.lfilter(num, den, w_drive, zi=zi[k])
@@ -431,28 +476,22 @@ def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> S
             f"run of {n} samples cannot support {n_seg} half-overlapping segments"
         )
 
-    freqs, pxx = _scipy_signal.welch(
-        run.d_s,
-        fs=1.0 / dt,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend=False,
-        return_onesided=False,
-        scaling="density",
-    )
-    pos = freqs >= 0.0
-    omega_native = 2.0 * math.pi * freqs[pos]
-    psd_native = pxx[pos]
-    order = np.argsort(omega_native)
-    omega_native = omega_native[order]
-    psd_native = psd_native[order]
-    if nperseg % 2 == 0:
-        # Two-sided output stores the Nyquist bin at -fs/2; mirror it so
-        # interpolation covers the full [0, pi/dt] range.
-        i_ny = int(np.argmin(freqs))
-        omega_native = np.append(omega_native, nyquist)
-        psd_native = np.append(psd_native, pxx[i_ny])
+    # Welch's estimate as batched real FFTs over a strided view of the
+    # half-overlapping segments; a tail shorter than a hop is left out.
+    # For real data |X_k|^2 is the double-sided density at +k and -k
+    # alike, so the rfft bins 0 .. nperseg/2 (DC and Nyquist included)
+    # need no folding.
+    half = nperseg // 2
+    segments = sliding_window_view(run.d_s, nperseg)[::half]
+    window = _scipy_signal.get_window("hann", nperseg)
+    power = np.zeros(nperseg + 2)
+    for s0 in range(0, len(segments), _SEGMENT_BATCH):
+        fx = scipy.fft.rfft(segments[s0:s0 + _SEGMENT_BATCH] * window)
+        flat = fx.view(np.float64)
+        power += np.einsum("ij,ij->j", flat, flat)
+    scale = dt / (len(segments) * float(np.sum(window * window)))
+    psd_native = scale * (power[0::2] + power[1::2])
+    omega_native = (2.0 * math.pi / (nperseg * dt)) * np.arange(half + 1)
 
     values = np.interp(grid, omega_native, psd_native)
     if xi_referred:

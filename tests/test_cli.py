@@ -213,6 +213,21 @@ class TestOptimizeCommand:
         assert result["closed_form"] == pytest.approx(float(Fraction(-927, 970)), rel=1e-12)
         assert result["agreement"] < 1e-8
 
+    def test_kc_target_when_squeezing_underflows(self, tmp_path):
+        # eta = 1 with exp(-2r) underflowed to 0: the spectrum no longer
+        # depends on k_c, and the closed form is the eta = 1 optimum.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"eta": 1.0, "r_squeeze": 400.0}))
+        out = tmp_path / "kc.json"
+        rc = main(["optimize", "--params", str(pfile), "--target", "kc", "--out", str(out)])
+        assert rc == 0
+        result = json.loads(out.read_text())
+        assert result["closed_form"] == pytest.approx(0.9, rel=1e-14)
+        params = sq.SensorParams(**(FIG2_FILE | {"eta": 1.0, "r_squeeze": 400.0,
+                                                 "k_c": result["closed_form"]}))
+        assert sq.measurement_psd_raw(params, 0.0) == pytest.approx(
+            result["objective_at_numeric"], rel=1e-12)
+
     def test_snl_kappa_target(self, params_file, tmp_path):
         out = tmp_path / "kappa.json"
         rc = main(["optimize", "--params", str(params_file), "--target", "snl_kappa",
@@ -332,6 +347,20 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--target", "kc"],
+        ["spectrum", "--scenario", "no-squeeze"],
+    ])
+    def test_derived_kappa_beyond_float_range_is_input_error(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(FIG2_FILE | {"kappa_prime": 1e308,
+                                               "kappa_double_prime": 1e308}))
+        rc = main([*argv, "--params", str(bad), "--out", str(tmp_path / "x.out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "kappa = kappa_prime + kappa_double_prime" in err
 
     @pytest.mark.parametrize("target, flag, value", [
         ("kc", "--omega", "nan"),

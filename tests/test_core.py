@@ -51,6 +51,11 @@ class TestSensorParams:
         with pytest.raises(RangeError, match=field):
             SensorParams(**kwargs)
 
+    def test_derived_kappa_must_be_finite(self):
+        with pytest.raises(RangeError, match="kappa = kappa_prime"):
+            SensorParams(kappa_prime=1e308, kappa_double_prime=1e308, eta=0.7,
+                         n_photons=1.0)
+
     def test_bad_units_rejected(self):
         with pytest.raises(RangeError, match="units"):
             SensorParams(kappa_prime=1.0, kappa_double_prime=0.0, eta=1.0,

@@ -53,6 +53,16 @@ class TestOptimalKc:
                          n_photons=1.0, r_squeeze=0.8)
         assert sq.optimal_kc(p) == pytest.approx(0.9, rel=1e-14)
 
+    def test_lossless_limit_when_squeezing_underflows(self):
+        # exp(-2r) underflows to 0 beyond r of about 372, and eta = 1 has
+        # no loss term: the optimum stays the eta = 1 value kp - kpp.
+        p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=1.0,
+                         n_photons=1.0, r_squeeze=400.0)
+        assert math.exp(-2.0 * p.r_squeeze) + p.epsilon_sq == 0.0
+        assert sq.optimal_kc(p) == pytest.approx(0.9, rel=1e-14)
+        scenario = sq.Scenario.double_squeeze_optimal()
+        assert math.isfinite(sq.closed_form_psd(scenario, scenario.materialize(p), 1.0))
+
     def test_sign_flips_at_noise_balance(self):
         # The zero of the optimum sits where exp(-2r) (kp - kpp) equals
         # epsilon^2 kappa.

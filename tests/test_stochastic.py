@@ -18,6 +18,8 @@ from sqz_sensor import (
 )
 from sqz_sensor.stochastic import spectral_comparison_config
 
+from reference_welch import welch_two_sided
+
 BAND = np.linspace(0.2, 3.0, 36)
 
 
@@ -123,6 +125,29 @@ class TestEstimatePsd:
         scatter = rms_rel(est, s0)
         assert scatter < 2.5 / math.sqrt(n_seg)
         assert abs(float(np.mean(est)) / s0 - 1.0) < 0.02
+
+    @pytest.mark.parametrize("n, n_seg, nperseg", [
+        (85, 9, 16),        # the shortest segment estimate_psd accepts
+        (3239, 100, 64),    # several FFT batches, the last one partial
+        (10_000, 20, 952),
+    ])
+    def test_matches_scipy_two_sided_welch(self, vacuum_params, n, n_seg, nperseg):
+        dt = 0.05
+        d = np.random.default_rng(n).standard_normal(n)
+        run = sq.SimulationRun(
+            d_s=d, params=vacuum_params,
+            config=SimulationConfig(dt=dt, duration=n * dt, seed=0, n_segments=n_seg),
+            input_psds={}, t0=0.0, backend="synthetic",
+        )
+        assert int(2 * n // (n_seg + 1)) // 2 * 2 == nperseg
+        assert (n - nperseg) % (nperseg // 2) > 0  # a tail no segment covers
+        # DC, every bin centre, points between bins, and pi/dt
+        k = np.arange(nperseg // 2)
+        grid = np.sort(np.concatenate([k, k + 0.37]) * (2.0 * math.pi / (nperseg * dt)))
+        grid = np.append(grid, math.pi / dt)
+        want = np.interp(grid, *welch_two_sided(d, dt, nperseg))
+        got = sq.estimate_psd(run, grid).values
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
     def test_vacuum_sum_noise_flat(self, vacuum_params):
         cfg = spectral_comparison_config(vacuum_params, 800, seed=32)
