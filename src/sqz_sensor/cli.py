@@ -75,7 +75,7 @@ def _timestamp() -> str:
 
 def _library_versions() -> dict:
     # Bit-for-bit recomputation depends on numpy's noise generators and
-    # scipy's lfilter/welch.
+    # scipy's lfilter and FFT.
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 

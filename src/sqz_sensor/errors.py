@@ -23,7 +23,8 @@ class DoubleNormalizationError(SqzSensorError, ValueError):
 
 
 class ConvergenceError(SqzSensorError, RuntimeError):
-    """An iterative numerical routine exhausted its iteration cap."""
+    """An iterative numerical routine stopped without a valid result: it
+    reached its evaluation cap or met a NaN objective."""
 
 
 class NoBandError(SqzSensorError, RuntimeError):

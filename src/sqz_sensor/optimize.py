@@ -1,11 +1,11 @@
 """Design-parameter optimization and sub-shot-noise band analysis.
 
-The closed-form optima have independent numeric counterparts (coarse grid
-scan, golden-section refinement, parabolic polish) so every analytic
-optimum in the package can be cross-checked without reusing its algebra.
-Sub-shot-noise bands are analytic: every closed-form spectrum is one
-quadratic in omega, so the band edges are the roots of that quadratic
-minus the linear shot-noise limit.
+The closed-form optima have independent numeric counterparts (a bounded
+Brent search on the spectrum itself, then one parabolic polish) so every
+analytic optimum in the package can be cross-checked without reusing its
+algebra.  Sub-shot-noise bands are analytic: every closed-form spectrum
+is one quadratic in omega, so the band edges are the roots of that
+quadratic minus the linear shot-noise limit.
 """
 
 from __future__ import annotations
@@ -14,102 +14,59 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import spectra
 from .core import Scenario, SensorParams
 from .errors import ConvergenceError, NoBandError, RangeError
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-METHOD_CLOSED_FORM = "closed_form"
-METHOD_GRID_REFINE = "grid_refine"
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Argmin, attained objective, and provenance of a 1-d minimization."""
+    """Argmin and attained objective of a 1-d minimization.
+
+    ``boundary`` flags a numeric optimum within the polish spacing of an
+    end of the search interval, where it was not refined further.
+    """
 
     argmin: float
     value: float
-    method: str
-    tolerance: float
     boundary: bool = False
 
 
-def golden_section(f, a: float, b: float, rel_tol: float = 1e-12, max_iter: int = 200):
-    """Golden-section search for the minimum of a unimodal function.
+# Overflow surfaces as a NaN objective (ConvergenceError) or a constant
+# one (RangeError), not as floating-point warnings.
+@np.errstate(over="ignore", invalid="ignore")
+def _minimize(f, lo: float, hi: float, h: float):
+    """Bounded Brent minimization of ``f`` on ``[lo, hi]``, then one polish.
 
-    Returns ``(x, f(x))`` with the bracket narrowed to
-    ``rel_tol * max(|a|, |b|, 1)``.  Raises :class:`ConvergenceError`
-    if the required iteration count exceeds ``max_iter``.
+    Brent's method stops near the square root of machine epsilon, the
+    limit of any comparison search at a flat minimum; one parabolic-vertex
+    step through ``x - h``, ``x``, ``x + h`` then recovers the vertex to
+    near full precision for the smooth objectives used here.  Returns
+    ``(x, f(x), boundary)``; an optimum within ``h`` of an end is not
+    polished and is flagged ``boundary``.  Raises :class:`RangeError` when
+    the attained minimum equals ``f`` at both ends (a constant objective
+    has no unique optimum) and :class:`ConvergenceError` when Brent's
+    method fails.
     """
-    a, b = (a, b) if a < b else (b, a)
-    scale = max(abs(a), abs(b), 1.0)
-    tol = rel_tol * scale
-    h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
-    n_steps = int(math.ceil(math.log(tol / h) / math.log(_INVPHI)))
-    if n_steps > max_iter:
-        raise ConvergenceError(
-            f"golden-section needs {n_steps} iterations for rel_tol={rel_tol}, cap is {max_iter}"
-        )
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(n_steps - 1):
-        h *= _INVPHI
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INVPHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INVPHI * h
-            yd = f(d)
-    x = c if yc < yd else d
-    return x, min(yc, yd)
-
-
-def _parabolic_polish(f, x: float, h: float, lo: float, hi: float):
-    """One exact parabolic-vertex step around ``x`` with spacing ``h``.
-
-    Double precision limits a pure comparison search to roughly the
-    square root of machine epsilon near a flat minimum; a single
-    wide-spaced parabolic fit recovers the vertex to near full precision
-    for the smooth objectives used here.
-    """
+    # Brent's absolute tolerance, about sqrt(eps) of the problem scale
+    # h * 1e5, keeps its stop well inside the polish spacing.
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-3 * h})
+    if not res.success:
+        raise ConvergenceError(f"bounded Brent search on [{lo!r}, {hi!r}] failed: {res.message}")
+    x, y = float(res.x), float(res.fun)
+    if y == f(lo) == f(hi):
+        raise RangeError(f"objective is {y!r} at both ends and at its minimum: no unique optimum")
     if x - h <= lo or x + h >= hi:
-        return x, f(x)
-    f1, f2, f3 = f(x - h), f(x), f(x + h)
-    den = 2.0 * f2 - f1 - f3
-    if den == 0.0:
-        return x, f2
-    step = -0.5 * h * (f1 - f3) / den
-    if not math.isfinite(step) or abs(step) > h:
-        return x, f2
-    xv = min(max(x + step, lo), hi)
-    return xv, f(xv)
-
-
-def _grid_refine(f, xs, rel_tol: float, polish_h: float):
-    """Coarse-grid argmin, golden-section refinement, parabolic polish.
-
-    Returns ``(x, f(x), boundary)`` where ``boundary`` flags an optimum
-    pinned to an end of the search grid.
-    """
-    ys = np.array([f(x) for x in xs])
-    i = int(np.argmin(ys))
-    boundary = i == 0 or i == len(xs) - 1
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
-    x, y = golden_section(f, lo, hi, rel_tol=rel_tol)
-    if not boundary:
-        x, y = _parabolic_polish(f, x, polish_h, xs[0], xs[-1])
-    return x, y, boundary
+        return x, y, True
+    f1, f3 = f(x - h), f(x + h)
+    den = 2.0 * y - f1 - f3
+    step = 0.5 * h * (f3 - f1) / den if den != 0.0 else math.inf
+    if abs(step) <= h:
+        x += step
+        y = f(x)
+    return x, y, False
 
 
 def optimal_kc(params: SensorParams) -> float:
@@ -132,31 +89,35 @@ def optimal_kc(params: SensorParams) -> float:
     return num / den
 
 
-def numeric_min_kc(
-    params: SensorParams,
-    omega_probe: float = 0.0,
-    rel_tol: float = 1e-10,
-    n_grid: int = 512,
-) -> OptimizationResult:
+def numeric_min_kc(params: SensorParams, omega_probe: float = 0.0) -> OptimizationResult:
     """Numeric minimization of the sensitivity spectrum over k_c.
 
-    Independent check of :func:`optimal_kc`: scans a stable k_c grid,
-    refines by golden section, and polishes with a parabolic step.  The
-    argmin does not depend on ``omega_probe`` because the k_c-dependent
-    part of the objective carries no frequency term.
+    Independent check of :func:`optimal_kc`: a bounded Brent search of
+    the spectrum over the stable range ``|k_c| < kappa`` (less 1e-9 kappa
+    at each end), polished with spacing ``1e-5 kappa``; ``boundary`` flags
+    an optimum within that spacing of an end.  The argmin does not depend
+    on ``omega_probe`` because the k_c-dependent part of the objective
+    carries no frequency term.  Raises :class:`RangeError` when the
+    spectrum does not depend on k_c (``eta = 1`` with ``exp(-2r)``
+    underflowed).
     """
     kappa = params.kappa
     delta = 1e-9 * kappa
-    xs = np.linspace(-kappa + delta, kappa - delta, n_grid)
 
     def objective(kc: float) -> float:
         return spectra.measurement_psd_raw(replace(params, k_c=kc), omega_probe)
 
-    x, y, boundary = _grid_refine(objective, xs, rel_tol, polish_h=1e-5 * kappa)
-    return OptimizationResult(
-        argmin=float(x), value=float(y), method=METHOD_GRID_REFINE,
-        tolerance=rel_tol, boundary=boundary,
-    )
+    x, y, boundary = _minimize(objective, -kappa + delta, kappa - delta, h=1e-5 * kappa)
+    return OptimizationResult(argmin=x, value=y, boundary=boundary)
+
+
+def _check_omega(omega: float) -> float:
+    """``|omega|`` of a finite nonzero sideband frequency."""
+    if not math.isfinite(omega):
+        raise RangeError(f"omega must be finite, got {omega}")
+    if omega == 0.0:
+        raise RangeError("omega = 0 is degenerate: the optimal bandwidth tends to 0")
+    return abs(float(omega))
 
 
 def snl_optimal_kappa(omega: float, n_photons: float = 1.0) -> OptimizationResult:
@@ -165,46 +126,34 @@ def snl_optimal_kappa(omega: float, n_photons: float = 1.0) -> OptimizationResul
     At sideband frequency omega the optimal half-bandwidth equals
     |omega| and the attained spectral density is the shot-noise limit
     |omega| / (4 N).  The point omega = 0 is degenerate (the formal
-    optimum pushes the bandwidth to zero) and is rejected.
+    optimum pushes the bandwidth to zero) and is rejected, as is a
+    non-finite omega.
     """
-    if omega == 0.0:
-        raise RangeError("omega = 0 is degenerate: the optimal bandwidth tends to 0")
+    argmin = _check_omega(omega)
     if n_photons <= 0.0:
         raise RangeError(f"n_photons must be > 0, got {n_photons}")
-    argmin = abs(float(omega))
-    return OptimizationResult(
-        argmin=argmin, value=argmin / (4.0 * n_photons),
-        method=METHOD_CLOSED_FORM, tolerance=0.0,
-    )
+    return OptimizationResult(argmin=argmin, value=argmin / (4.0 * n_photons))
 
 
-def numeric_min_kappa(
-    omega: float,
-    n_photons: float = 1.0,
-    rel_tol: float = 1e-10,
-    n_grid: int = 512,
-    span: float = 1e3,
-) -> OptimizationResult:
+def numeric_min_kappa(omega: float, n_photons: float = 1.0) -> OptimizationResult:
     """Numeric counterpart of :func:`snl_optimal_kappa`.
 
     Minimizes the lossless no-squeezing spectrum over the half-bandwidth
-    on a logarithmic grid spanning ``[|omega|/span, |omega|*span]``.
+    by a bounded Brent search on ``[|omega|/1e3, 1e3 |omega|]``, polished
+    with spacing ``1e-5 |omega|``; ``boundary`` flags an optimum within
+    that spacing of an end.  Raises :class:`RangeError` for a zero or
+    non-finite omega, and when the spectrum does not depend on the
+    bandwidth because ``omega^2`` and ``kappa^2`` overflow or underflow.
     """
-    if omega == 0.0:
-        raise RangeError("omega = 0 is degenerate: the optimal bandwidth tends to 0")
-    w = abs(float(omega))
-    xs = np.geomspace(w / span, w * span, n_grid)
+    w = _check_omega(omega)
 
     def objective(kappa: float) -> float:
         p = SensorParams(kappa_prime=kappa, kappa_double_prime=0.0,
                          eta=1.0, n_photons=n_photons)
         return spectra.measurement_psd_raw(p, w)
 
-    x, y, boundary = _grid_refine(objective, xs, rel_tol, polish_h=1e-5 * w)
-    return OptimizationResult(
-        argmin=float(x), value=float(y), method=METHOD_GRID_REFINE,
-        tolerance=rel_tol, boundary=boundary,
-    )
+    x, y, boundary = _minimize(objective, w / 1e3, w * 1e3, h=1e-5 * w)
+    return OptimizationResult(argmin=x, value=y, boundary=boundary)
 
 
 @dataclass(frozen=True)

@@ -213,20 +213,18 @@ class TestOptimizeCommand:
         assert result["closed_form"] == pytest.approx(float(Fraction(-927, 970)), rel=1e-12)
         assert result["agreement"] < 1e-8
 
-    def test_kc_target_when_squeezing_underflows(self, tmp_path):
+    def test_kc_target_when_squeezing_underflows(self, tmp_path, capsys):
         # eta = 1 with exp(-2r) underflowed to 0: the spectrum no longer
-        # depends on k_c, and the closed form is the eta = 1 optimum.
+        # depends on k_c, so there is no numeric optimum to compare with.
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps(FIG2_FILE | {"eta": 1.0, "r_squeeze": 400.0}))
         out = tmp_path / "kc.json"
         rc = main(["optimize", "--params", str(pfile), "--target", "kc", "--out", str(out)])
-        assert rc == 0
-        result = json.loads(out.read_text())
-        assert result["closed_form"] == pytest.approx(0.9, rel=1e-14)
-        params = sq.SensorParams(**(FIG2_FILE | {"eta": 1.0, "r_squeeze": 400.0,
-                                                 "k_c": result["closed_form"]}))
-        assert sq.measurement_psd_raw(params, 0.0) == pytest.approx(
-            result["objective_at_numeric"], rel=1e-12)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no unique optimum" in err
+        assert not out.exists()
 
     def test_snl_kappa_target(self, params_file, tmp_path):
         out = tmp_path / "kappa.json"
@@ -375,6 +373,16 @@ class TestExitCodes:
                   f"{flag}={value}"])
         assert err.value.code == 2
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", ["1e300", "1e-300"])
+    def test_snl_kappa_beyond_float_range_is_input_error(self, omega, params_file, capsys):
+        # The bandwidth search spans 1e3 either side of omega, where
+        # omega^2 and kappa^2 overflow or underflow.
+        rc = main(["optimize", "--params", str(params_file), "--target", "snl_kappa",
+                   "--omega", omega])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestProvenance:

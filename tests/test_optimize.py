@@ -7,13 +7,11 @@ import pytest
 
 import sqz_sensor as sq
 from sqz_sensor import (
-    ConvergenceError,
     NoBandError,
     RangeError,
     Scenario,
     SensorParams,
 )
-from sqz_sensor.optimize import golden_section
 
 from conftest import random_cancelled_params
 from test_spectra import S_DOUBLE_0, S_DOUBLE_1, S_INPUT_0
@@ -87,7 +85,6 @@ class TestOptimalKc:
 class TestNumericMinKc:
     def test_matches_closed_form(self, fig2_params):
         res = sq.numeric_min_kc(fig2_params, omega_probe=0.0)
-        assert res.method == "grid_refine"
         assert not res.boundary
         assert res.argmin == pytest.approx(sq.optimal_kc(fig2_params), abs=1e-9)
 
@@ -111,16 +108,22 @@ class TestNumericMinKc:
         res = sq.numeric_min_kc(fig2_params, omega_probe=1.0)
         assert res.value == pytest.approx(S_DOUBLE_1, rel=1e-12)
 
+    def test_optimum_inside_first_grid_cell(self):
+        # At 35 dB the optimum sits 6.3e-4 kappa inside the stability edge:
+        # close to it, but far enough for the polish step to fit.
+        p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.5,
+                         n_photons=1.0, r_squeeze=sq.r_from_db(35.0))
+        res = sq.numeric_min_kc(p, omega_probe=0.0)
+        assert not res.boundary
+        assert abs(res.argmin - sq.optimal_kc(p)) <= 1e-8
 
-class TestGoldenSection:
-    def test_quadratic_minimum(self):
-        x, fx = golden_section(lambda x: (x - 2.0) ** 2 + 1.0, -10.0, 10.0)
-        assert x == pytest.approx(2.0, abs=1e-6)
-        assert fx == pytest.approx(1.0, abs=1e-12)
-
-    def test_iteration_cap(self):
-        with pytest.raises(ConvergenceError):
-            golden_section(lambda x: x * x, -1.0, 1.0, rel_tol=1e-80, max_iter=50)
+    def test_objective_independent_of_kc_rejected(self):
+        # eta = 1 and exp(-2r) underflowed: every stable k_c gives the
+        # same spectrum, so there is no unique optimum.
+        p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=1.0,
+                         n_photons=1.0, r_squeeze=400.0)
+        with pytest.raises(RangeError, match="no unique optimum"):
+            sq.numeric_min_kc(p, omega_probe=0.0)
 
 
 class TestSnlOptimalKappa:
@@ -139,6 +142,13 @@ class TestSnlOptimalKappa:
     def test_degenerate_at_dc(self):
         with pytest.raises(RangeError):
             sq.snl_optimal_kappa(0.0, 1.0)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_rejected(self, omega):
+        with pytest.raises(RangeError, match="finite"):
+            sq.snl_optimal_kappa(omega, 1.0)
+        with pytest.raises(RangeError, match="finite"):
+            sq.numeric_min_kappa(omega, 1.0)
 
     def test_numeric_agreement_on_grid(self):
         for w in np.linspace(0.25, 4.0, 7):

@@ -1,10 +1,11 @@
-"""Property tests: band edges, closed forms and parameter files on random inputs.
+"""Property tests: band edges, closed forms, optima and parameter files on random inputs.
 
 Every oracle here is independent of the code it checks: band edges come
 from a companion-matrix root solver on a quadratic whose omega^2
 coefficient is written out below and whose floor is the frequency-domain
 solver at DC; closed forms are checked against that solver over the whole
-grid.  Examples are derandomized so the suite stays deterministic.
+grid; closed-form optima are checked against numeric minima of the
+spectrum.  Examples are derandomized so the suite stays deterministic.
 """
 
 import io
@@ -100,6 +101,33 @@ def test_closed_form_matches_frequency_domain_solver(params, scenario, omegas):
     w = np.array(omegas)
     oracle = sq.psd_from_response(params_m, w).values
     assert sq.closed_form_psd(scenario, params_m, w) == pytest.approx(oracle, rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(kpp=st.floats(0.0, 2.0), eta=st.floats(0.05, 0.99), r_squeeze=st.floats(0.0, 4.0),
+       log_n=st.floats(-5.0, 5.0))
+def test_numeric_kc_optimum_matches_closed_form(kpp, eta, r_squeeze, log_n):
+    params = SensorParams(kappa_prime=1.0, kappa_double_prime=kpp, eta=eta,
+                          n_photons=math.exp(log_n), r_squeeze=r_squeeze)
+    res = sq.numeric_min_kc(params)
+    closed = sq.optimal_kc(params)
+    if params.kappa - abs(closed) <= 1e-5 * params.kappa:
+        # Within the polish spacing of the stability edge.
+        assert res.boundary
+    else:
+        assert abs(res.argmin - closed) <= 1e-8 * params.kappa
+
+
+@PROPERTY_SETTINGS
+@given(log_omega=st.floats(-4.0, 4.0), sign=st.sampled_from((1.0, -1.0)),
+       log_n=st.floats(-3.0, 3.0))
+def test_numeric_kappa_optimum_matches_closed_form(log_omega, sign, log_n):
+    omega, n_photons = sign * 10.0 ** log_omega, 10.0 ** log_n
+    res = sq.numeric_min_kappa(omega, n_photons)
+    closed = sq.snl_optimal_kappa(omega, n_photons)
+    assert not res.boundary
+    assert res.argmin == pytest.approx(closed.argmin, rel=1e-10)
+    assert res.value == pytest.approx(closed.value, rel=1e-10)
 
 
 VALID_FILE = {
