@@ -13,14 +13,12 @@ from .core import (
     SensorParams,
     SpectrumCurve,
     db_from_r,
-    detuning_offset,
     load_params,
     params_from_dict,
     params_to_dict,
     r_from_db,
     rates_from_quality,
     spm_cancelling_ks,
-    validate,
 )
 from .dynamics import (
     DriftMatrix,
@@ -56,7 +54,6 @@ from .optimize import (
 from .spectra import (
     apply_external_antisqueeze,
     closed_form_psd,
-    denormalize_curve,
     lossless_resonator_psd,
     measurement_psd_raw,
     normalize_curve,
@@ -70,7 +67,6 @@ from .stochastic import (
     SimulationConfig,
     SimulationRun,
     estimate_psd,
-    load_timeseries,
     measure_gain,
     simulate,
     spectral_comparison_config,
@@ -103,9 +99,7 @@ __all__ = [
     "r_from_db",
     "db_from_r",
     "spm_cancelling_ks",
-    "detuning_offset",
     "rates_from_quality",
-    "validate",
     "load_params",
     "params_from_dict",
     "params_to_dict",
@@ -122,7 +116,6 @@ __all__ = [
     "apply_external_antisqueeze",
     "two_stage_epsilon_sq",
     "normalize_curve",
-    "denormalize_curve",
     "scenario_curve",
     "snl_curve",
     "optimal_kc",
@@ -133,6 +126,5 @@ __all__ = [
     "simulate",
     "estimate_psd",
     "measure_gain",
-    "load_timeseries",
     "spectral_comparison_config",
 ]

@@ -488,9 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once; parsing leaves the tree unchanged, so calls can share it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -7,8 +7,7 @@ Conventions used throughout the package:
   the coupling part ``kappa_prime`` and the intrinsic-loss part
   ``kappa_double_prime``.
 * The intracavity parametric drive enters only through its quadrature
-  gains ``k_c`` and ``k_s``; pump strength and phase are convenience
-  inputs only.
+  gains ``k_c`` and ``k_s``.
 * The mean intracavity photon number ``n_photons`` stores ``beta**2``
   with ``beta`` real and positive.
 * Rates are either all in rad/s (``units="si"``) or all in units of the
@@ -60,21 +59,6 @@ def spm_cancelling_ks(gamma_spm: float, n_photons: float) -> float:
     if n_photons <= 0.0:
         raise RangeError(f"n_photons must be > 0, got {n_photons}")
     return 2.0 * gamma_spm * n_photons
-
-
-def detuning_offset(gamma_spm: float, n_photons: float) -> float:
-    """Pump-frame detuning of the drive relative to the bare resonance.
-
-    The parametric pump is tuned below the bare eigenfrequency by the
-    Kerr shift ``gamma_spm * n_photons``; the returned offset is
-    ``-gamma_spm * n_photons`` (exactly half of
-    :func:`spm_cancelling_ks`, with opposite sign).
-    """
-    if gamma_spm < 0.0:
-        raise RangeError(f"gamma_spm must be >= 0, got {gamma_spm}")
-    if n_photons <= 0.0:
-        raise RangeError(f"n_photons must be > 0, got {n_photons}")
-    return -gamma_spm * n_photons
 
 
 def rates_from_quality(omega_0: float, q_intrinsic: float, coupling_ratio: float) -> tuple[float, float]:
@@ -185,17 +169,6 @@ class SensorParams:
         """Real classical intracavity amplitude, sqrt(n_photons)."""
         return math.sqrt(self.n_photons)
 
-    @classmethod
-    def from_pump(cls, pump_gain: float, pump_phase: float, **kwargs) -> "SensorParams":
-        """Build parameters from a pump strength k and phase phi.
-
-        Only the quadrature gains ``k_c = k cos(phi)`` and
-        ``k_s = k sin(phi)`` enter the model, so this is a convenience
-        wrapper; k and phi are not stored.
-        """
-        return cls(k_c=pump_gain * math.cos(pump_phase),
-                   k_s=pump_gain * math.sin(pump_phase), **kwargs)
-
     def with_spm_cancelled(self) -> "SensorParams":
         """Copy with ``k_s`` set to the self-phase-modulation cancelling value."""
         return replace(self, k_s=spm_cancelling_ks(self.gamma_spm, self.n_photons))
@@ -205,16 +178,6 @@ class SensorParams:
         ks_target = 2.0 * self.gamma_spm * self.n_photons
         scale = max(abs(self.k_s), abs(ks_target), self.kappa)
         return abs(self.k_s - ks_target) <= 1e-12 * scale
-
-
-def validate(params: SensorParams) -> SensorParams:
-    """Re-check every invariant and return the parameters unchanged.
-
-    Construction already validates, so this mainly guards values built
-    through ``dataclasses.replace`` tricks or deserialization paths.
-    """
-    SensorParams(**params_to_dict(params))
-    return params
 
 
 def params_to_dict(params: SensorParams) -> dict:

@@ -46,10 +46,6 @@ class DriftMatrix:
         root = math.sqrt(-disc)
         return np.array([center - 1j * root, center + 1j * root])
 
-    @property
-    def is_stable(self) -> bool:
-        return bool(np.all(self.eigenvalues().real > 0.0))
-
 
 def drift_matrix(params: SensorParams) -> DriftMatrix:
     """Drift matrix of the linearized intracavity quadratures.
@@ -106,14 +102,15 @@ def input_noise_psds(params: SensorParams) -> dict[str, float]:
     }
 
 
-def _require_stable(params: SensorParams) -> DriftMatrix:
+def _require_stable(params: SensorParams) -> tuple[DriftMatrix, np.ndarray]:
+    """Drift matrix and its eigenvalues, which must have positive real parts."""
     drift = drift_matrix(params)
     eigs = drift.eigenvalues()
-    if not drift.is_stable:
+    if not np.all(eigs.real > 0.0):
         raise InstabilityError(
             f"drift eigenvalues {eigs} must have positive real parts"
         )
-    return drift
+    return drift, eigs
 
 
 def relaxation_rates(params: SensorParams) -> tuple[float, float]:
@@ -122,9 +119,8 @@ def relaxation_rates(params: SensorParams) -> tuple[float, float]:
     Raises :class:`InstabilityError` when any eigenvalue real part is
     non-positive.
     """
-    drift = _require_stable(params)
-    real = drift.eigenvalues().real
-    return float(real.min()), float(real.max())
+    _, eigs = _require_stable(params)
+    return float(eigs.real.min()), float(eigs.real.max())
 
 
 def frequency_response(params: SensorParams, omega) -> FrequencyResponse:
@@ -136,7 +132,7 @@ def frequency_response(params: SensorParams, omega) -> FrequencyResponse:
     Raises :class:`InstabilityError` when the drift matrix has a
     non-positive relaxation rate.
     """
-    drift = _require_stable(params)
+    drift, _ = _require_stable(params)
     m = drift.matrix
     w = np.asarray(omega, dtype=float)
 
@@ -200,33 +196,20 @@ class SignalWaveform:
     """Classical eigenfrequency perturbation xi(t).
 
     The perturbation is treated as exactly classical and noiseless.
-    Supported kinds: "zero", "sinusoid" (amplitude, angular frequency,
-    phase), and "samples" (linear interpolation, zero outside the grid).
+    Supported kinds: "zero" and "sinusoid" (amplitude, angular frequency,
+    phase).
     """
 
     kind: str = "zero"
     amplitude: float = 0.0
     frequency: float = 0.0
     phase: float = 0.0
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("zero", "sinusoid", "samples"):
+        if self.kind not in ("zero", "sinusoid"):
             raise RangeError(f"unknown waveform kind {self.kind!r}")
         if self.kind == "sinusoid" and self.frequency < 0.0:
             raise RangeError("sinusoid frequency must be >= 0")
-        if self.kind == "samples":
-            t = np.asarray(self.times, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if t.ndim != 1 or v.shape != t.shape or t.size < 2:
-                raise RangeError("sampled waveform needs matching 1-d times and values")
-            if not np.all(np.diff(t) > 0.0):
-                raise RangeError("sampled waveform times must be strictly increasing")
-            t.setflags(write=False)
-            v.setflags(write=False)
-            object.__setattr__(self, "times", t)
-            object.__setattr__(self, "values", v)
 
     @classmethod
     def zero(cls) -> "SignalWaveform":
@@ -237,28 +220,8 @@ class SignalWaveform:
         return cls(kind="sinusoid", amplitude=float(amplitude),
                    frequency=float(frequency), phase=float(phase))
 
-    @classmethod
-    def from_samples(cls, times, values) -> "SignalWaveform":
-        return cls(kind="samples", times=times, values=values)
-
     def evaluate(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(t)
-        if self.kind == "sinusoid":
-            return self.amplitude * np.sin(self.frequency * t + self.phase)
-        return np.interp(t, self.times, self.values, left=0.0, right=0.0)
-
-    def to_dict(self) -> dict:
-        if self.kind == "samples":
-            return {
-                "kind": self.kind,
-                "times": self.times.tolist(),
-                "values": self.values.tolist(),
-            }
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "frequency": self.frequency,
-            "phase": self.phase,
-        }
+        return self.amplitude * np.sin(self.frequency * t + self.phase)

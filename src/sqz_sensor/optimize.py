@@ -138,22 +138,28 @@ def snl_optimal_kappa(omega: float, n_photons: float = 1.0) -> OptimizationResul
 def numeric_min_kappa(omega: float, n_photons: float = 1.0) -> OptimizationResult:
     """Numeric counterpart of :func:`snl_optimal_kappa`.
 
-    Minimizes the lossless no-squeezing spectrum over the half-bandwidth
-    by a bounded Brent search on ``[|omega|/1e3, 1e3 |omega|]``, polished
-    with spacing ``1e-5 |omega|``; ``boundary`` flags an optimum within
-    that spacing of an end.  Raises :class:`RangeError` for a zero or
-    non-finite omega, and when the spectrum does not depend on the
-    bandwidth because ``omega^2`` and ``kappa^2`` overflow or underflow.
+    Minimizes the lossless no-squeezing spectrum over ``u = ln kappa`` by
+    a bounded Brent search on ``ln|omega| -+ ln 1e3``, polished with
+    spacing ``1e-5`` in ``u``; ``boundary`` flags an optimum within that
+    spacing of an end.  In ``u`` the spectrum is
+    ``(|omega|/4N) cosh(u - ln|omega|)``, symmetric about its minimum, so
+    the parabolic polish leaves no first-order bias.  Raises
+    :class:`RangeError` for a zero or non-finite omega, and when the
+    spectrum does not depend on the bandwidth because ``omega^2`` and
+    ``kappa^2`` overflow or underflow.
     """
     w = _check_omega(omega)
 
-    def objective(kappa: float) -> float:
-        p = SensorParams(kappa_prime=kappa, kappa_double_prime=0.0,
+    def objective(u: float) -> float:
+        # np.exp keeps kappa a numpy float, so an overflowing kappa**2
+        # gives inf rather than a Python OverflowError.
+        p = SensorParams(kappa_prime=np.exp(u), kappa_double_prime=0.0,
                          eta=1.0, n_photons=n_photons)
         return spectra.measurement_psd_raw(p, w)
 
-    x, y, boundary = _minimize(objective, w / 1e3, w * 1e3, h=1e-5 * w)
-    return OptimizationResult(argmin=x, value=y, boundary=boundary)
+    u_w, span = math.log(w), math.log(1e3)
+    u, y, boundary = _minimize(objective, u_w - span, u_w + span, h=1e-5)
+    return OptimizationResult(argmin=float(np.exp(u)), value=y, boundary=boundary)
 
 
 @dataclass(frozen=True)

@@ -187,18 +187,6 @@ def normalize_curve(curve: SpectrumCurve, params: SensorParams) -> SpectrumCurve
     )
 
 
-def denormalize_curve(curve: SpectrumCurve, params: SensorParams) -> SpectrumCurve:
-    """Inverse of :func:`normalize_curve`."""
-    if curve.normalization != NORMALIZATION_KP_OVER_N:
-        raise DoubleNormalizationError("curve is not normalized")
-    return replace(
-        curve,
-        omegas=curve.omegas * params.kappa_prime,
-        values=curve.values * (params.kappa_prime / params.n_photons),
-        normalization=NORMALIZATION_RAW,
-    )
-
-
 def scenario_curve(scenario: Scenario, params: SensorParams, omegas) -> SpectrumCurve:
     """Sample a scenario's closed form on a frequency grid."""
     params_m = scenario.materialize(params)

@@ -18,12 +18,10 @@ windowed segments.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 import scipy.fft
@@ -32,7 +30,6 @@ from scipy import signal as _scipy_signal
 
 from .core import (
     NORMALIZATION_RAW,
-    PSD_CONVENTION,
     SensorParams,
     SpectrumCurve,
     params_to_dict,
@@ -107,32 +104,19 @@ class SimulationConfig:
         if not isinstance(self.signal, SignalWaveform):
             raise ConfigError("signal must be a SignalWaveform")
 
-    def to_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "duration": self.duration,
-            "seed": int(self.seed),
-            "n_segments": int(self.n_segments),
-            "signal": self.signal.to_dict(),
-            "burn_in": self.burn_in,
-            "store_state": self.store_state,
-            "method": self.method,
-        }
-
 
 @dataclass(frozen=True)
 class SimulationRun:
     """Detected-quadrature time series with its provenance.
 
-    ``t0`` is the time of the first retained sample (the waveform clock
-    starts at zero there; the discarded transient has negative times).
+    Sample ``n`` of ``d_s`` (and of the optional states ``b_c``, ``b_s``)
+    is taken at time ``n * dt``: the waveform clock starts at zero at the
+    first retained sample, and the discarded transient has negative times.
     """
 
     d_s: np.ndarray
     params: SensorParams
     config: SimulationConfig
-    input_psds: dict
-    t0: float
     backend: str
     b_c: np.ndarray | None = None
     b_s: np.ndarray | None = None
@@ -144,41 +128,6 @@ class SimulationRun:
     @property
     def n_samples(self) -> int:
         return int(self.d_s.size)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_samples)
-
-    def dump(self, path: str | Path) -> None:
-        """Write the series as little-endian float64 with a JSON sidecar."""
-        path = Path(path)
-        path.write_bytes(self.d_s.astype("<f8").tobytes())
-        sidecar = {
-            "format": "float64-le",
-            "n_samples": self.n_samples,
-            "dt": self.dt,
-            "t0": self.t0,
-            "psd_convention": PSD_CONVENTION,
-            "backend": self.backend,
-            "params": params_to_dict(self.params),
-            "config": self.config.to_dict(),
-            "input_psds": self.input_psds,
-        }
-        Path(str(path) + ".json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
-
-def load_timeseries(path: str | Path) -> tuple[np.ndarray, dict]:
-    """Read back a dumped time series and its sidecar."""
-    path = Path(path)
-    meta = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-    data = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if data.size != meta["n_samples"]:
-        raise ConfigError(
-            f"sidecar announces {meta['n_samples']} samples, file holds {data.size}"
-        )
-    return data, meta
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -240,8 +189,6 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
         d_s=d[n_burn:].copy(),
         params=params,
         config=config,
-        input_psds=input_noise_psds(params),
-        t0=0.0,
         backend=BACKEND,
         b_c=b_c[n_burn:].copy() if b_c is not None else None,
         b_s=b_s[n_burn:].copy() if b_s is not None else None,
@@ -279,6 +226,20 @@ def _draw(pool: ThreadPoolExecutor, jobs) -> None:
         future.result()
 
 
+def _signal_drive(config: SimulationConfig, n_total: int, i0: int, i1: int,
+                  scale: float) -> np.ndarray:
+    """``scale`` times the signal waveform over steps ``i0 .. i1``.
+
+    The waveform clock is zero at the first retained step, so the
+    burn-in steps before it have negative times.
+    """
+    if config.signal.kind == "zero":
+        return np.zeros(i1 - i0)
+    n_burn = n_total - int(config.duration / config.dt)
+    t = (np.arange(i0, i1) - n_burn) * config.dt
+    return scale * config.signal.evaluate(t)
+
+
 def _euler_drives(params: SensorParams, config: SimulationConfig, n_total: int,
                   pool: ThreadPoolExecutor):
     """Bin-averaged white-noise inputs and signal drive, one chunk at a time.
@@ -301,8 +262,6 @@ def _euler_drives(params: SensorParams, config: SimulationConfig, n_total: int,
     g_v = _stream(config.seed, STREAM_V)
     g_u = _stream(config.seed, STREAM_U)
 
-    n_burn = n_total - int(config.duration / config.dt)
-    zero_signal = config.signal.kind == "zero"
     for i0 in range(0, n_total, _CHUNK):
         i1 = min(i0 + _CHUNK, n_total)
         n = i1 - i0
@@ -310,11 +269,7 @@ def _euler_drives(params: SensorParams, config: SimulationConfig, n_total: int,
         a_c, a_s, v, u_s = buf[:n], buf[n:2 * n], buf[2 * n:4 * n], buf[4 * n:]
         _draw(pool, [(g_ac, a_c, (sig_ac,)), (g_as, a_s, (sig_as,)),
                      (g_v, v, (sig_vc, sig_vs)), (g_u, u_s, (sig_u,))])
-        if zero_signal:
-            xi_drive = np.zeros(n)
-        else:
-            t = (np.arange(i0, i1) - n_burn) * dt
-            xi_drive = coupling * config.signal.evaluate(t)
+        xi_drive = _signal_drive(config, n_total, i0, i1, coupling)
         yield i0, a_c, a_s, v[0::2], v[1::2], u_s, xi_drive
 
 
@@ -397,8 +352,6 @@ def _exact_drives(params: SensorParams, config: SimulationConfig, n_total: int,
     g_v = _stream(config.seed, STREAM_V)
     g_u = _stream(config.seed, STREAM_U)
 
-    n_burn = n_total - int(config.duration / config.dt)
-    zero_signal = config.signal.kind == "zero"
     for i0 in range(0, n_total, _CHUNK):
         i1 = min(i0 + _CHUNK, n_total)
         n = i1 - i0
@@ -409,11 +362,7 @@ def _exact_drives(params: SensorParams, config: SimulationConfig, n_total: int,
                      (g_u, u_s, (sig_u,))])
         a_bar = za[0::2]
         i1_a = gain01 * (a_bar * dt) + za[1::2]
-        if zero_signal:
-            sig_term = np.zeros(n)
-        else:
-            t = (np.arange(i0, i1) - n_burn) * dt
-            sig_term = coupling * sig_gain * config.signal.evaluate(t)
+        sig_term = _signal_drive(config, n_total, i0, i1, coupling * sig_gain)
         yield i0, a_bar, c_a * i1_a + c_v * zv[1::2] + sig_term, u_s
 
 
@@ -536,7 +485,7 @@ def measure_gain(
             f"run covers only {n_periods} probe periods; need at least 4"
         )
     n_demod = min(int(round(n_periods * period / dt)), n)
-    t = run.t0 + dt * np.arange(n_demod)
+    t = dt * np.arange(n_demod)
     d = run.d_s[:n_demod]
 
     base = d * np.exp(-1j * probe_omega * t)

@@ -81,17 +81,6 @@ class TestSensorParams:
             p = SensorParams(kappa_prime=kp, kappa_double_prime=kpp, eta=0.9, n_photons=1.0)
             assert p.kappa == kp + kpp
 
-    def test_from_pump(self):
-        p = SensorParams.from_pump(
-            1.0, math.pi / 3.0,
-            kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0,
-        )
-        assert p.k_c == pytest.approx(0.5, rel=1e-15)
-        assert p.k_s == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-15)
-
-    def test_validate_returns_params(self, fig2_params):
-        assert sq.validate(fig2_params) is fig2_params
-
     def test_immutable(self, fig2_params):
         with pytest.raises(AttributeError):
             fig2_params.eta = 0.5
@@ -126,17 +115,6 @@ class TestRateHelpers:
     def test_spm_cancelling_gain(self):
         assert sq.spm_cancelling_ks(0.0, 1.0) == 0.0
         assert sq.spm_cancelling_ks(0.05, 4.0) == pytest.approx(0.4, rel=1e-15)
-
-    def test_detuning_offset(self):
-        assert sq.detuning_offset(0.0, 1.0) == 0.0
-        assert sq.detuning_offset(0.05, 4.0) == pytest.approx(-0.2, rel=1e-15)
-
-    def test_offset_is_half_cancelling_gain(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            gamma, n = rng.uniform(0.0, 1.0), rng.uniform(0.1, 10.0)
-            assert sq.detuning_offset(gamma, n) == pytest.approx(
-                -0.5 * sq.spm_cancelling_ks(gamma, n), rel=1e-15, abs=1e-300)
 
     def test_squeeze_db_conversion(self):
         r = sq.r_from_db(15.0)

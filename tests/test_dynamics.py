@@ -180,13 +180,13 @@ class TestSignalWaveform:
         t = np.linspace(0.0, 1.0, 5)
         assert wf.evaluate(t) == pytest.approx(2.0 * np.sin(3.0 * t + 0.5), rel=1e-15)
 
-    def test_samples_interpolate_and_vanish_outside(self):
-        wf = SignalWaveform.from_samples([0.0, 1.0, 2.0], [0.0, 2.0, 0.0])
-        assert wf.evaluate(np.array([0.5, 1.0, 5.0])) == pytest.approx([1.0, 2.0, 0.0])
-
-    def test_samples_validation(self):
-        with pytest.raises(sq.RangeError):
-            SignalWaveform.from_samples([0.0, 0.0], [1.0, 2.0])
+    def test_zero_amplitude_drive_matches_zero_waveform(self, fig2_params):
+        cfg = sq.SimulationConfig(dt=0.02, duration=50.0, seed=9, n_segments=2,
+                                  signal=SignalWaveform.zero())
+        run = sq.simulate(fig2_params, cfg)
+        assert run.n_samples == 2500
+        silent = replace(cfg, signal=SignalWaveform.sinusoid(0.0, 0.5))
+        assert np.array_equal(sq.simulate(fig2_params, silent).d_s, run.d_s)
 
     def test_unknown_kind(self):
         with pytest.raises(sq.RangeError):

@@ -158,6 +158,19 @@ class TestSnlOptimalKappa:
             assert numeric.value == pytest.approx(closed.value, rel=1e-10)
             assert not numeric.boundary
 
+    @pytest.mark.parametrize("omega", [-1e-4, 1e-2, 0.37, 1.0, -50.0, 1e4])
+    @pytest.mark.parametrize("n_photons", [1e-3, 1.0, 42.0, 1e3])
+    def test_polish_keeps_a_margin_below_the_gate(self, omega, n_photons):
+        # A polish that is biased at first order in its spacing lands
+        # about 5e-11 off, half the 1e-10 gate above.
+        res = sq.numeric_min_kappa(omega, n_photons)
+        assert abs(res.argmin / abs(omega) - 1.0) <= 3e-11
+
+    @pytest.mark.parametrize("omega", [1e300, 1e-300])
+    def test_frequency_beyond_float_range_raises_package_error(self, omega):
+        with pytest.raises((sq.ConvergenceError, RangeError)):
+            sq.numeric_min_kappa(omega, 1.0)
+
 
 def quadratic_crossings(c2: float, c0: float, n_photons: float = 1.0):
     """Roots of c2 w^2 - w/(4N) + c0 via the companion-matrix solver."""

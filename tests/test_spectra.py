@@ -286,14 +286,12 @@ class TestNormalization:
     def test_roundtrip(self):
         p = SensorParams(kappa_prime=2.5, kappa_double_prime=0.25, eta=0.8, n_photons=3.0)
         curve = sq.scenario_curve(Scenario.no_squeeze(), p, np.linspace(0.0, 10.0, 11))
-        back = sq.denormalize_curve(sq.normalize_curve(curve, p), p)
-        assert back.omegas == pytest.approx(curve.omegas, rel=1e-15)
-        assert back.values == pytest.approx(curve.values, rel=1e-15)
+        normalized = sq.normalize_curve(curve, p)
+        assert normalized.omegas == pytest.approx(curve.omegas / 2.5, rel=1e-15)
+        assert normalized.values == pytest.approx(curve.values * 3.0 / 2.5, rel=1e-15)
 
     def test_double_normalization_rejected(self, fig2_params):
         curve = sq.scenario_curve(Scenario.no_squeeze(), fig2_params, np.linspace(0.0, 4.0, 5))
         normalized = sq.normalize_curve(curve, fig2_params)
         with pytest.raises(DoubleNormalizationError):
             sq.normalize_curve(normalized, fig2_params)
-        with pytest.raises(DoubleNormalizationError):
-            sq.denormalize_curve(curve, fig2_params)

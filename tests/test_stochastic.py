@@ -12,7 +12,6 @@ from sqz_sensor import (
     RangeError,
     Scenario,
     SensorParams,
-    SignalWaveform,
     SimulationConfig,
     SnrError,
 )
@@ -118,7 +117,7 @@ class TestEstimatePsd:
         run = sq.SimulationRun(
             d_s=d, params=vacuum_params,
             config=SimulationConfig(dt=dt, duration=n * dt, seed=31, n_segments=n_seg),
-            input_psds={}, t0=0.0, backend="synthetic",
+            backend="synthetic",
         )
         grid = np.linspace(0.0, 0.8 * math.pi / dt, 24)
         est = sq.estimate_psd(run, grid).values
@@ -137,7 +136,7 @@ class TestEstimatePsd:
         run = sq.SimulationRun(
             d_s=d, params=vacuum_params,
             config=SimulationConfig(dt=dt, duration=n * dt, seed=0, n_segments=n_seg),
-            input_psds={}, t0=0.0, backend="synthetic",
+            backend="synthetic",
         )
         assert int(2 * n // (n_seg + 1)) // 2 * 2 == nperseg
         assert (n - nperseg) % (nperseg // 2) > 0  # a tail no segment covers
@@ -291,35 +290,3 @@ class TestMeasureGain:
         cfg = SimulationConfig(dt=0.02, duration=100.0, seed=44, n_segments=10)
         with pytest.raises(ConfigError, match="periods"):
             sq.measure_gain(vacuum_params, 0.01, 1.0, cfg)
-
-
-class TestDump:
-    def test_roundtrip(self, fig2_params, tmp_path):
-        cfg = SimulationConfig(dt=0.02, duration=200.0, seed=5, n_segments=4)
-        run = sq.simulate(fig2_params, cfg)
-        path = tmp_path / "series.f64"
-        run.dump(path)
-        data, meta = sq.load_timeseries(path)
-        assert np.array_equal(data, run.d_s)
-        assert meta["psd_convention"] == sq.PSD_CONVENTION
-        assert meta["params"]["eta"] == fig2_params.eta
-        assert meta["config"]["seed"] == 5
-        assert meta["format"] == "float64-le"
-
-    def test_sidecar_sample_count_guard(self, fig2_params, tmp_path):
-        cfg = SimulationConfig(dt=0.02, duration=200.0, seed=5, n_segments=4)
-        run = sq.simulate(fig2_params, cfg)
-        path = tmp_path / "series.f64"
-        run.dump(path)
-        path.write_bytes(b"\x00" * 16)
-        with pytest.raises(ConfigError):
-            sq.load_timeseries(path)
-
-
-class TestWaveformInjection:
-    def test_sampled_waveform_accepted(self, vacuum_params):
-        times = np.linspace(0.0, 50.0, 501)
-        wf = SignalWaveform.from_samples(times, np.sin(0.5 * times))
-        cfg = SimulationConfig(dt=0.02, duration=50.0, seed=9, n_segments=2, signal=wf)
-        run = sq.simulate(vacuum_params, cfg)
-        assert run.n_samples == 2500
