@@ -6,7 +6,8 @@ convention, the tool version, and a hash of the input parameter file, so
 that any result can be recomputed bit for bit from its manifest.
 
 Exit codes: 0 success, 1 validation-gate failure, 2 usage or input error
-(bad flags, unreadable or malformed parameter files).
+(bad flags, unreadable or malformed parameter files, sizes too large to
+allocate).
 """
 
 from __future__ import annotations
@@ -69,20 +70,26 @@ def reference_params() -> SensorParams:
     )
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def _library_versions() -> dict:
-    # Bit-for-bit recomputation depends on numpy's noise generators and
-    # scipy's lfilter and FFT.
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
-
-
 def _sha256(path: str | Path | None) -> str | None:
     if path is None:
         return None
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _provenance(command: str, params: SensorParams, params_file=None) -> dict:
+    """The header every manifest and report carries: what produced it, from what."""
+    return {
+        "command": command,
+        "tool_version": __version__,
+        # Bit-for-bit recomputation depends on numpy's noise generators
+        # and scipy's lfilter and FFT.
+        "library_versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "psd_convention": PSD_CONVENTION,
+        "params_file": str(params_file) if params_file else None,
+        "params_sha256": _sha256(params_file),
+        "params": params_to_dict(params),
+    }
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -102,15 +109,7 @@ def build_manifest(command: str, params: SensorParams, *, params_file=None,
                    scenario: str | None = None, normalization: str = NORMALIZATION_RAW,
                    grid: dict | None = None, outputs: list[str] | None = None,
                    extra: dict | None = None) -> dict:
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "library_versions": _library_versions(),
-        "timestamp": _timestamp(),
-        "psd_convention": PSD_CONVENTION,
-        "params_file": str(params_file) if params_file else None,
-        "params_sha256": _sha256(params_file),
-        "params": params_to_dict(params),
+    manifest = _provenance(command, params, params_file) | {
         "scenario": scenario,
         "normalization": normalization,
         "grid": grid,
@@ -329,13 +328,7 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
         "runtime_s": time.perf_counter() - t0,
     })
 
-    return {
-        "command": "validate",
-        "tool_version": __version__,
-        "library_versions": _library_versions(),
-        "timestamp": _timestamp(),
-        "psd_convention": PSD_CONVENTION,
-        "params": params_to_dict(params),
+    return _provenance("validate", params) | {
         "budget": budget,
         "seed": seed,
         "mutate": mutate,
@@ -348,8 +341,7 @@ def cmd_validate(args) -> int:
     params = load_params(args.params)
     report = run_validation(params, budget=args.budget, seed=args.seed, mutate=args.mutate)
     out = Path(args.out)
-    manifest_extras = {"params_file": str(args.params), "params_sha256": _sha256(args.params)}
-    report.update(manifest_extras)
+    report.update(params_file=str(args.params), params_sha256=_sha256(args.params))
     _atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     for check in report["checks"]:
         verdict = "PASS" if check["passed"] else "FAIL"
@@ -361,15 +353,7 @@ def cmd_validate(args) -> int:
 
 def cmd_optimize(args) -> int:
     params = load_params(args.params)
-    result: dict = {
-        "command": "optimize",
-        "target": args.target,
-        "tool_version": __version__,
-        "timestamp": _timestamp(),
-        "params": params_to_dict(params),
-        "params_file": str(args.params),
-        "params_sha256": _sha256(args.params),
-    }
+    result = _provenance("optimize", params, args.params) | {"target": args.target}
     if args.target == "kc":
         closed = optimize.optimal_kc(params)
         numeric = optimize.numeric_min_kc(params, omega_probe=args.omega)
@@ -504,6 +488,9 @@ def main(argv=None) -> int:
         return 2
     except ArithmeticError as exc:
         print(f"error: parameters out of floating-point range: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: requested size exceeds the available memory: {exc}", file=sys.stderr)
         return 2
 
 

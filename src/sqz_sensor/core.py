@@ -327,41 +327,37 @@ class Scenario:
             return cls.custom(custom_kc)
         return cls(tag)
 
-    def materialize(self, params: SensorParams) -> SensorParams:
-        """Return a copy of ``params`` with the scenario's constraints applied."""
+    def _pins(self, params: SensorParams) -> tuple[float | None, float]:
+        """The ``(r_squeeze, k_c)`` the scenario fixes; ``None`` leaves r free."""
         if self.tag == SCENARIO_NO_SQUEEZE:
-            return replace(params, r_squeeze=0.0, k_c=0.0)
+            return 0.0, 0.0
         if self.tag == SCENARIO_INPUT_SQUEEZE:
-            return replace(params, k_c=0.0)
+            return None, 0.0
         if self.tag == SCENARIO_DOUBLE_SQUEEZE_OPTIMAL:
             from .optimize import optimal_kc
-            return replace(params, k_c=optimal_kc(params))
-        return replace(params, k_c=self.custom_kc)
+            return None, optimal_kc(params)
+        return None, self.custom_kc
+
+    def materialize(self, params: SensorParams) -> SensorParams:
+        """Return a copy of ``params`` with the scenario's constraints applied."""
+        r_squeeze, k_c = self._pins(params)
+        if r_squeeze is None:
+            return replace(params, k_c=k_c)
+        return replace(params, r_squeeze=r_squeeze, k_c=k_c)
 
     def check(self, params: SensorParams) -> None:
         """Raise :class:`ScenarioMismatchError` if ``params`` contradict
-        the scenario's constraints."""
-        kappa = params.kappa
-        if self.tag == SCENARIO_NO_SQUEEZE:
-            if params.r_squeeze != 0.0:
-                raise ScenarioMismatchError(f"no_squeeze requires r = 0, got {params.r_squeeze}")
-            if params.k_c != 0.0:
-                raise ScenarioMismatchError(f"no_squeeze requires k_c = 0, got {params.k_c}")
-        elif self.tag == SCENARIO_INPUT_SQUEEZE:
-            if params.k_c != 0.0:
-                raise ScenarioMismatchError(f"input_squeeze requires k_c = 0, got {params.k_c}")
-        elif self.tag == SCENARIO_DOUBLE_SQUEEZE_OPTIMAL:
-            from .optimize import optimal_kc
-            expected = optimal_kc(params)
-            if abs(params.k_c - expected) > 1e-12 * kappa:
-                raise ScenarioMismatchError(
-                    f"double_squeeze_optimal requires k_c = {expected!r}, got {params.k_c!r}"
-                )
-        else:
-            if params.k_c != self.custom_kc:
-                raise ScenarioMismatchError(
-                    f"custom scenario pins k_c = {self.custom_kc!r}, got {params.k_c!r}"
-                )
+        the scenario's constraints.
+
+        The optimal gain is matched to 1e-12 kappa, every other pin exactly.
+        """
+        r_squeeze, k_c = self._pins(params)
+        if r_squeeze is not None and params.r_squeeze != r_squeeze:
+            raise ScenarioMismatchError(
+                f"{self.tag} requires r = {r_squeeze!r}, got {params.r_squeeze!r}")
+        tol = 1e-12 * params.kappa if self.tag == SCENARIO_DOUBLE_SQUEEZE_OPTIMAL else 0.0
+        if not abs(params.k_c - k_c) <= tol:
+            raise ScenarioMismatchError(f"{self.tag} requires k_c = {k_c!r}, got {params.k_c!r}")
 
 
 SCENARIO_SNL = "snl"
@@ -384,8 +380,10 @@ class SpectrumCurve:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # Private copies: freezing the caller's arrays would leave them
+        # read-only for the caller, or still writeable through a base.
+        omegas = np.array(self.omegas, dtype=float)
+        values = np.array(self.values, dtype=float)
         if omegas.ndim != 1 or values.shape != omegas.shape:
             raise GridError("omegas and values must be 1-d arrays of equal length")
         if omegas.size == 0:

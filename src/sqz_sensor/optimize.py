@@ -209,7 +209,6 @@ def snl_crossings(
     if not (hi > lo >= 0.0):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     params_m = scenario.materialize(params)
-    scenario.check(params_m)
     c2, c0 = spectra.quadratic_coefficients(params_m)
     b = 0.25 / params_m.n_photons
     disc = b * b - 4.0 * c2 * c0

@@ -7,19 +7,23 @@ spectrum is estimated with a segment-averaged periodogram.  Nothing here
 reuses the closed-form algebra of :mod:`sqz_sensor.spectra`.
 
 Noise generation uses one counter-based stream per input field, keyed by
-``(seed, stream id)``, and the integrator runs as a linear filter
-(:func:`scipy.signal.lfilter`), so realizations are reproducible bit for
-bit on any platform for pinned numpy/scipy versions.  The streams are
-drawn concurrently, one task per stream and chunk, which leaves every
-sequence as a serial draw gives it, whatever the core count.  The
-periodogram is Welch's estimate computed as batched real FFTs of the
-windowed segments.
+``(seed, stream id)``, and the integrator runs as a bank of linear
+filters (:func:`scipy.signal.lfilter`), so realizations are reproducible
+bit for bit on any platform for pinned numpy/scipy versions.  Each
+integration method (Euler-Maruyama, exact Ornstein-Uhlenbeck update) is
+a small plan: the streams it draws, its filter coefficients and how the
+draws form the filter inputs.  One chunked loop runs either plan.  The
+streams are drawn concurrently, one task per stream and chunk, which
+leaves every sequence as a serial draw gives it, whatever the core
+count.  The periodogram is Welch's estimate computed as batched real
+FFTs of the windowed segments.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -54,9 +58,6 @@ STREAM_A_C = 0
 STREAM_A_S = 1
 STREAM_V = 2
 STREAM_U = 3
-
-#: Noise streams each integration method draws from.
-_N_STREAMS = {METHOD_EULER: 4, METHOD_EXACT: 3}
 
 #: Fixed chunk length; reproducibility must not depend on memory layout.
 _CHUNK = 1 << 20
@@ -172,28 +173,27 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     n_out = int(config.duration / config.dt)
     if n_out < 1:
         raise ConfigError("duration shorter than one step")
-    n_total = n_burn + n_out
+    plan = _PLANS[config.method](params, config)
+    series = _integrate(plan, config, n_burn, n_burn + n_out)
+    return SimulationRun(params=params, config=config, backend=BACKEND, **series)
 
-    # The streams of a chunk are drawn concurrently (numpy releases the
-    # GIL while it draws).  The pool ends with the call, so no idle
-    # workers outlive it or are inherited by a forked child.
-    workers = min(_N_STREAMS[config.method], os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        if config.method == METHOD_EXACT:
-            d, b_s = _run_exact(params, config, n_total, pool)
-            b_c = None
-        else:
-            d, b_c, b_s = _run_euler(params, config, n_total, pool)
 
-    run = SimulationRun(
-        d_s=d[n_burn:].copy(),
-        params=params,
-        config=config,
-        backend=BACKEND,
-        b_c=b_c[n_burn:].copy() if b_c is not None else None,
-        b_s=b_s[n_burn:].copy() if b_s is not None else None,
-    )
-    return run
+@dataclass(frozen=True)
+class _Plan:
+    """One integration method as a bank of IIR filters over noise draws.
+
+    ``streams`` lists the Philox streams drawn per chunk as ``(stream id,
+    draws per step, scales)``.  Every recorded series shares the
+    denominator ``den``; ``numerators`` maps each series name to its
+    numerator on each drive input.  ``drive(draws, signal)`` turns the
+    chunk's scaled draws and waveform samples (``None`` without a signal)
+    into the drive inputs and the detector's direct term.
+    """
+
+    streams: tuple
+    den: np.ndarray
+    numerators: dict
+    drive: Callable
 
 
 def _output_coefficients(params: SensorParams) -> tuple[float, float, float]:
@@ -202,6 +202,101 @@ def _output_coefficients(params: SensorParams) -> tuple[float, float, float]:
     q_as = -sqrt_eta
     q_us = math.sqrt(1.0 - params.eta)
     return p_bs, q_as, q_us
+
+
+def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
+    # The Euler-Maruyama step x[n+1] = A x[n] + dt f[n], A = I - dt M, is
+    # a two-state linear recursion, so each recorded series is a sum of
+    # second-order IIR filters (common denominator det(I - A/z)) of the
+    # drives f_c and f_s.  The detected sample combines the bin average
+    # of the intracavity state, taken as the midpoint 0.5 (b_s[n] +
+    # b_s[n+1]) of the step, with the same a_s sample that drives the
+    # cavity over the bin; an endpoint state would bias the interference
+    # term at first order in dt.  Each noise sample is a bin average of
+    # variance PSD/dt.
+    dt = config.dt
+    drift = drift_matrix(params)
+    a = np.eye(2) - dt * drift.matrix
+    a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+    sig = {name: math.sqrt(psd / dt) for name, psd in input_noise_psds(params).items()}
+    c_a = math.sqrt(2.0 * params.kappa_prime)
+    c_v = math.sqrt(2.0 * params.kappa_double_prime)
+    p_bs, q_as, q_us = _output_coefficients(params)
+    h = 0.5 * dt * p_bs
+    coupling = drift.signal_coupling
+
+    def drive(draws, signal):
+        a_c, a_s, v, u_s = draws
+        f_s = c_a * a_s + c_v * v[1::2]
+        if signal is not None:
+            f_s += coupling * signal
+        return (c_a * a_c + c_v * v[0::2], f_s), q_as * a_s + q_us * u_s
+
+    # Numerators (on f_c, on f_s) of each recorded series.
+    numerators = {"d_s": (h * np.array([0.0, a10, a10]), h * np.array([1.0, 1.0 - a00, -a00]))}
+    if config.store_state:
+        numerators["b_c"] = (np.array([0.0, dt, -dt * a11]), np.array([0.0, 0.0, dt * a01]))
+        numerators["b_s"] = (np.array([0.0, 0.0, dt * a10]), np.array([0.0, dt, -dt * a00]))
+    return _Plan(
+        streams=((STREAM_A_C, 1, (sig["a_c"],)), (STREAM_A_S, 1, (sig["a_s"],)),
+                 (STREAM_V, 2, (sig["v_c"], sig["v_s"])), (STREAM_U, 1, (sig["u_s"],))),
+        den=np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10]),
+        numerators=numerators,
+        drive=drive,
+    )
+
+
+def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
+    # Exact one-step relaxation b_s[n+1] = decay b_s[n] + w[n] of the
+    # decoupled measured quadrature, run as a first-order IIR filter; the
+    # detector uses the same midpoint state average as the Euler path.
+    # The bin average of a_s is correlated with its exponentially
+    # filtered integral, so the pair is sampled jointly (Gillespie 1996,
+    # exact OU update).
+    if not params.is_spm_cancelled:
+        raise ConfigError(
+            "exact method needs the self-phase-modulation coupling cancelled "
+            "(k_s = 2 * gamma_spm * n_photons); use method='euler' otherwise"
+        )
+    dt = config.dt
+    drift = drift_matrix(params)
+    lam = drift.matrix[1, 1]
+    decay = math.exp(-lam * dt)
+    psds = input_noise_psds(params)
+    s_as = psds["a_s"]
+    var0 = s_as * dt
+    var1 = s_as * (1.0 - decay * decay) / (2.0 * lam)
+    cov01 = s_as * (1.0 - decay) / lam
+    gain01 = cov01 / var0
+    resid = math.sqrt(max(var1 - cov01 * cov01 / var0, 0.0))
+    sig_i1v = math.sqrt(psds["v_s"] * (1.0 - decay * decay) / (2.0 * lam))
+    c_a = math.sqrt(2.0 * params.kappa_prime)
+    c_v = math.sqrt(2.0 * params.kappa_double_prime)
+    p_bs, q_as, q_us = _output_coefficients(params)
+    sig_scale = drift.signal_coupling * ((1.0 - decay) / lam)
+
+    def drive(draws, signal):
+        za, zv, u_s = draws
+        a_bar = za[0::2]
+        # Only the odd draws of the v stream enter the drive.
+        w = c_a * (gain01 * (a_bar * dt) + za[1::2]) + c_v * zv[1::2]
+        if signal is not None:
+            w += sig_scale * signal
+        return (w,), q_as * a_bar + q_us * u_s
+
+    numerators = {"d_s": (0.5 * p_bs * np.array([1.0, 1.0]),)}
+    if config.store_state:
+        numerators["b_s"] = (np.array([0.0, 1.0]),)
+    return _Plan(
+        streams=((STREAM_A_S, 2, (math.sqrt(s_as / dt), resid)), (STREAM_V, 2, (sig_i1v,)),
+                 (STREAM_U, 1, (math.sqrt(psds["u_s"] / dt),))),
+        den=np.array([1.0, -decay]),
+        numerators=numerators,
+        drive=drive,
+    )
+
+
+_PLANS = {METHOD_EULER: _euler_plan, METHOD_EXACT: _exact_plan}
 
 
 def _fill(gen: np.random.Generator, out: np.ndarray, scales: tuple) -> None:
@@ -215,185 +310,47 @@ def _fill(gen: np.random.Generator, out: np.ndarray, scales: tuple) -> None:
         out[j::len(scales)] *= scale
 
 
-def _draw(pool: ThreadPoolExecutor, jobs) -> None:
-    """Run every ``(stream, out, scales)`` job of one chunk on ``pool``.
+def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int) -> dict:
+    """Run ``plan`` for ``n_total`` steps; return the retained series by name.
 
-    Each stream is drawn by exactly one task per chunk and the chunks
-    follow one another, so every stream yields the same sequence as a
-    serial draw.
+    Each chunk draws its streams concurrently, one task per stream
+    (numpy releases the GIL while it draws).  The chunks follow one
+    another, so every stream yields the same sequence as a serial draw,
+    whatever the core count.  Filter states carry across chunks.  The
+    waveform clock is zero at the first retained step, so burn-in steps
+    have negative times.  The pool ends with the call, so no idle
+    workers outlive it or are inherited by a forked child.
     """
-    for future in [pool.submit(_fill, *job) for job in jobs]:
-        future.result()
-
-
-def _signal_drive(config: SimulationConfig, n_total: int, i0: int, i1: int,
-                  scale: float) -> np.ndarray:
-    """``scale`` times the signal waveform over steps ``i0 .. i1``.
-
-    The waveform clock is zero at the first retained step, so the
-    burn-in steps before it have negative times.
-    """
-    if config.signal.kind == "zero":
-        return np.zeros(i1 - i0)
-    n_burn = n_total - int(config.duration / config.dt)
-    t = (np.arange(i0, i1) - n_burn) * config.dt
-    return scale * config.signal.evaluate(t)
-
-
-def _euler_drives(params: SensorParams, config: SimulationConfig, n_total: int,
-                  pool: ThreadPoolExecutor):
-    """Bin-averaged white-noise inputs and signal drive, one chunk at a time.
-
-    Yields ``(i0, a_c, a_s, v_c, v_s, u_s, xi_drive)`` for steps
-    ``i0 .. i0 + len(a_s)``; each sample has variance PSD/dt.  The noise
-    arrays are views into one buffer per chunk.
-    """
-    dt = config.dt
-    psds = input_noise_psds(params)
-    sig_ac = math.sqrt(psds["a_c"] / dt)
-    sig_as = math.sqrt(psds["a_s"] / dt)
-    sig_vc = math.sqrt(psds["v_c"] / dt)
-    sig_vs = math.sqrt(psds["v_s"] / dt)
-    sig_u = math.sqrt(psds["u_s"] / dt)
-    coupling = drift_matrix(params).signal_coupling
-
-    g_ac = _stream(config.seed, STREAM_A_C)
-    g_as = _stream(config.seed, STREAM_A_S)
-    g_v = _stream(config.seed, STREAM_V)
-    g_u = _stream(config.seed, STREAM_U)
-
-    for i0 in range(0, n_total, _CHUNK):
-        i1 = min(i0 + _CHUNK, n_total)
-        n = i1 - i0
-        buf = np.empty(5 * n)
-        a_c, a_s, v, u_s = buf[:n], buf[n:2 * n], buf[2 * n:4 * n], buf[4 * n:]
-        _draw(pool, [(g_ac, a_c, (sig_ac,)), (g_as, a_s, (sig_as,)),
-                     (g_v, v, (sig_vc, sig_vs)), (g_u, u_s, (sig_u,))])
-        xi_drive = _signal_drive(config, n_total, i0, i1, coupling)
-        yield i0, a_c, a_s, v[0::2], v[1::2], u_s, xi_drive
-
-
-def _run_euler(params: SensorParams, config: SimulationConfig, n_total: int,
-               pool: ThreadPoolExecutor):
-    # The Euler-Maruyama step x[n+1] = A x[n] + dt f[n], A = I - dt M, is
-    # a two-state linear recursion, so each recorded series is a sum of
-    # second-order IIR filters (common denominator det(I - A/z)) of the
-    # drives f_c and f_s.  The detected sample combines the bin average
-    # of the intracavity state, taken as the midpoint 0.5 (b_s[n] +
-    # b_s[n+1]) of the step, with the same a_s sample that drives the
-    # cavity over the bin; an endpoint state would bias the interference
-    # term at first order in dt.  Filter states carry across chunks.
-    dt = config.dt
-    a = np.eye(2) - dt * drift_matrix(params).matrix
-    a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    den = np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10])
-    c_a = math.sqrt(2.0 * params.kappa_prime)
-    c_v = math.sqrt(2.0 * params.kappa_double_prime)
-    p_bs, q_as, q_us = _output_coefficients(params)
-    h = 0.5 * dt * p_bs
-
-    # Numerators (on f_c, on f_s) of each recorded series.
-    numerators = [(h * np.array([0.0, a10, a10]), h * np.array([1.0, 1.0 - a00, -a00]))]
-    if config.store_state:
-        numerators.append((np.array([0.0, dt, -dt * a11]), np.array([0.0, 0.0, dt * a01])))
-        numerators.append((np.array([0.0, 0.0, dt * a10]), np.array([0.0, dt, -dt * a00])))
-    outs = [np.empty(n_total) for _ in numerators]
-    zi = np.zeros((len(numerators), 2, 2))
-
-    for i0, a_c, a_s, v_c, v_s, u_s, xi_drive in _euler_drives(params, config, n_total, pool):
-        i1 = i0 + a_s.size
-        f_c = c_a * a_c + c_v * v_c
-        f_s = c_a * a_s + c_v * v_s + xi_drive
-        for k, (num_c, num_s) in enumerate(numerators):
-            y_c, zi[k, 0] = _scipy_signal.lfilter(num_c, den, f_c, zi=zi[k, 0])
-            y_s, zi[k, 1] = _scipy_signal.lfilter(num_s, den, f_s, zi=zi[k, 1])
-            outs[k][i0:i1] = y_c + y_s
-        outs[0][i0:i1] += q_as * a_s + q_us * u_s
-        # Free this chunk's work arrays before the next chunk is drawn.
-        del f_c, f_s, y_c, y_s
-    if config.store_state:
-        return outs[0], outs[1], outs[2]
-    return outs[0], None, None
-
-
-def _exact_decay(params: SensorParams, dt: float) -> tuple[float, float]:
-    """Relaxation rate of the measured quadrature and its one-step decay."""
-    lam = drift_matrix(params).matrix[1, 1]
-    return lam, math.exp(-lam * dt)
-
-
-def _exact_drives(params: SensorParams, config: SimulationConfig, n_total: int,
-                  pool: ThreadPoolExecutor):
-    """Exact per-step drive increments of the measured quadrature.
-
-    Yields ``(i0, a_bar, w_drive, u_s)`` per chunk: the bin average of
-    a_s is correlated with its exponentially filtered integral, so the
-    pair is sampled jointly (Gillespie 1996, exact OU update).
-    """
-    dt = config.dt
-    lam, decay = _exact_decay(params, dt)
-    psds = input_noise_psds(params)
-    s_as, s_vs, s_u = psds["a_s"], psds["v_s"], psds["u_s"]
-
-    var0 = s_as * dt
-    var1 = s_as * (1.0 - decay * decay) / (2.0 * lam)
-    cov01 = s_as * (1.0 - decay) / lam
-    gain01 = cov01 / var0
-    resid = math.sqrt(max(var1 - cov01 * cov01 / var0, 0.0))
-    sig_abar = math.sqrt(s_as / dt)
-    sig_i1v = math.sqrt(s_vs * (1.0 - decay * decay) / (2.0 * lam))
-    sig_u = math.sqrt(s_u / dt)
-    c_a = math.sqrt(2.0 * params.kappa_prime)
-    c_v = math.sqrt(2.0 * params.kappa_double_prime)
-    sig_gain = (1.0 - decay) / lam
-    coupling = drift_matrix(params).signal_coupling
-
-    g_as = _stream(config.seed, STREAM_A_S)
-    g_v = _stream(config.seed, STREAM_V)
-    g_u = _stream(config.seed, STREAM_U)
-
-    for i0 in range(0, n_total, _CHUNK):
-        i1 = min(i0 + _CHUNK, n_total)
-        n = i1 - i0
-        buf = np.empty(5 * n)
-        za, zv, u_s = buf[:2 * n], buf[2 * n:4 * n], buf[4 * n:]
-        # Only the odd draws of the v stream enter the drive.
-        _draw(pool, [(g_as, za, (sig_abar, resid)), (g_v, zv, (sig_i1v,)),
-                     (g_u, u_s, (sig_u,))])
-        a_bar = za[0::2]
-        i1_a = gain01 * (a_bar * dt) + za[1::2]
-        sig_term = _signal_drive(config, n_total, i0, i1, coupling * sig_gain)
-        yield i0, a_bar, c_a * i1_a + c_v * zv[1::2] + sig_term, u_s
-
-
-def _run_exact(params: SensorParams, config: SimulationConfig, n_total: int,
-               pool: ThreadPoolExecutor):
-    # Exact one-step relaxation b_s[n+1] = decay b_s[n] + w[n] of the
-    # decoupled measured quadrature, run as a first-order IIR filter; the
-    # detector uses the same midpoint state average as the Euler path.
-    if not params.is_spm_cancelled:
-        raise ConfigError(
-            "exact method needs the self-phase-modulation coupling cancelled "
-            "(k_s = 2 * gamma_spm * n_photons); use method='euler' otherwise"
-        )
-    _, decay = _exact_decay(params, config.dt)
-    den = np.array([1.0, -decay])
-    p_bs, q_as, q_us = _output_coefficients(params)
-
-    numerators = [0.5 * p_bs * np.array([1.0, 1.0])]
-    if config.store_state:
-        numerators.append(np.array([0.0, 1.0]))
-    outs = [np.empty(n_total) for _ in numerators]
-    zi = np.zeros((len(numerators), 1))
-
-    for i0, a_bar, w_drive, u_s in _exact_drives(params, config, n_total, pool):
-        i1 = i0 + a_bar.size
-        for k, num in enumerate(numerators):
-            outs[k][i0:i1], zi[k] = _scipy_signal.lfilter(num, den, w_drive, zi=zi[k])
-        outs[0][i0:i1] += q_as * a_bar + q_us * u_s
-    if config.store_state:
-        return outs[0], outs[1]
-    return outs[0], None
+    gens = [_stream(config.seed, stream_id) for stream_id, _, _ in plan.streams]
+    ends = np.cumsum([width for _, width, _ in plan.streams])
+    outs = {name: np.empty(n_total) for name in plan.numerators}
+    zi = {name: np.zeros((len(nums), plan.den.size - 1)) for name, nums in plan.numerators.items()}
+    with ThreadPoolExecutor(max_workers=min(len(plan.streams), os.cpu_count() or 1)) as pool:
+        for i0 in range(0, n_total, _CHUNK):
+            i1 = min(i0 + _CHUNK, n_total)
+            n = i1 - i0
+            buf = np.empty(ends[-1] * n)
+            draws = np.split(buf, ends[:-1] * n)
+            jobs = [pool.submit(_fill, gen, out, scales)
+                    for gen, out, (_, _, scales) in zip(gens, draws, plan.streams)]
+            for job in jobs:
+                job.result()
+            signal = None
+            if config.signal.kind != "zero":
+                signal = config.signal.evaluate((np.arange(i0, i1) - n_burn) * config.dt)
+            inputs, direct = plan.drive(draws, signal)
+            for name, nums in plan.numerators.items():
+                series = outs[name][i0:i1]
+                for j, (num, x) in enumerate(zip(nums, inputs)):
+                    y, zi[name][j] = _scipy_signal.lfilter(num, plan.den, x, zi=zi[name][j])
+                    if j:
+                        series += y
+                    else:
+                        series[:] = y
+            outs["d_s"][i0:i1] += direct
+            # Free this chunk's arrays before the next chunk is drawn.
+            del buf, draws, signal, inputs, direct, x, y
+    return {name: out[n_burn:].copy() for name, out in outs.items()}
 
 
 def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> SpectrumCurve:

@@ -384,6 +384,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--budget", str(10 ** 12)],
+        ["spectrum", "--scenario", "snl", "--points", str(10 ** 17)],
+    ])
+    def test_sizes_beyond_the_address_space_are_input_errors(self, argv, params_file,
+                                                             tmp_path, capsys):
+        # Both requests are petabytes, beyond the address space a 64-bit
+        # process gets, so the allocation fails at once and reserves nothing.
+        out = tmp_path / "x.out"
+        rc = main([*argv, "--params", str(params_file), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestProvenance:
     def test_manifest_and_report_record_library_versions(self, params_file, tmp_path):
@@ -395,3 +410,11 @@ class TestProvenance:
         assert manifest["library_versions"] == expected
         report = run_validation(reference_params(), budget=20, seed=1)
         assert report["library_versions"] == expected
+        out = tmp_path / "optimize.json"
+        assert main(["optimize", "--params", str(params_file), "--target", "kc",
+                     "--out", str(out)]) == 0
+        optimized = json.loads(out.read_text())
+        assert optimized["library_versions"] == expected
+        for header in (manifest, report, optimized):
+            assert header["psd_convention"] == sq.PSD_CONVENTION
+        assert optimized["params_sha256"] == manifest["params_sha256"]

@@ -24,33 +24,53 @@ BASE = dict(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0,
             r_squeeze=0.5, k_c=-0.3)
 
 
+def serial_stream(seed, stream_id, n):
+    """``n`` standard normals of one noise stream, drawn in one call."""
+    return np.random.Generator(np.random.Philox(seed=[seed, stream_id])).standard_normal(n)
+
+
 def reference_run(params, config):
-    """Detector and stored states from the per-step loops, fed the very
-    noise draws ``simulate`` uses; ``config`` must have no burn-in."""
-    n_total = int(config.duration / config.dt)
-    p_bs, q_as, q_us = stochastic._output_coefficients(params)
+    """Detector and stored states from the per-step loops, fed by each
+    noise stream drawn serially; ``config`` must have no burn-in."""
+    n, dt, seed = int(config.duration / config.dt), config.dt, config.seed
+    psds = input_noise_psds(params)
+    drift = drift_matrix(params)
+    sqrt_eta = math.sqrt(params.eta)
+    p_bs = sqrt_eta * math.sqrt(2.0 * params.kappa_prime)
+    q_as, q_us = -sqrt_eta, math.sqrt(1.0 - params.eta)
     c_a = math.sqrt(2.0 * params.kappa_prime)
     c_v = math.sqrt(2.0 * params.kappa_double_prime)
-    d, b_c, b_s = np.empty(n_total), np.empty(n_total), np.empty(n_total)
+    signal = config.signal.evaluate(dt * np.arange(n))
+    d, b_c, b_s = np.empty(n), np.empty(n), np.empty(n)
     if config.method == "exact":
-        _, decay = stochastic._exact_decay(params, config.dt)
-        bs = 0.0
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            drives = list(stochastic._exact_drives(params, config, n_total, pool))
-        for i0, a_bar, w_drive, u_s in drives:
-            i1 = i0 + a_bar.size
-            bs = exact_relax_loop(bs, decay, a_bar, w_drive, u_s, p_bs, q_as, q_us,
-                                  d[i0:i1], b_s[i0:i1], True)
+        # Exact OU update: the bin average of a_s and its exponentially
+        # filtered integral are drawn jointly from one stream.
+        lam = drift.matrix[1, 1]
+        decay = math.exp(-lam * dt)
+        s_as = psds["a_s"]
+        var0 = s_as * dt
+        cov01 = s_as * (1.0 - decay) / lam
+        resid = math.sqrt(max(s_as * (1.0 - decay * decay) / (2.0 * lam)
+                              - cov01 * cov01 / var0, 0.0))
+        za, zv = serial_stream(seed, 1, 2 * n), serial_stream(seed, 2, 2 * n)
+        a_bar = math.sqrt(s_as / dt) * za[0::2]
+        i1_a = cov01 / var0 * (a_bar * dt) + resid * za[1::2]
+        i1_v = math.sqrt(psds["v_s"] * (1.0 - decay * decay) / (2.0 * lam)) * zv[1::2]
+        w_drive = (c_a * i1_a + c_v * i1_v
+                   + drift.signal_coupling * (1.0 - decay) / lam * signal)
+        u_s = math.sqrt(psds["u_s"] / dt) * serial_stream(seed, 3, n)
+        exact_relax_loop(0.0, decay, a_bar, w_drive, u_s, p_bs, q_as, q_us, d, b_s, True)
         return d, None, b_s
-    m = drift_matrix(params).matrix
-    bc = bs = 0.0
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        drives = list(stochastic._euler_drives(params, config, n_total, pool))
-    for i0, a_c, a_s, v_c, v_s, u_s, xi in drives:
-        i1 = i0 + a_s.size
-        bc, bs = euler_maruyama_loop(bc, bs, m[0, 0], m[0, 1], m[1, 0], m[1, 1], config.dt,
-                                     a_c, a_s, v_c, v_s, u_s, xi, p_bs, q_as, q_us, c_a, c_v,
-                                     d[i0:i1], b_c[i0:i1], b_s[i0:i1], True)
+    sig = {k: math.sqrt(v / dt) for k, v in psds.items()}
+    v = serial_stream(seed, 2, 2 * n)
+    m = drift.matrix
+    euler_maruyama_loop(0.0, 0.0, m[0, 0], m[0, 1], m[1, 0], m[1, 1], dt,
+                        sig["a_c"] * serial_stream(seed, 0, n),
+                        sig["a_s"] * serial_stream(seed, 1, n),
+                        sig["v_c"] * v[0::2], sig["v_s"] * v[1::2],
+                        sig["u_s"] * serial_stream(seed, 3, n),
+                        drift.signal_coupling * signal,
+                        p_bs, q_as, q_us, c_a, c_v, d, b_c, b_s, True)
     return d, b_c, b_s
 
 
@@ -61,16 +81,34 @@ CASES = {
     "euler_sinusoid": (SensorParams(**BASE),
                        {"signal": SignalWaveform.sinusoid(1.0, 0.7)}),
     "exact": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE), {"method": "exact"}),
+    "exact_sinusoid": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE),
+                       {"method": "exact", "signal": SignalWaveform.sinusoid(1.0, 0.7, 0.3)}),
 }
+
+
+class WidePool(ThreadPoolExecutor):
+    """A pool with more workers than the machine has cores."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=(os.cpu_count() or 1) + 4)
 
 
 class TestReferenceParity:
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_filter_matches_reference_loop(self, case):
+    def test_filter_matches_reference_loop(self, case, monkeypatch):
         params, extra = CASES[case]
         cfg = SimulationConfig(dt=0.02, duration=1000.0, seed=13, n_segments=4,
                                burn_in=0.0, store_state=True, **extra)
-        run = simulate(params, cfg)
+        # Eight chunks, the last one partial, drawn by more workers than
+        # cores with frequent thread switches.
+        monkeypatch.setattr(stochastic, "_CHUNK", 7000)
+        monkeypatch.setattr(stochastic, "ThreadPoolExecutor", WidePool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = simulate(params, cfg)
+        finally:
+            sys.setswitchinterval(interval)
         d, b_c, b_s = reference_run(params, cfg)
         assert run.n_samples == d.size == 50_000
         pairs = [(run.d_s, d), (run.b_s, b_s)]
@@ -106,69 +144,12 @@ class TestChunking:
         assert np.array_equal(reference.b_s, chunked.b_s)
 
 
-def serial_stream(seed, stream_id, n):
-    """``n`` standard normals of one noise stream, drawn in one call."""
-    return np.random.Generator(np.random.Philox(seed=[seed, stream_id])).standard_normal(n)
-
-
 class TestStreams:
-    """The concurrently drawn drives against each stream drawn serially."""
-
-    N_TOTAL = 2500  # three chunks of 1000 steps, the last one partial
+    """A realization does not depend on how many workers draw it."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
-
-    def chunks(self, drives, workers):
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = [chunk[1:] for chunk in drives(pool)]
-        return [np.concatenate(arrays) for arrays in zip(*parts)]
-
-    def test_euler_drives_match_serial_streams(self):
-        params, _ = CASES["euler_coupled_spm"]
-        cfg = SimulationConfig(dt=0.02, duration=50.0, seed=13, n_segments=4, burn_in=0.0)
-        n = self.N_TOTAL
-        sig = {k: math.sqrt(v / cfg.dt) for k, v in input_noise_psds(params).items()}
-        v = serial_stream(13, 2, 2 * n)
-        want = [sig["a_c"] * serial_stream(13, 0, n), sig["a_s"] * serial_stream(13, 1, n),
-                sig["v_c"] * v[0::2], sig["v_s"] * v[1::2], sig["u_s"] * serial_stream(13, 3, n),
-                np.zeros(n)]
-        # More workers than cores and frequent thread switches.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = self.chunks(
-                lambda pool: stochastic._euler_drives(params, cfg, n, pool), workers=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-
-    def test_exact_drives_match_serial_streams(self):
-        params = SensorParams(gamma_spm=0.1, k_s=0.2, **BASE)
-        cfg = SimulationConfig(dt=0.02, duration=50.0, seed=13, n_segments=4, burn_in=0.0,
-                               method="exact")
-        n, dt = self.N_TOTAL, cfg.dt
-        lam, decay = stochastic._exact_decay(params, dt)
-        psds = input_noise_psds(params)
-        s_as = psds["a_s"]
-        var0 = s_as * dt
-        cov01 = s_as * (1.0 - decay) / lam
-        resid = math.sqrt(max(s_as * (1.0 - decay * decay) / (2.0 * lam)
-                              - cov01 * cov01 / var0, 0.0))
-        za, zv = serial_stream(13, 1, 2 * n), serial_stream(13, 2, 2 * n)
-        a_bar = math.sqrt(s_as / dt) * za[0::2]
-        i1_a = cov01 / var0 * (a_bar * dt) + resid * za[1::2]
-        i1_v = math.sqrt(psds["v_s"] * (1.0 - decay * decay) / (2.0 * lam)) * zv[1::2]
-        w_drive = (math.sqrt(2.0 * params.kappa_prime) * i1_a
-                   + math.sqrt(2.0 * params.kappa_double_prime) * i1_v)
-        u_s = math.sqrt(psds["u_s"] / dt) * serial_stream(13, 3, n)
-        got = self.chunks(lambda pool: stochastic._exact_drives(params, cfg, n, pool), workers=3)
-        assert len(got) == 3
-        for g, w in zip(got, (a_bar, w_drive, u_s)):
-            assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("case", ["euler_coupled_spm", "exact"])
     def test_one_worker_gives_the_same_realization(self, case, monkeypatch):

@@ -1,4 +1,5 @@
-"""Property tests: band edges, closed forms, optima and parameter files on random inputs.
+"""Property tests: band edges, closed forms, optima, spectrum curves and parameter
+files on random inputs.
 
 Every oracle here is independent of the code it checks: band edges come
 from a companion-matrix root solver on a quadratic whose omega^2
@@ -128,6 +129,32 @@ def test_numeric_kappa_optimum_matches_closed_form(log_omega, sign, log_n):
     assert not res.boundary
     assert res.argmin == pytest.approx(closed.argmin, rel=1e-10)
     assert res.value == pytest.approx(closed.value, rel=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(params=cancelled_params(), scenario=st.sampled_from(SCENARIOS),
+       omegas=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=8, unique=True).map(sorted))
+def test_spectrum_curves_keep_their_invariants(params, scenario, omegas):
+    base = np.array(omegas + omegas)
+    grid = base[:len(omegas)]
+    raw = [sq.scenario_curve(scenario, params, grid), sq.snl_curve(params, grid),
+           sq.psd_from_response(scenario.materialize(params), grid)]
+    normalized = [sq.normalize_curve(curve, params) for curve in raw]
+    # The curves neither freeze the caller's grid nor share memory with it.
+    assert grid.flags.writeable
+    base[:] = -1.0
+    for curve in raw + normalized:
+        for array in (curve.omegas, curve.values):
+            assert not array.flags.writeable
+            assert array.base is None or not array.base.flags.writeable
+        assert np.all(np.diff(curve.omegas) > 0.0)
+        if curve.scenario == "snl":
+            assert np.all(curve.values >= 0.0)
+        else:
+            assert np.all(curve.values > 0.0)
+    for curve in normalized:
+        with pytest.raises(sq.DoubleNormalizationError):
+            sq.normalize_curve(curve, params)
 
 
 VALID_FILE = {
