@@ -107,17 +107,13 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 def build_manifest(command: str, params: SensorParams, *, params_file=None,
                    scenario: str | None = None, normalization: str = NORMALIZATION_RAW,
-                   grid: dict | None = None, outputs: list[str] | None = None,
-                   extra: dict | None = None) -> dict:
-    manifest = _provenance(command, params, params_file) | {
+                   grid: dict | None = None, outputs: list[str] | None = None) -> dict:
+    return _provenance(command, params, params_file) | {
         "scenario": scenario,
         "normalization": normalization,
         "grid": grid,
         "outputs": outputs or [],
     }
-    if extra:
-        manifest.update(extra)
-    return manifest
 
 
 def _curve_csv(curve: SpectrumCurve, manifest: dict) -> str:

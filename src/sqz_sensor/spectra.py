@@ -60,10 +60,8 @@ def quadratic_coefficients(params: SensorParams) -> tuple[float, float]:
     Every closed-form scenario is this one quadratic in omega; the
     scenarios differ only in the cosine gain ``k_c`` carried by
     ``params``, which enters the frequency-independent floor ``c0``
-    alone.  Requires ``|k_c| < kappa`` for stability.
+    alone.  Stability, ``|k_c| < kappa``, is checked when ``params`` is built.
     """
-    if abs(params.k_c) >= params.kappa:
-        raise RangeError(f"|k_c| = {abs(params.k_c)} must be < kappa = {params.kappa}")
     kp, kpp, kc = params.kappa_prime, params.kappa_double_prime, params.k_c
     em2r = math.exp(-2.0 * params.r_squeeze)
     eps2 = params.epsilon_sq

@@ -11,12 +11,12 @@ Noise generation uses one counter-based stream per input field, keyed by
 filters (:func:`scipy.signal.lfilter`), so realizations are reproducible
 bit for bit on any platform for pinned numpy/scipy versions.  Each
 integration method (Euler-Maruyama, exact Ornstein-Uhlenbeck update) is
-a small plan: the streams it draws, its filter coefficients and how the
-draws form the filter inputs.  One chunked loop runs either plan.  The
-streams are drawn concurrently, one task per stream and chunk, which
-leaves every sequence as a serial draw gives it, whatever the core
-count.  The periodogram is Welch's estimate computed as batched real
-FFTs of the windowed segments.
+a small plan: the streams it draws, the detector's filter coefficients
+and how the draws form the filter inputs.  One chunked loop runs either
+plan and records the detector alone.  The streams are drawn concurrently,
+one task per stream and chunk, which leaves every sequence as a serial
+draw gives it, whatever the core count.  The periodogram is Welch's
+estimate as batched real FFTs; the gain is demodulated in one product.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class SimulationConfig:
     (default: eight times the slowest relaxation time) is integrated
     first and discarded, so retained samples are effectively stationary.
     The seed fully determines the realization for pinned numpy/scipy
-    versions.
+    versions.  Only the detected quadrature is recorded.
     """
 
     dt: float
@@ -86,7 +86,6 @@ class SimulationConfig:
     n_segments: int = 200
     signal: SignalWaveform = field(default_factory=SignalWaveform.zero)
     burn_in: float | None = None
-    store_state: bool = False
     method: str = METHOD_EULER
 
     def __post_init__(self):
@@ -94,14 +93,14 @@ class SimulationConfig:
             raise ConfigError(f"dt must be a positive finite number, got {self.dt}")
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ConfigError(f"duration must be a positive finite number, got {self.duration}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if not (0 <= self.seed < math.inf and int(self.seed) == self.seed):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if int(self.n_segments) != self.n_segments or self.n_segments < 1:
             raise ConfigError(f"n_segments must be a positive integer, got {self.n_segments}")
         if self.method not in (METHOD_EULER, METHOD_EXACT):
             raise ConfigError(f"method must be {METHOD_EULER!r} or {METHOD_EXACT!r}, got {self.method!r}")
-        if self.burn_in is not None and self.burn_in < 0.0:
-            raise ConfigError(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.burn_in is not None and not 0.0 <= self.burn_in < math.inf:
+            raise ConfigError(f"burn_in must be a non-negative finite number, got {self.burn_in}")
         if not isinstance(self.signal, SignalWaveform):
             raise ConfigError("signal must be a SignalWaveform")
 
@@ -110,17 +109,15 @@ class SimulationConfig:
 class SimulationRun:
     """Detected-quadrature time series with its provenance.
 
-    Sample ``n`` of ``d_s`` (and of the optional states ``b_c``, ``b_s``)
-    is taken at time ``n * dt``: the waveform clock starts at zero at the
-    first retained sample, and the discarded transient has negative times.
+    Sample ``n`` of ``d_s`` is taken at time ``n * dt``: the waveform
+    clock starts at zero at the first retained sample, and the discarded
+    transient has negative times.
     """
 
     d_s: np.ndarray
     params: SensorParams
     config: SimulationConfig
     backend: str
-    b_c: np.ndarray | None = None
-    b_s: np.ndarray | None = None
 
     @property
     def dt(self) -> float:
@@ -174,8 +171,8 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     if n_out < 1:
         raise ConfigError("duration shorter than one step")
     plan = _PLANS[config.method](params, config)
-    series = _integrate(plan, config, n_burn, n_burn + n_out)
-    return SimulationRun(params=params, config=config, backend=BACKEND, **series)
+    d_s = _integrate(plan, config, n_burn, n_burn + n_out)
+    return SimulationRun(d_s=d_s, params=params, config=config, backend=BACKEND)
 
 
 @dataclass(frozen=True)
@@ -183,16 +180,16 @@ class _Plan:
     """One integration method as a bank of IIR filters over noise draws.
 
     ``streams`` lists the Philox streams drawn per chunk as ``(stream id,
-    draws per step, scales)``.  Every recorded series shares the
-    denominator ``den``; ``numerators`` maps each series name to its
-    numerator on each drive input.  ``drive(draws, signal)`` turns the
-    chunk's scaled draws and waveform samples (``None`` without a signal)
-    into the drive inputs and the detector's direct term.
+    draws per step, scales)``.  The detector is a filter with denominator
+    ``den`` and one numerator per drive input in ``numerators``.
+    ``drive(draws, signal)`` turns the chunk's scaled draws and waveform
+    samples (``None`` without a signal) into the drive inputs and the
+    detector's direct term.
     """
 
     streams: tuple
     den: np.ndarray
-    numerators: dict
+    numerators: tuple
     drive: Callable
 
 
@@ -206,7 +203,7 @@ def _output_coefficients(params: SensorParams) -> tuple[float, float, float]:
 
 def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     # The Euler-Maruyama step x[n+1] = A x[n] + dt f[n], A = I - dt M, is
-    # a two-state linear recursion, so each recorded series is a sum of
+    # a two-state linear recursion, so the detected series is a sum of
     # second-order IIR filters (common denominator det(I - A/z)) of the
     # drives f_c and f_s.  The detected sample combines the bin average
     # of the intracavity state, taken as the midpoint 0.5 (b_s[n] +
@@ -232,16 +229,12 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
             f_s += coupling * signal
         return (c_a * a_c + c_v * v[0::2], f_s), q_as * a_s + q_us * u_s
 
-    # Numerators (on f_c, on f_s) of each recorded series.
-    numerators = {"d_s": (h * np.array([0.0, a10, a10]), h * np.array([1.0, 1.0 - a00, -a00]))}
-    if config.store_state:
-        numerators["b_c"] = (np.array([0.0, dt, -dt * a11]), np.array([0.0, 0.0, dt * a01]))
-        numerators["b_s"] = (np.array([0.0, 0.0, dt * a10]), np.array([0.0, dt, -dt * a00]))
     return _Plan(
         streams=((STREAM_A_C, 1, (sig["a_c"],)), (STREAM_A_S, 1, (sig["a_s"],)),
                  (STREAM_V, 2, (sig["v_c"], sig["v_s"])), (STREAM_U, 1, (sig["u_s"],))),
         den=np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10]),
-        numerators=numerators,
+        # The detector's numerators on f_c and on f_s.
+        numerators=(h * np.array([0.0, a10, a10]), h * np.array([1.0, 1.0 - a00, -a00])),
         drive=drive,
     )
 
@@ -284,14 +277,11 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
             w += sig_scale * signal
         return (w,), q_as * a_bar + q_us * u_s
 
-    numerators = {"d_s": (0.5 * p_bs * np.array([1.0, 1.0]),)}
-    if config.store_state:
-        numerators["b_s"] = (np.array([0.0, 1.0]),)
     return _Plan(
         streams=((STREAM_A_S, 2, (math.sqrt(s_as / dt), resid)), (STREAM_V, 2, (sig_i1v,)),
                  (STREAM_U, 1, (math.sqrt(psds["u_s"] / dt),))),
         den=np.array([1.0, -decay]),
-        numerators=numerators,
+        numerators=(0.5 * p_bs * np.array([1.0, 1.0]),),
         drive=drive,
     )
 
@@ -310,21 +300,22 @@ def _fill(gen: np.random.Generator, out: np.ndarray, scales: tuple) -> None:
         out[j::len(scales)] *= scale
 
 
-def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int) -> dict:
-    """Run ``plan`` for ``n_total`` steps; return the retained series by name.
+def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int) -> np.ndarray:
+    """Run ``plan`` for ``n_total`` steps; return the detector after burn-in.
 
     Each chunk draws its streams concurrently, one task per stream
     (numpy releases the GIL while it draws).  The chunks follow one
     another, so every stream yields the same sequence as a serial draw,
     whatever the core count.  Filter states carry across chunks.  The
     waveform clock is zero at the first retained step, so burn-in steps
-    have negative times.  The pool ends with the call, so no idle
-    workers outlive it or are inherited by a forked child.
+    have negative times.  The result is a view of the one recorded
+    series.  The pool ends with the call, so no idle workers outlive it
+    or are inherited by a forked child.
     """
     gens = [_stream(config.seed, stream_id) for stream_id, _, _ in plan.streams]
     ends = np.cumsum([width for _, width, _ in plan.streams])
-    outs = {name: np.empty(n_total) for name in plan.numerators}
-    zi = {name: np.zeros((len(nums), plan.den.size - 1)) for name, nums in plan.numerators.items()}
+    out = np.empty(n_total)
+    zi = np.zeros((len(plan.numerators), plan.den.size - 1))
     with ThreadPoolExecutor(max_workers=min(len(plan.streams), os.cpu_count() or 1)) as pool:
         for i0 in range(0, n_total, _CHUNK):
             i1 = min(i0 + _CHUNK, n_total)
@@ -339,18 +330,17 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
             if config.signal.kind != "zero":
                 signal = config.signal.evaluate((np.arange(i0, i1) - n_burn) * config.dt)
             inputs, direct = plan.drive(draws, signal)
-            for name, nums in plan.numerators.items():
-                series = outs[name][i0:i1]
-                for j, (num, x) in enumerate(zip(nums, inputs)):
-                    y, zi[name][j] = _scipy_signal.lfilter(num, plan.den, x, zi=zi[name][j])
-                    if j:
-                        series += y
-                    else:
-                        series[:] = y
-            outs["d_s"][i0:i1] += direct
+            series = out[i0:i1]
+            for j, (num, x) in enumerate(zip(plan.numerators, inputs)):
+                y, zi[j] = _scipy_signal.lfilter(num, plan.den, x, zi=zi[j])
+                if j:
+                    series += y
+                else:
+                    series[:] = y
+            series += direct
             # Free this chunk's arrays before the next chunk is drawn.
             del buf, draws, signal, inputs, direct, x, y
-    return {name: out[n_burn:].copy() for name, out in outs.items()}
+    return out[n_burn:]
 
 
 def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> SpectrumCurve:
@@ -424,12 +414,15 @@ def measure_gain(
     detected quadrature at the probe frequency over an integer number of
     periods, and returns the amplitude ratio.  The noise floor is read
     from nearby orthogonal demodulation bins; an amplitude-SNR below 10
-    raises :class:`SnrError`.
+    raises :class:`SnrError`.  The probe must lie below the Nyquist
+    frequency ``pi / dt``, where it would otherwise alias.
     """
-    if probe_omega <= 0.0:
-        raise RangeError(f"probe_omega must be > 0, got {probe_omega}")
-    if probe_amplitude <= 0.0:
-        raise RangeError(f"probe_amplitude must be > 0, got {probe_amplitude}")
+    # The chained comparisons also reject NaN and infinities.
+    nyquist = math.pi / config.dt
+    if not 0.0 < probe_omega < nyquist:
+        raise RangeError(f"probe_omega must be in (0, pi/dt = {nyquist}), got {probe_omega}")
+    if not 0.0 < probe_amplitude < math.inf:
+        raise RangeError(f"probe_amplitude must be a positive finite number, got {probe_amplitude}")
     cfg = replace(config, signal=SignalWaveform.sinusoid(probe_amplitude, probe_omega))
     run = simulate(params, cfg)
 
@@ -442,27 +435,14 @@ def measure_gain(
             f"run covers only {n_periods} probe periods; need at least 4"
         )
     n_demod = min(int(round(n_periods * period / dt)), n)
-    t = dt * np.arange(n_demod)
-    d = run.d_s[:n_demod]
 
-    base = d * np.exp(-1j * probe_omega * t)
-    z_probe = 2.0 * np.mean(base)
-
-    # Noise floor from bin-spaced offsets (orthogonal over the window),
-    # skipping the two bins adjacent to the probe to avoid its leakage.
+    # The probe bin, then the noise floor from bin-spaced offsets
+    # (orthogonal over the window), skipping the two bins adjacent to the
+    # probe to avoid its leakage.
     d_omega = 2.0 * math.pi / (n_demod * dt)
-    step = np.exp(-1j * d_omega * t)
-    offsets = []
-    cur_up = base.copy()
-    cur_dn = base.copy()
-    step_conj = np.conj(step)
-    for k in range(1, 11):
-        cur_up = cur_up * step
-        cur_dn = cur_dn * step_conj
-        if k >= 3:
-            offsets.append(2.0 * np.mean(cur_up))
-            offsets.append(2.0 * np.mean(cur_dn))
-    noise_floor = math.sqrt(float(np.mean(np.abs(np.array(offsets)) ** 2)))
+    bins = _demodulate(run.d_s[:n_demod], dt, probe_omega + d_omega * np.r_[0, 3:11, -10:-2])
+    z_probe = bins[0]
+    noise_floor = math.sqrt(float(np.mean(np.abs(bins[1:]) ** 2)))
     snr = abs(z_probe) / noise_floor if noise_floor > 0.0 else math.inf
     if snr < 10.0:
         raise SnrError(
@@ -470,3 +450,20 @@ def measure_gain(
             "or the run duration"
         )
     return float(abs(z_probe) / probe_amplitude)
+
+
+def _demodulate(d: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
+    """``2 mean(d[m] exp(-i w m dt))`` over the samples ``m``, at each ``w`` in ``omegas``.
+
+    With ``m = r cols + c``, each bin sums the row phases ``exp(-i w r cols
+    dt)`` times the product ``(rows, cols) @ (cols, bins)`` of the series
+    and the column phases; the zero-padded tail adds nothing.  The column
+    phases enter as interleaved real pairs, so the series stays real.
+    """
+    n = d.size
+    cols = math.isqrt(n) + 1
+    rows = n // cols + 1
+    wdt = dt * np.asarray(omegas)
+    blocks = np.pad(d, (0, rows * cols - n)).reshape(rows, cols)
+    inner = (blocks @ np.exp(-1j * np.outer(np.arange(cols), wdt)).view(np.float64)).view(np.complex128)
+    return (2.0 / n) * np.sum(inner * np.exp(-1j * np.outer(cols * np.arange(rows), wdt)), axis=0)

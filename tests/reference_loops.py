@@ -11,7 +11,7 @@ from __future__ import annotations
 def euler_maruyama_loop(bc, bs, mcc, mcs, msc, mss, dt,
                         a_c, a_s, v_c, v_s, u_s, xi_drive,
                         p_bs, q_as, q_us, c_a, c_v,
-                        out_d, out_bc, out_bs, store):
+                        out_d):
     # Noise arrays hold bin-averaged white-noise samples (variance
     # PSD/dt).  The detected sample combines the bin average of the
     # intracavity state, taken as the midpoint of the step, with the
@@ -23,16 +23,13 @@ def euler_maruyama_loop(bc, bs, mcc, mcs, msc, mss, dt,
         bc_next = bc + dt * (f_c - mcc * bc - mcs * bs)
         bs_next = bs + dt * (f_s - msc * bc - mss * bs)
         out_d[i] = p_bs * 0.5 * (bs + bs_next) + q_as * a_s[i] + q_us * u_s[i]
-        if store:
-            out_bc[i] = bc
-            out_bs[i] = bs
         bc = bc_next
         bs = bs_next
     return bc, bs
 
 
 def exact_relax_loop(bs, decay, a_bar, w_drive, u_s,
-                     p_bs, q_as, q_us, out_d, out_bs, store):
+                     p_bs, q_as, q_us, out_d):
     # Exact one-step relaxation of the decoupled measured quadrature:
     # the per-step drive increments in w_drive already carry the exact
     # within-step filtering and their correlation with a_bar.  The
@@ -41,7 +38,5 @@ def exact_relax_loop(bs, decay, a_bar, w_drive, u_s,
     for i in range(n):
         bs_next = decay * bs + w_drive[i]
         out_d[i] = p_bs * 0.5 * (bs + bs_next) + q_as * a_bar[i] + q_us * u_s[i]
-        if store:
-            out_bs[i] = bs
         bs = bs_next
     return bs

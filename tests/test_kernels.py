@@ -30,8 +30,8 @@ def serial_stream(seed, stream_id, n):
 
 
 def reference_run(params, config):
-    """Detector and stored states from the per-step loops, fed by each
-    noise stream drawn serially; ``config`` must have no burn-in."""
+    """Detector series from the per-step loops, fed by each noise stream
+    drawn serially; ``config`` must have no burn-in."""
     n, dt, seed = int(config.duration / config.dt), config.dt, config.seed
     psds = input_noise_psds(params)
     drift = drift_matrix(params)
@@ -41,7 +41,7 @@ def reference_run(params, config):
     c_a = math.sqrt(2.0 * params.kappa_prime)
     c_v = math.sqrt(2.0 * params.kappa_double_prime)
     signal = config.signal.evaluate(dt * np.arange(n))
-    d, b_c, b_s = np.empty(n), np.empty(n), np.empty(n)
+    d = np.empty(n)
     if config.method == "exact":
         # Exact OU update: the bin average of a_s and its exponentially
         # filtered integral are drawn jointly from one stream.
@@ -59,8 +59,8 @@ def reference_run(params, config):
         w_drive = (c_a * i1_a + c_v * i1_v
                    + drift.signal_coupling * (1.0 - decay) / lam * signal)
         u_s = math.sqrt(psds["u_s"] / dt) * serial_stream(seed, 3, n)
-        exact_relax_loop(0.0, decay, a_bar, w_drive, u_s, p_bs, q_as, q_us, d, b_s, True)
-        return d, None, b_s
+        exact_relax_loop(0.0, decay, a_bar, w_drive, u_s, p_bs, q_as, q_us, d)
+        return d
     sig = {k: math.sqrt(v / dt) for k, v in psds.items()}
     v = serial_stream(seed, 2, 2 * n)
     m = drift.matrix
@@ -70,12 +70,13 @@ def reference_run(params, config):
                         sig["v_c"] * v[0::2], sig["v_s"] * v[1::2],
                         sig["u_s"] * serial_stream(seed, 3, n),
                         drift.signal_coupling * signal,
-                        p_bs, q_as, q_us, c_a, c_v, d, b_c, b_s, True)
-    return d, b_c, b_s
+                        p_bs, q_as, q_us, c_a, c_v, d)
+    return d
 
 
 CASES = {
-    # residual self-phase-modulation coupling (k_s != 2 gamma N) feeds b_c into b_s
+    # residual self-phase-modulation coupling (k_s != 2 gamma N) feeds the
+    # cosine quadrature into the measured one, and so into the detector
     "euler_coupled_spm": (SensorParams(gamma_spm=0.1, k_s=0.5, **BASE), {}),
     "euler_cancelled_spm": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE), {}),
     "euler_sinusoid": (SensorParams(**BASE),
@@ -98,7 +99,7 @@ class TestReferenceParity:
     def test_filter_matches_reference_loop(self, case, monkeypatch):
         params, extra = CASES[case]
         cfg = SimulationConfig(dt=0.02, duration=1000.0, seed=13, n_segments=4,
-                               burn_in=0.0, store_state=True, **extra)
+                               burn_in=0.0, **extra)
         # Eight chunks, the last one partial, drawn by more workers than
         # cores with frequent thread switches.
         monkeypatch.setattr(stochastic, "_CHUNK", 7000)
@@ -109,39 +110,28 @@ class TestReferenceParity:
             run = simulate(params, cfg)
         finally:
             sys.setswitchinterval(interval)
-        d, b_c, b_s = reference_run(params, cfg)
+        d = reference_run(params, cfg)
         assert run.n_samples == d.size == 50_000
-        pairs = [(run.d_s, d), (run.b_s, b_s)]
-        if b_c is not None:
-            pairs.append((run.b_c, b_c))
-        else:
-            assert run.b_c is None
-        for got, want in pairs:
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.std(want)
+        assert np.max(np.abs(run.d_s - d)) <= 1e-12 * np.std(d)
 
 
 class TestChunking:
     def test_chunk_size_does_not_change_realization(self, monkeypatch):
         params, _ = CASES["euler_coupled_spm"]
-        cfg = SimulationConfig(dt=0.02, duration=400.0, seed=13, n_segments=4,
-                               store_state=True)
+        cfg = SimulationConfig(dt=0.02, duration=400.0, seed=13, n_segments=4)
         reference = simulate(params, cfg)
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
         chunked = simulate(params, cfg)
         assert np.array_equal(reference.d_s, chunked.d_s)
-        assert np.array_equal(reference.b_c, chunked.b_c)
-        assert np.array_equal(reference.b_s, chunked.b_s)
 
     def test_chunk_size_does_not_change_exact_realization(self, monkeypatch):
         params = SensorParams(**BASE)
         cfg = SimulationConfig(dt=0.02, duration=400.0, seed=13, n_segments=4,
-                               store_state=True, method="exact",
-                               signal=SignalWaveform.sinusoid(1.0, 0.7))
+                               method="exact", signal=SignalWaveform.sinusoid(1.0, 0.7))
         reference = simulate(params, cfg)
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
         chunked = simulate(params, cfg)
         assert np.array_equal(reference.d_s, chunked.d_s)
-        assert np.array_equal(reference.b_s, chunked.b_s)
 
 
 class TestStreams:
@@ -154,8 +144,7 @@ class TestStreams:
     @pytest.mark.parametrize("case", ["euler_coupled_spm", "exact"])
     def test_one_worker_gives_the_same_realization(self, case, monkeypatch):
         params, extra = CASES[case]
-        cfg = SimulationConfig(dt=0.02, duration=60.0, seed=13, n_segments=4,
-                               store_state=True, **extra)
+        cfg = SimulationConfig(dt=0.02, duration=60.0, seed=13, n_segments=4, **extra)
         reference = simulate(params, cfg)
         workers = []
 
@@ -169,6 +158,3 @@ class TestStreams:
         single = simulate(params, cfg)
         assert workers == [1]
         assert np.array_equal(reference.d_s, single.d_s)
-        assert np.array_equal(reference.b_s, single.b_s)
-        if reference.b_c is not None:
-            assert np.array_equal(reference.b_c, single.b_c)

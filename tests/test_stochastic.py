@@ -15,8 +15,9 @@ from sqz_sensor import (
     SimulationConfig,
     SnrError,
 )
-from sqz_sensor.stochastic import spectral_comparison_config
+from sqz_sensor.stochastic import _demodulate, spectral_comparison_config
 
+from reference_demod import demodulate_loop
 from reference_welch import welch_two_sided
 
 BAND = np.linspace(0.2, 3.0, 36)
@@ -52,13 +53,15 @@ class TestSimulate:
         se = math.sqrt(sq.sum_noise_psd(vacuum_params, 0.0) / cfg.duration)
         assert abs(float(np.mean(run.d_s))) < 4.0 * se
 
-    def test_equipartition_of_intracavity_quadrature(self, vacuum_params):
-        cfg = SimulationConfig(dt=0.01, duration=20000.0, seed=22, n_segments=10,
-                               store_state=True)
-        run = sq.simulate(vacuum_params, cfg)
-        assert run.b_s is not None and run.b_c is not None
-        assert float(np.var(run.b_s)) == pytest.approx(0.5, rel=0.03)
-        assert float(np.var(run.b_c)) == pytest.approx(0.5, rel=0.03)
+    @pytest.mark.parametrize("method", ["euler", "exact"])
+    def test_burn_in_steps_are_integrated_then_dropped(self, fig2_params, method):
+        # dt = 2^-6 makes the one-second burn-in exactly 64 steps.
+        cfg = SimulationConfig(dt=2.0 ** -6, duration=50.0, seed=23, n_segments=4,
+                               burn_in=1.0, method=method)
+        burned = sq.simulate(fig2_params, cfg)
+        whole = sq.simulate(fig2_params, replace(cfg, duration=51.0, burn_in=0.0))
+        assert whole.n_samples == burned.n_samples + 64
+        assert np.array_equal(burned.d_s, whole.d_s[64:])
 
     def test_sample_count_rounds_down(self, fig2_params):
         cfg = SimulationConfig(dt=0.02, duration=100.03, seed=1, n_segments=4)
@@ -104,6 +107,12 @@ class TestSimulate:
             SimulationConfig(dt=0.1, duration=1.0, seed=0, n_segments=0)
         with pytest.raises(ConfigError):
             SimulationConfig(dt=0.1, duration=1.0, seed=0, method="heun")
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ConfigError, match="burn_in"):
+                SimulationConfig(dt=0.1, duration=1.0, seed=0, burn_in=bad)
+        for bad in (math.nan, math.inf, 0.5):
+            with pytest.raises(ConfigError, match="seed"):
+                SimulationConfig(dt=0.1, duration=1.0, seed=bad)
 
 
 class TestEstimatePsd:
@@ -285,6 +294,30 @@ class TestMeasureGain:
             sq.measure_gain(vacuum_params, -1.0, 1.0, cfg)
         with pytest.raises(RangeError):
             sq.measure_gain(vacuum_params, 1.0, 0.0, cfg)
+        # at dt = 0.02 the Nyquist frequency is 157; a probe at 300 would alias
+        for omega in (math.nan, math.inf, 300.0, math.pi / 0.02):
+            with pytest.raises(RangeError, match="probe_omega"):
+                sq.measure_gain(vacuum_params, omega, 1.0, cfg)
+        for amplitude in (math.nan, math.inf):
+            with pytest.raises(RangeError, match="probe_amplitude"):
+                sq.measure_gain(vacuum_params, 1.0, amplitude, cfg)
+
+    @pytest.mark.parametrize("case", ["prime_length", "euler_probe", "exact_probe"])
+    def test_blocked_demodulation_matches_reference_loop(self, fig2_params, case):
+        dt, omega = 0.02, 1.3
+        if case == "prime_length":
+            d = np.random.default_rng(45).standard_normal(10007)
+        else:
+            cfg = SimulationConfig(dt=dt, duration=2000.0, seed=46, n_segments=10,
+                                   method=case.split("_")[0],
+                                   signal=sq.SignalWaveform.sinusoid(1.0, omega))
+            d = sq.simulate(fig2_params, cfg).d_s
+        z_probe, offsets = demodulate_loop(d, dt, omega)
+        d_omega = 2.0 * math.pi / (d.size * dt)
+        got = _demodulate(d, dt, omega + d_omega * np.r_[0, 3:11, -10:-2])
+        # the loop orders its offsets +3, -3, +4, -4, ...
+        want = np.r_[z_probe, offsets[0::2], offsets[-1::-2]]
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_too_few_periods(self, vacuum_params):
         cfg = SimulationConfig(dt=0.02, duration=100.0, seed=44, n_segments=10)
