@@ -54,13 +54,11 @@ from .optimize import (
 from .spectra import (
     apply_external_antisqueeze,
     closed_form_psd,
-    lossless_resonator_psd,
     measurement_psd_raw,
     normalize_curve,
     scenario_curve,
     snl,
     snl_curve,
-    sum_noise_psd,
     two_stage_epsilon_sq,
 )
 from .stochastic import (
@@ -108,11 +106,9 @@ __all__ = [
     "psd_from_response",
     "input_noise_psds",
     "relaxation_rates",
-    "sum_noise_psd",
     "measurement_psd_raw",
     "closed_form_psd",
     "snl",
-    "lossless_resonator_psd",
     "apply_external_antisqueeze",
     "two_stage_epsilon_sq",
     "normalize_curve",

@@ -54,10 +54,10 @@ def spm_cancelling_ks(gamma_spm: float, n_photons: float) -> float:
 
     Returns ``2 * gamma_spm * n_photons``.
     """
-    if gamma_spm < 0.0:
-        raise RangeError(f"gamma_spm must be >= 0, got {gamma_spm}")
-    if n_photons <= 0.0:
-        raise RangeError(f"n_photons must be > 0, got {n_photons}")
+    if not 0.0 <= gamma_spm < math.inf:
+        raise RangeError(f"gamma_spm must be finite and >= 0, got {gamma_spm}")
+    if not 0.0 < n_photons < math.inf:
+        raise RangeError(f"n_photons must be finite and > 0, got {n_photons}")
     return 2.0 * gamma_spm * n_photons
 
 
@@ -78,12 +78,10 @@ def rates_from_quality(omega_0: float, q_intrinsic: float, coupling_ratio: float
     -------
     (kappa_prime, kappa_double_prime) in rad/s.
     """
-    if omega_0 <= 0.0:
-        raise RangeError(f"omega_0 must be > 0, got {omega_0}")
-    if q_intrinsic <= 0.0:
-        raise RangeError(f"q_intrinsic must be > 0, got {q_intrinsic}")
-    if coupling_ratio <= 0.0:
-        raise RangeError(f"coupling_ratio must be > 0, got {coupling_ratio}")
+    for name, value in (("omega_0", omega_0), ("q_intrinsic", q_intrinsic),
+                        ("coupling_ratio", coupling_ratio)):
+        if not 0.0 < value < math.inf:
+            raise RangeError(f"{name} must be finite and > 0, got {value}")
     kappa_double_prime = omega_0 / (2.0 * q_intrinsic)
     return coupling_ratio * kappa_double_prime, kappa_double_prime
 

@@ -208,6 +208,9 @@ class SignalWaveform:
     def __post_init__(self):
         if self.kind not in ("zero", "sinusoid"):
             raise RangeError(f"unknown waveform kind {self.kind!r}")
+        for name in ("amplitude", "frequency", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise RangeError(f"waveform {name} must be finite, got {getattr(self, name)}")
         if self.kind == "sinusoid" and self.frequency < 0.0:
             raise RangeError("sinusoid frequency must be >= 0")
 

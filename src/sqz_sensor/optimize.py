@@ -130,8 +130,8 @@ def snl_optimal_kappa(omega: float, n_photons: float = 1.0) -> OptimizationResul
     non-finite omega.
     """
     argmin = _check_omega(omega)
-    if n_photons <= 0.0:
-        raise RangeError(f"n_photons must be > 0, got {n_photons}")
+    if not 0.0 < n_photons < math.inf:
+        raise RangeError(f"n_photons must be finite and > 0, got {n_photons}")
     return OptimizationResult(argmin=argmin, value=argmin / (4.0 * n_photons))
 
 
@@ -212,16 +212,19 @@ def snl_crossings(
     c2, c0 = spectra.quadratic_coefficients(params_m)
     b = 0.25 / params_m.n_photons
     disc = b * b - 4.0 * c2 * c0
-    w_v = b / (2.0 * c2)
-    # (spectrum - limit) at the vertex is -disc / (4 c2).
-    if abs(disc) / (4.0 * c2) <= 1e-9 * (c2 * w_v * w_v + c0 + b * w_v):
-        lower = upper = w_v
+    # At the vertex b / (2 c2), (spectrum - limit) is -disc / (4 c2) and
+    # (spectrum + limit) is (3 b^2 + 4 c2 c0) / (4 c2); the test compares
+    # the two with the common factor taken out, so c2 = 0 needs no case.
+    if abs(disc) <= 1e-9 * (3.0 * b * b + 4.0 * c2 * c0):
+        lower = upper = b / (2.0 * c2)
     elif disc < 0.0:
         raise NoBandError("spectrum stays above the shot-noise limit")
     else:
         # Cancellation-free roots: b > 0, so b + sqrt(disc) loses nothing.
+        # c2 = 0 (eta = 1 with exp(-2r) underflowed) leaves the constant
+        # spectrum c0 below the limit from its one crossing upward.
         q = 0.5 * (b + math.sqrt(disc))
-        lower, upper = c0 / q, q / c2
+        lower, upper = c0 / q, (q / c2 if c2 > 0.0 else hi)
     lower, upper = max(lower, lo), min(upper, hi)
     if upper < lower:
         raise NoBandError(f"no sub-shot-noise frequency in ({lo}, {hi})")

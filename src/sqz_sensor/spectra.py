@@ -2,15 +2,16 @@
 
 Every function returns the double-sided spectral density of the detected
 sine-quadrature noise referred to the sensed eigenfrequency perturbation
-(units of (rad/s)^2 * s in SI mode), except :func:`sum_noise_psd` which
-is the un-referred detected noise.  The closed forms assume the
+(units of (rad/s)^2 * s in SI mode).  The closed forms assume the
 self-phase-modulation coupling is cancelled by the sine parametric gain;
-the general solver in :mod:`sqz_sensor.dynamics` covers everything else.
+the general solver in :mod:`sqz_sensor.dynamics` covers everything else,
+the un-referred detected noise included.
 
 All closed-form scenarios share one model, the quadratic
 ``S(omega) = c2 omega^2 + c0(k_c)`` of :func:`quadratic_coefficients`: a
 scenario is nothing but a choice of the cosine gain ``k_c`` (zero, or
-the loss-optimal value) applied by :meth:`Scenario.materialize`.
+the loss-optimal value) applied by :meth:`Scenario.materialize`.  The
+lossless-resonator cases are this quadratic at ``kappa_double_prime = 0``.
 """
 
 from __future__ import annotations
@@ -37,21 +38,6 @@ def _shape_match(omega, values):
     if np.ndim(omega) == 0:
         return float(values)
     return values
-
-
-def sum_noise_psd(params: SensorParams, omega):
-    """Spectral density of the detected-quadrature sum noise.
-
-    Combines the filtered input squeezed noise, the intrinsic-loss
-    vacuum, and the detection vacuum behind the efficiency beamsplitter.
-    """
-    w2 = np.square(np.asarray(omega, dtype=float))
-    kp, kpp, kc = params.kappa_prime, params.kappa_double_prime, params.k_c
-    kappa = params.kappa
-    em2r = math.exp(-2.0 * params.r_squeeze)
-    lorentz = ((w2 + (kp - kpp - kc) ** 2) * em2r + 4.0 * kp * kpp) / (w2 + (kappa + kc) ** 2)
-    values = 0.5 * params.eta * (lorentz + params.epsilon_sq)
-    return _shape_match(omega, values)
 
 
 def quadratic_coefficients(params: SensorParams) -> tuple[float, float]:
@@ -103,45 +89,16 @@ def closed_form_psd(scenario: Scenario, params: SensorParams, omega):
     return measurement_psd_raw(params, omega)
 
 
-LOSSLESS_INPUT_ONLY = "input_only"
-LOSSLESS_DOUBLE = "double"
-
-
-def lossless_resonator_psd(kind: str, params: SensorParams, omega):
-    """Spectral densities for a resonator without intrinsic loss.
-
-    ``kind="input_only"`` keeps input squeezing only; ``kind="double"``
-    adds the optimal internal gain.  The two agree for all frequencies
-    exactly when exp(-2r) equals the output-loss factor epsilon^2.
-    """
-    if params.kappa_double_prime != 0.0:
-        raise RangeError(
-            f"lossless forms require kappa_double_prime = 0, got {params.kappa_double_prime}"
-        )
-    w2 = np.square(np.asarray(omega, dtype=float))
-    kappa = params.kappa
-    em2r = math.exp(-2.0 * params.r_squeeze)
-    eps2 = params.epsilon_sq
-    pref = 1.0 / (8.0 * kappa * params.n_photons)
-    if kind == LOSSLESS_INPUT_ONLY:
-        values = pref * (em2r + eps2) * (w2 + kappa ** 2)
-    elif kind == LOSSLESS_DOUBLE:
-        values = pref * ((em2r + eps2) * w2 + 4.0 * kappa ** 2 * eps2 * em2r / (em2r + eps2))
-    else:
-        raise RangeError(f"kind must be {LOSSLESS_INPUT_ONLY!r} or {LOSSLESS_DOUBLE!r}, got {kind!r}")
-    return _shape_match(omega, values)
-
-
 def apply_external_antisqueeze(epsilon_ext_sq: float, r_anti: float):
     """Effective loss factor after anti-squeezing ahead of the loss source.
 
     Amplifying the measured quadrature by exp(2 R) before a downstream
     loss stage suppresses that stage's referred noise by exp(-2 R).
     """
-    if epsilon_ext_sq < 0.0:
-        raise RangeError(f"epsilon_ext_sq must be >= 0, got {epsilon_ext_sq}")
-    if r_anti < 0.0:
-        raise RangeError(f"r_anti must be >= 0, got {r_anti}")
+    if not 0.0 <= epsilon_ext_sq < math.inf:
+        raise RangeError(f"epsilon_ext_sq must be finite and >= 0, got {epsilon_ext_sq}")
+    if not 0.0 <= r_anti < math.inf:
+        raise RangeError(f"r_anti must be finite and >= 0, got {r_anti}")
     return epsilon_ext_sq * math.exp(-2.0 * r_anti)
 
 
@@ -165,8 +122,8 @@ def two_stage_epsilon_sq(eta_coupling: float, eta_detection: float, r_anti: floa
 
 def effective_eta(epsilon_sq: float) -> float:
     """Quantum efficiency equivalent to a given loss factor."""
-    if epsilon_sq < 0.0:
-        raise RangeError(f"epsilon_sq must be >= 0, got {epsilon_sq}")
+    if not 0.0 <= epsilon_sq < math.inf:
+        raise RangeError(f"epsilon_sq must be finite and >= 0, got {epsilon_sq}")
     return 1.0 / (1.0 + epsilon_sq)
 
 

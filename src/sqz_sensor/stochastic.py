@@ -95,7 +95,7 @@ class SimulationConfig:
             raise ConfigError(f"duration must be a positive finite number, got {self.duration}")
         if not (0 <= self.seed < math.inf and int(self.seed) == self.seed):
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        if int(self.n_segments) != self.n_segments or self.n_segments < 1:
+        if not (1 <= self.n_segments < math.inf and int(self.n_segments) == self.n_segments):
             raise ConfigError(f"n_segments must be a positive integer, got {self.n_segments}")
         if self.method not in (METHOD_EULER, METHOD_EXACT):
             raise ConfigError(f"method must be {METHOD_EULER!r} or {METHOD_EXACT!r}, got {self.method!r}")

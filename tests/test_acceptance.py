@@ -22,6 +22,7 @@ from sqz_sensor.stochastic import spectral_comparison_config
 
 from conftest import random_cancelled_params
 from test_cli import read_curve_csv
+from test_spectra import lossless_double_psd, lossless_input_psd
 
 # Independent spot values for the reference point (kp=1, kpp=1/10,
 # eta=7/10, exp(2r)=30, N=1), exact rational arithmetic.
@@ -121,17 +122,29 @@ def test_criterion_4_lossless_equality():
         balanced = SensorParams(kappa_prime=1.0, kappa_double_prime=0.0, eta=eta,
                                 n_photons=1.0, r_squeeze=-0.5 * math.log(eps2))
         w = np.linspace(0.0, 4.0, 401)
-        s_in = sq.lossless_resonator_psd("input_only", balanced, w)
-        s_db = sq.lossless_resonator_psd("double", balanced, w)
+        s_in = sq.scenario_curve(Scenario.input_squeeze(), balanced, w).values
+        s_db = sq.scenario_curve(Scenario.double_squeeze_optimal(), balanced, w).values
         worst = float(np.max(np.abs(s_in - s_db) / s_in))
         assert worst < 1e-12
+        # The paper's two lossless formulas, written out, as the oracle.
+        paper_in, paper_db = lossless_input_psd(balanced, w), lossless_double_psd(balanced, w)
+        worst_paper = float(max(np.max(np.abs(s_in - paper_in) / paper_in),
+                                np.max(np.abs(s_db - paper_db) / paper_db),
+                                np.max(np.abs(paper_in - paper_db) / paper_in)))
+        assert worst_paper < 1e-12
+        # Independent of optimal_kc's algebra: the numeric optimum of the
+        # internal gain sits at zero on the balance point.
+        numeric_kc = sq.numeric_min_kc(balanced).argmin
+        assert abs(numeric_kc) <= 1e-8
 
         unbalanced = replace(balanced, r_squeeze=0.5 * math.log(30.0))
-        gap = sq.lossless_resonator_psd("input_only", unbalanced, 0.0) \
-            - sq.lossless_resonator_psd("double", unbalanced, 0.0)
+        dc = np.array([0.0])
+        gap = sq.scenario_curve(Scenario.input_squeeze(), unbalanced, dc).values[0] \
+            - sq.scenario_curve(Scenario.double_squeeze_optimal(), unbalanced, dc).values[0]
         assert gap > 0.0
     report(4, f"balanced squeezing/loss curves agree to {worst:.2e} over 401 points "
-              f"(gate 1e-12); off balance the double form wins by {gap:.3e} at DC",
+              f"and {worst_paper:.2e} against the paper's forms (gate 1e-12), numeric optimal k_c {numeric_kc:.1e} (gate 1e-8); "
+              f"off balance the double form wins by {gap:.3e} at DC",
            t, budget)
 
 

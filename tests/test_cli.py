@@ -226,6 +226,20 @@ class TestOptimizeCommand:
         assert "no unique optimum" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["input-squeeze", "double-squeeze-optimal"])
+    def test_band_target_when_squeezing_underflows(self, tmp_path, scenario):
+        # The spectrum is the constant kpp / (2 N) = 0.05, below the limit
+        # from 4 N * 0.05 to the top of the default interval.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"eta": 1.0, "r_squeeze": 400.0}))
+        out = tmp_path / "band.json"
+        rc = main(["optimize", "--params", str(pfile), "--target", "band",
+                   "--scenario", scenario, "--out", str(out)])
+        assert rc == 0
+        band = json.loads(out.read_text())["band"]
+        assert band["lower"] == pytest.approx(0.2, rel=1e-15)
+        assert band["upper"] == 8.0
+
     def test_snl_kappa_target(self, params_file, tmp_path):
         out = tmp_path / "kappa.json"
         rc = main(["optimize", "--params", str(params_file), "--target", "snl_kappa",

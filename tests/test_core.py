@@ -112,6 +112,26 @@ class TestRateHelpers:
         with pytest.raises(RangeError):
             sq.rates_from_quality(*args)
 
+    @pytest.mark.parametrize("call", [
+        lambda: sq.rates_from_quality(math.nan, 1e9, 10.0),
+        lambda: sq.rates_from_quality(2e15, math.inf, 10.0),
+        lambda: sq.rates_from_quality(2e15, 1e9, math.nan),
+        lambda: sq.spm_cancelling_ks(math.nan, 1.0),
+        lambda: sq.spm_cancelling_ks(0.05, math.inf),
+        lambda: sq.snl_optimal_kappa(1.0, math.nan),
+        lambda: sq.snl_optimal_kappa(1.0, math.inf),
+        lambda: sq.apply_external_antisqueeze(math.nan, 0.0),
+        lambda: sq.apply_external_antisqueeze(0.1, math.nan),
+        lambda: sq.two_stage_epsilon_sq(0.9, 0.8, math.nan),
+        lambda: sq.spectra.effective_eta(math.nan),
+        lambda: sq.spectra.effective_eta(math.inf),
+    ], ids=["rates-omega-nan", "rates-q-inf", "rates-ratio-nan", "spm-gamma-nan",
+            "spm-n-inf", "snl-kappa-n-nan", "snl-kappa-n-inf", "antisqueeze-eps-nan",
+            "antisqueeze-r-nan", "two-stage-r-nan", "eta-nan", "eta-inf"])
+    def test_scalar_helpers_reject_non_finite_inputs(self, call):
+        with pytest.raises(RangeError, match="finite"):
+            call()
+
     def test_spm_cancelling_gain(self):
         assert sq.spm_cancelling_ks(0.0, 1.0) == 0.0
         assert sq.spm_cancelling_ks(0.05, 4.0) == pytest.approx(0.4, rel=1e-15)

@@ -191,3 +191,10 @@ class TestSignalWaveform:
     def test_unknown_kind(self):
         with pytest.raises(sq.RangeError):
             SignalWaveform(kind="chirp")
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
+                                      (1.0, math.nan, 0.0), (1.0, math.inf, 0.0),
+                                      (1.0, 1.0, math.nan), (1.0, 1.0, -math.inf)])
+    def test_non_finite_sinusoid_rejected(self, args):
+        with pytest.raises(sq.RangeError, match="finite"):
+            SignalWaveform.sinusoid(*args)

@@ -220,6 +220,15 @@ class TestSnlCrossings:
         assert band.is_degenerate
         assert band.lower == pytest.approx(2.0, rel=1e-6)
 
+    def test_band_when_squeezing_underflows(self, fig2_params):
+        # eta = 1 with exp(-2r) underflowed: c2 = 0, the spectrum is the
+        # constant c0 = kpp / (2 N) and stays below the limit from 4 N c0.
+        p = replace(fig2_params, eta=1.0, r_squeeze=400.0)
+        for scenario in (Scenario.input_squeeze(), Scenario.double_squeeze_optimal()):
+            band = sq.snl_crossings(scenario, p, (0.0, 8.0))
+            assert band.lower == pytest.approx(0.2, rel=1e-15)
+            assert band.upper == 8.0
+
     def test_interval_inside_band_is_the_band(self, fig2_params):
         band = sq.snl_crossings(Scenario.input_squeeze(), fig2_params, (3.0, 3.5))
         assert (band.lower, band.upper) == (3.0, 3.5)

@@ -13,7 +13,6 @@ from sqz_sensor import (
     ScenarioMismatchError,
     SensorParams,
 )
-from sqz_sensor.spectra import LOSSLESS_DOUBLE, LOSSLESS_INPUT_ONLY
 
 from conftest import random_cancelled_params
 
@@ -40,26 +39,60 @@ def optimal_gain_psd(p, w):
     return 0.5 * (slope * np.square(w) + floor) / p.n_photons
 
 
+def lossless_input_psd(p, w):
+    """The paper's lossless-resonator spectrum with input squeezing only:
+    (exp(-2r) + eps^2) (w^2 + kappa^2) / (8 kappa N)."""
+    em2r = math.exp(-2.0 * p.r_squeeze)
+    return (em2r + p.epsilon_sq) * (np.square(w) + p.kappa ** 2) / (8.0 * p.kappa * p.n_photons)
+
+
+def lossless_double_psd(p, w):
+    """The same with the optimal internal gain added:
+    [(exp(-2r) + eps^2) w^2 + 4 kappa^2 eps^2 exp(-2r) / (exp(-2r) + eps^2)] / (8 kappa N)."""
+    em2r, eps2 = math.exp(-2.0 * p.r_squeeze), p.epsilon_sq
+    floor = 4.0 * p.kappa ** 2 * eps2 * em2r / (em2r + eps2)
+    return ((em2r + eps2) * np.square(w) + floor) / (8.0 * p.kappa * p.n_photons)
+
+
+def sum_noise_psd(p, w):
+    """The detected sum noise, not referred to the signal, written out:
+    eta/2 [((w^2 + (kp - kpp - kc)^2) exp(-2r) + 4 kp kpp) / (w^2 + (kappa + kc)^2) + eps^2]."""
+    w2 = np.square(w)
+    kp, kpp, kc = p.kappa_prime, p.kappa_double_prime, p.k_c
+    em2r = math.exp(-2.0 * p.r_squeeze)
+    lorentz = ((w2 + (kp - kpp - kc) ** 2) * em2r + 4.0 * kp * kpp) / (w2 + (p.kappa + kc) ** 2)
+    return 0.5 * p.eta * (lorentz + p.epsilon_sq)
+
+
 class TestSumNoise:
+    # The un-referred detected noise is the solver's ``xi_referred=False``
+    # output; the written-out Lorentzian above is its oracle.
+    DC = np.array([0.0])
+
     def test_vacuum_limit(self, lossless_params):
-        for w in (0.0, 0.7, 3.0):
-            assert sq.sum_noise_psd(lossless_params, w) == pytest.approx(0.5, rel=1e-15)
+        w = np.array([0.0, 0.7, 3.0])
+        solver = sq.psd_from_response(lossless_params, w, xi_referred=False).values
+        assert solver == pytest.approx(np.full(3, 0.5), rel=1e-15)
+        assert sum_noise_psd(lossless_params, w) == pytest.approx(np.full(3, 0.5), rel=1e-15)
 
     def test_reference_dc_value(self, fig2_params):
-        assert sq.sum_noise_psd(fig2_params, 0.0) == pytest.approx(SUM_NOISE_0, rel=1e-14)
+        solver = sq.psd_from_response(fig2_params, self.DC, xi_referred=False).values[0]
+        assert solver == pytest.approx(SUM_NOISE_0, rel=1e-14)
+        assert sum_noise_psd(fig2_params, 0.0) == pytest.approx(SUM_NOISE_0, rel=1e-14)
 
     def test_perfect_squeezing_limit(self):
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.0, eta=1.0,
                          n_photons=1.0, r_squeeze=20.0)
-        assert sq.sum_noise_psd(p, 0.0) < 1e-17
+        assert sq.psd_from_response(p, self.DC, xi_referred=False).values[0] < 1e-17
+        assert sum_noise_psd(p, 0.0) < 1e-17
 
     def test_consistent_with_general_solver(self):
         rng = np.random.default_rng(10)
         w = np.linspace(0.0, 4.0, 17)
         for _ in range(10):
             p = random_cancelled_params(rng)
-            oracle = sq.psd_from_response(p, w, xi_referred=False).values
-            assert sq.sum_noise_psd(p, w) == pytest.approx(oracle, rel=1e-12)
+            solver = sq.psd_from_response(p, w, xi_referred=False).values
+            assert sum_noise_psd(p, w) == pytest.approx(solver, rel=1e-12)
 
 
 class TestMeasurementPsd:
@@ -165,6 +198,8 @@ class TestSnl:
 
 
 class TestLosslessForms:
+    # A lossless resonator is the quadratic at kappa_double_prime = 0;
+    # the paper's two lossless formulas above are the oracles.
     def test_balance_point_equality(self):
         # exp(-2r) = epsilon^2 makes internal squeezing redundant.
         eta = 0.7
@@ -172,30 +207,49 @@ class TestLosslessForms:
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.0, eta=eta,
                          n_photons=1.0, r_squeeze=-0.5 * math.log(eps2))
         w = np.linspace(0.0, 4.0, 401)
-        s_in = sq.lossless_resonator_psd(LOSSLESS_INPUT_ONLY, p, w)
-        s_db = sq.lossless_resonator_psd(LOSSLESS_DOUBLE, p, w)
+        s_in = sq.scenario_curve(Scenario.input_squeeze(), p, w).values
+        s_db = sq.scenario_curve(Scenario.double_squeeze_optimal(), p, w).values
         assert np.max(np.abs(s_in - s_db) / s_in) < 1e-12
+        assert s_in == pytest.approx(lossless_input_psd(p, w), rel=1e-13)
+        assert s_db == pytest.approx(lossless_double_psd(p, w), rel=1e-13)
 
     def test_reference_spot_values(self):
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.0, eta=0.7,
                          n_photons=1.0, r_squeeze=0.5 * math.log(30.0))
-        assert sq.lossless_resonator_psd(LOSSLESS_INPUT_ONLY, p, 0.0) == pytest.approx(
-            float(Fraction(97, 1680)), rel=1e-13)
-        assert sq.lossless_resonator_psd(LOSSLESS_DOUBLE, p, 0.0) == pytest.approx(
-            float(Fraction(3, 194)), rel=1e-13)
+        dc = np.array([0.0])
+        s_in = sq.scenario_curve(Scenario.input_squeeze(), p, dc).values[0]
+        s_db = sq.scenario_curve(Scenario.double_squeeze_optimal(), p, dc).values[0]
+        for value, oracle, spot in ((s_in, lossless_input_psd, Fraction(97, 1680)),
+                                    (s_db, lossless_double_psd, Fraction(3, 194))):
+            assert value == pytest.approx(float(spot), rel=1e-13)
+            assert oracle(p, 0.0) == pytest.approx(float(spot), rel=1e-13)
 
     def test_input_only_reduces_to_no_squeeze(self):
         p = SensorParams(kappa_prime=2.0, kappa_double_prime=0.0, eta=1.0, n_photons=1.5)
         w = np.linspace(0.0, 5.0, 21)
         coherent = (w ** 2 + p.kappa ** 2) / (8.0 * p.kappa_prime * p.eta * p.n_photons)
-        assert sq.lossless_resonator_psd(LOSSLESS_INPUT_ONLY, p, w) == pytest.approx(
+        assert sq.scenario_curve(Scenario.input_squeeze(), p, w).values == pytest.approx(
             coherent, rel=1e-15)
+        assert lossless_input_psd(p, w) == pytest.approx(coherent, rel=1e-15)
+
+    def test_quadratic_matches_paper_forms_on_random_draws(self):
+        rng = np.random.default_rng(14)
+        w = np.linspace(0.0, 4.0, 41)
+        for _ in range(200):
+            p = SensorParams(kappa_prime=math.exp(rng.uniform(-2.0, 2.0)), kappa_double_prime=0.0,
+                             eta=rng.uniform(0.3, 1.0), n_photons=math.exp(rng.uniform(-1.5, 1.5)),
+                             r_squeeze=rng.uniform(0.0, 2.0))
+            assert sq.scenario_curve(Scenario.input_squeeze(), p, w).values == pytest.approx(
+                lossless_input_psd(p, w), rel=1e-13)
+            assert sq.scenario_curve(Scenario.double_squeeze_optimal(), p, w).values == \
+                pytest.approx(lossless_double_psd(p, w), rel=1e-13)
 
     def test_double_is_strictly_better_off_balance(self):
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.0, eta=0.7,
                          n_photons=1.0, r_squeeze=0.5 * math.log(30.0))
-        assert sq.lossless_resonator_psd(LOSSLESS_DOUBLE, p, 0.0) < \
-            sq.lossless_resonator_psd(LOSSLESS_INPUT_ONLY, p, 0.0)
+        dc = np.array([0.0])
+        assert sq.scenario_curve(Scenario.double_squeeze_optimal(), p, dc).values[0] < \
+            sq.scenario_curve(Scenario.input_squeeze(), p, dc).values[0]
 
     def test_optimal_floor_vanishes_with_loss_or_strong_squeezing(self):
         # The DC floor of the optimal-gain spectrum (lossless resonator)
@@ -220,26 +274,19 @@ class TestLosslessForms:
         assert np.all(np.diff(floors) < 0.0)
         assert floors[-1] < 1e-7
 
-    def test_requires_lossless_resonator(self, fig2_params):
-        with pytest.raises(RangeError):
-            sq.lossless_resonator_psd(LOSSLESS_INPUT_ONLY, fig2_params, 0.0)
-
-    def test_unknown_kind(self):
-        p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.0, eta=1.0, n_photons=1.0)
-        with pytest.raises(RangeError):
-            sq.lossless_resonator_psd("triple", p, 0.0)
-
     def test_matches_general_solver(self):
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.0, eta=0.7,
                          n_photons=1.0, r_squeeze=0.5 * math.log(30.0))
         w = np.linspace(0.0, 4.0, 33)
         oracle_in = sq.psd_from_response(p, w).values
-        assert sq.lossless_resonator_psd(LOSSLESS_INPUT_ONLY, p, w) == pytest.approx(
+        assert sq.scenario_curve(Scenario.input_squeeze(), p, w).values == pytest.approx(
             oracle_in, rel=1e-12)
+        assert lossless_input_psd(p, w) == pytest.approx(oracle_in, rel=1e-12)
         popt = replace(p, k_c=sq.optimal_kc(p))
         oracle_db = sq.psd_from_response(popt, w).values
-        assert sq.lossless_resonator_psd(LOSSLESS_DOUBLE, p, w) == pytest.approx(
+        assert sq.scenario_curve(Scenario.double_squeeze_optimal(), p, w).values == pytest.approx(
             oracle_db, rel=1e-12)
+        assert lossless_double_psd(p, w) == pytest.approx(oracle_db, rel=1e-12)
 
 
 class TestAntisqueeze:

@@ -50,7 +50,8 @@ class TestSimulate:
         run = sq.simulate(vacuum_params, cfg)
         # standard error of the mean of a correlated series from the
         # model's zero-frequency noise density
-        se = math.sqrt(sq.sum_noise_psd(vacuum_params, 0.0) / cfg.duration)
+        s0 = sq.psd_from_response(vacuum_params, np.array([0.0]), xi_referred=False).values[0]
+        se = math.sqrt(s0 / cfg.duration)
         assert abs(float(np.mean(run.d_s))) < 4.0 * se
 
     @pytest.mark.parametrize("method", ["euler", "exact"])
@@ -113,6 +114,9 @@ class TestSimulate:
         for bad in (math.nan, math.inf, 0.5):
             with pytest.raises(ConfigError, match="seed"):
                 SimulationConfig(dt=0.1, duration=1.0, seed=bad)
+        for bad in (math.nan, math.inf, 0.5):
+            with pytest.raises(ConfigError, match="n_segments"):
+                SimulationConfig(dt=0.1, duration=1.0, seed=0, n_segments=bad)
 
 
 class TestEstimatePsd:
