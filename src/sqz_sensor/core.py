@@ -287,6 +287,7 @@ class Scenario:
     ``no_squeeze`` forces r = 0 and k_c = 0, ``input_squeeze`` forces
     k_c = 0, ``double_squeeze_optimal`` sets k_c to the loss-optimal
     internal gain, and ``custom`` pins k_c to an explicit value.
+    :meth:`materialize` is the one place these pins are applied.
     """
 
     tag: str
@@ -319,43 +320,23 @@ class Scenario:
     @classmethod
     def from_name(cls, name: str, custom_kc: float | None = None) -> "Scenario":
         tag = name.strip().lower().replace("-", "_")
-        if tag == SCENARIO_CUSTOM:
-            if custom_kc is None:
-                raise ScenarioMismatchError("custom scenario needs an explicit k_c")
+        if tag == SCENARIO_CUSTOM and custom_kc is not None:
             return cls.custom(custom_kc)
         return cls(tag)
 
-    def _pins(self, params: SensorParams) -> tuple[float | None, float]:
-        """The ``(r_squeeze, k_c)`` the scenario fixes; ``None`` leaves r free."""
+    def materialize(self, params: SensorParams) -> SensorParams:
+        """Return a copy of ``params`` with the scenario's ``(r, k_c)`` applied.
+
+        Idempotent: no pin reads ``params.k_c``.
+        """
         if self.tag == SCENARIO_NO_SQUEEZE:
-            return 0.0, 0.0
+            return replace(params, r_squeeze=0.0, k_c=0.0)
         if self.tag == SCENARIO_INPUT_SQUEEZE:
-            return None, 0.0
+            return replace(params, k_c=0.0)
         if self.tag == SCENARIO_DOUBLE_SQUEEZE_OPTIMAL:
             from .optimize import optimal_kc
-            return None, optimal_kc(params)
-        return None, self.custom_kc
-
-    def materialize(self, params: SensorParams) -> SensorParams:
-        """Return a copy of ``params`` with the scenario's constraints applied."""
-        r_squeeze, k_c = self._pins(params)
-        if r_squeeze is None:
-            return replace(params, k_c=k_c)
-        return replace(params, r_squeeze=r_squeeze, k_c=k_c)
-
-    def check(self, params: SensorParams) -> None:
-        """Raise :class:`ScenarioMismatchError` if ``params`` contradict
-        the scenario's constraints.
-
-        The optimal gain is matched to 1e-12 kappa, every other pin exactly.
-        """
-        r_squeeze, k_c = self._pins(params)
-        if r_squeeze is not None and params.r_squeeze != r_squeeze:
-            raise ScenarioMismatchError(
-                f"{self.tag} requires r = {r_squeeze!r}, got {params.r_squeeze!r}")
-        tol = 1e-12 * params.kappa if self.tag == SCENARIO_DOUBLE_SQUEEZE_OPTIMAL else 0.0
-        if not abs(params.k_c - k_c) <= tol:
-            raise ScenarioMismatchError(f"{self.tag} requires k_c = {k_c!r}, got {params.k_c!r}")
+            return replace(params, k_c=optimal_kc(params))
+        return replace(params, k_c=self.custom_kc)
 
 
 SCENARIO_SNL = "snl"

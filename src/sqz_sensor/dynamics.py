@@ -193,38 +193,31 @@ def psd_from_response(params: SensorParams, omegas, xi_referred: bool = True) ->
 
 @dataclass(frozen=True)
 class SignalWaveform:
-    """Classical eigenfrequency perturbation xi(t).
+    """Classical eigenfrequency perturbation ``amplitude * sin(frequency t + phase)``.
 
-    The perturbation is treated as exactly classical and noiseless.
-    Supported kinds: "zero" and "sinusoid" (amplitude, angular frequency,
-    phase).
+    The perturbation is treated as exactly classical and noiseless.  A
+    zero amplitude is no drive: the integrator skips the waveform.
     """
 
-    kind: str = "zero"
     amplitude: float = 0.0
     frequency: float = 0.0
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "sinusoid"):
-            raise RangeError(f"unknown waveform kind {self.kind!r}")
         for name in ("amplitude", "frequency", "phase"):
             if not math.isfinite(getattr(self, name)):
                 raise RangeError(f"waveform {name} must be finite, got {getattr(self, name)}")
-        if self.kind == "sinusoid" and self.frequency < 0.0:
-            raise RangeError("sinusoid frequency must be >= 0")
+        if self.frequency < 0.0:
+            raise RangeError("waveform frequency must be >= 0")
 
     @classmethod
     def zero(cls) -> "SignalWaveform":
-        return cls(kind="zero")
+        return cls()
 
     @classmethod
     def sinusoid(cls, amplitude: float, frequency: float, phase: float = 0.0) -> "SignalWaveform":
-        return cls(kind="sinusoid", amplitude=float(amplitude),
-                   frequency=float(frequency), phase=float(phase))
+        return cls(amplitude=float(amplitude), frequency=float(frequency), phase=float(phase))
 
     def evaluate(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(t)
         return self.amplitude * np.sin(self.frequency * t + self.phase)

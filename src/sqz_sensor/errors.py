@@ -15,7 +15,8 @@ class InstabilityError(SqzSensorError, RuntimeError):
 
 
 class ScenarioMismatchError(SqzSensorError, ValueError):
-    """Sensor parameters contradict the requested squeezing scenario."""
+    """A squeezing scenario is ill-formed: its tag is unknown, or a
+    custom gain is missing or given to a scenario that fixes its own."""
 
 
 class DoubleNormalizationError(SqzSensorError, ValueError):

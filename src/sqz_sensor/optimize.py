@@ -34,8 +34,8 @@ class OptimizationResult:
     boundary: bool = False
 
 
-# Overflow surfaces as a NaN objective (ConvergenceError) or a constant
-# one (RangeError), not as floating-point warnings.
+# Overflow surfaces as a NaN objective (ConvergenceError) or an infinite
+# or constant one (RangeError), not as floating-point warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _minimize(f, lo: float, hi: float, h: float):
     """Bounded Brent minimization of ``f`` on ``[lo, hi]``, then one polish.
@@ -46,9 +46,9 @@ def _minimize(f, lo: float, hi: float, h: float):
     near full precision for the smooth objectives used here.  Returns
     ``(x, f(x), boundary)``; an optimum within ``h`` of an end is not
     polished and is flagged ``boundary``.  Raises :class:`RangeError` when
-    the attained minimum equals ``f`` at both ends (a constant objective
-    has no unique optimum) and :class:`ConvergenceError` when Brent's
-    method fails.
+    the attained minimum is not finite (the objective overflowed) or
+    equals ``f`` at both ends (a constant objective has no unique
+    optimum), and :class:`ConvergenceError` when Brent's method fails.
     """
     # Brent's absolute tolerance, about sqrt(eps) of the problem scale
     # h * 1e5, keeps its stop well inside the polish spacing.
@@ -56,6 +56,8 @@ def _minimize(f, lo: float, hi: float, h: float):
     if not res.success:
         raise ConvergenceError(f"bounded Brent search on [{lo!r}, {hi!r}] failed: {res.message}")
     x, y = float(res.x), float(res.fun)
+    if not math.isfinite(y):
+        raise RangeError(f"objective minimum {y!r} is not finite: the objective overflowed")
     if y == f(lo) == f(hi):
         raise RangeError(f"objective is {y!r} at both ends and at its minimum: no unique optimum")
     if x - h <= lo or x + h >= hi:
@@ -176,8 +178,9 @@ class SnlBand:
     def __post_init__(self):
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
-        if self.upper < self.lower:
-            raise RangeError(f"band upper edge {self.upper} below lower edge {self.lower}")
+        if not self.lower <= self.upper:
+            raise RangeError(f"band edges must satisfy lower <= upper, got "
+                             f"({self.lower}, {self.upper})")
 
     @property
     def width(self) -> float:
@@ -195,13 +198,15 @@ def snl_crossings(
 ) -> SnlBand:
     """The band where the scenario spectrum dips below the SNL.
 
-    The band edges are the roots of ``c2 w^2 - w/(4N) + c0``, with the
-    scenario's quadratic coefficients from
-    :func:`spectra.quadratic_coefficients`, clipped to
-    ``search_interval``.  A spectrum that only touches the limit, within
-    1e-9 of the spectrum plus the limit at the vertex, gives a
-    zero-width band there; if the spectrum stays above the limit on the
-    interval, :class:`NoBandError` is raised.  Zero frequency is never
+    The band edges are the roots of ``N c2 w^2 - w/4 + N c0``: the
+    scenario's quadratic from :func:`spectra.quadratic_coefficients`
+    minus the limit, times the photon number ``N``, which leaves
+    coefficients that do not depend on ``N`` and cannot overflow or
+    underflow with it.  The edges are clipped to ``search_interval``.  A
+    spectrum that only touches the limit, within 1e-9 of the spectrum
+    plus the limit at the vertex, gives a zero-width band there; if the
+    spectrum stays above the limit on the interval, :class:`NoBandError`
+    is raised.  Zero frequency is never
     inside a band because the spectrum is positive there while the limit
     vanishes.
     """
@@ -210,7 +215,7 @@ def snl_crossings(
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     params_m = scenario.materialize(params)
     c2, c0 = spectra.quadratic_coefficients(params_m)
-    b = 0.25 / params_m.n_photons
+    c2, c0, b = params_m.n_photons * c2, params_m.n_photons * c0, 0.25
     disc = b * b - 4.0 * c2 * c0
     # At the vertex b / (2 c2), (spectrum - limit) is -disc / (4 c2) and
     # (spectrum + limit) is (3 b^2 + 4 c2 c0) / (4 c2); the test compares

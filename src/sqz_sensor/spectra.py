@@ -10,8 +10,10 @@ the un-referred detected noise included.
 All closed-form scenarios share one model, the quadratic
 ``S(omega) = c2 omega^2 + c0(k_c)`` of :func:`quadratic_coefficients`: a
 scenario is nothing but a choice of the cosine gain ``k_c`` (zero, or
-the loss-optimal value) applied by :meth:`Scenario.materialize`.  The
-lossless-resonator cases are this quadratic at ``kappa_double_prime = 0``.
+the loss-optimal value, with ``r = 0`` for the coherent probe) applied by
+:meth:`Scenario.materialize` alone, so every entry point accepts any
+``params`` and overrides what the scenario pins.  The lossless-resonator
+cases are this quadratic at ``kappa_double_prime = 0``.
 """
 
 from __future__ import annotations
@@ -80,13 +82,12 @@ def snl(params: SensorParams, omega):
 
 
 def closed_form_psd(scenario: Scenario, params: SensorParams, omega):
-    """Closed-form spectrum of ``scenario`` at materialized ``params``.
+    """Closed-form spectrum of ``scenario`` at ``params``.
 
-    Raises :class:`ScenarioMismatchError` when the parameters contradict
-    the scenario (for example a nonzero k_c in the input-squeeze case).
+    The quadratic at ``scenario.materialize(params)``: the scenario sets
+    ``k_c`` (and ``r = 0`` for no squeeze) whatever ``params`` carries.
     """
-    scenario.check(params)
-    return measurement_psd_raw(params, omega)
+    return measurement_psd_raw(scenario.materialize(params), omega)
 
 
 def apply_external_antisqueeze(epsilon_ext_sq: float, r_anti: float):
@@ -146,10 +147,9 @@ def scenario_curve(scenario: Scenario, params: SensorParams, omegas) -> Spectrum
     """Sample a scenario's closed form on a frequency grid."""
     params_m = scenario.materialize(params)
     w = np.asarray(omegas, dtype=float)
-    values = closed_form_psd(scenario, params_m, w)
     return SpectrumCurve(
         omegas=w,
-        values=values,
+        values=measurement_psd_raw(params_m, w),
         normalization=NORMALIZATION_RAW,
         scenario=scenario.tag,
         params=params_to_dict(params_m),

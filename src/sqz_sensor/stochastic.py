@@ -77,7 +77,8 @@ class SimulationConfig:
     (default: eight times the slowest relaxation time) is integrated
     first and discarded, so retained samples are effectively stationary.
     The seed fully determines the realization for pinned numpy/scipy
-    versions.  Only the detected quadrature is recorded.
+    versions.  Only the detected quadrature is recorded.  ``signal`` is
+    the injected perturbation; the default zero amplitude is no drive.
     """
 
     dt: float
@@ -144,7 +145,9 @@ def spectral_comparison_config(params: SensorParams, n_segments: int, seed: int)
     dt = 0.04 / rate_fast
     t_segment = max(12.0 / rate_min, 80.0 / params.kappa_prime)
     nper = 1 << max(int(math.ceil(math.log2(t_segment / dt))), 4)
-    duration = (n_segments + 1) * (nper // 2) * dt
+    # Half a step of slack: simulate keeps int(duration / dt) samples,
+    # which rounding would otherwise leave one short of the sized count.
+    duration = ((n_segments + 1) * (nper // 2) + 0.5) * dt
     return SimulationConfig(dt=dt, duration=duration, seed=seed, n_segments=n_segments)
 
 
@@ -327,7 +330,7 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
             for job in jobs:
                 job.result()
             signal = None
-            if config.signal.kind != "zero":
+            if config.signal.amplitude != 0.0:
                 signal = config.signal.evaluate((np.arange(i0, i1) - n_burn) * config.dt)
             inputs, direct = plan.drive(draws, signal)
             series = out[i0:i1]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -41,3 +42,12 @@ def random_cancelled_params(rng: np.random.Generator, with_kc: bool = True) -> S
         k_c=rng.uniform(-0.9 * kappa, 0.9 * kappa) if with_kc else 0.0,
         k_s=2.0 * gamma_spm * n_photons,
     )
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def load_strict_json(text: str):
+    """Parse JSON, rejecting the ``NaN`` and ``Infinity`` tokens Python writes."""
+    return json.loads(text, parse_constant=_reject_constant)

@@ -9,6 +9,8 @@ import scipy
 import sqz_sensor as sq
 from sqz_sensor.cli import main, reference_params, run_validation
 
+from conftest import load_strict_json
+
 FIG2_FILE = {
     "kappa_prime": 1.0,
     "kappa_double_prime": 0.1,
@@ -226,6 +228,18 @@ class TestOptimizeCommand:
         assert "no unique optimum" in err
         assert not out.exists()
 
+    def test_kc_target_when_the_objective_overflows(self, tmp_path, capsys):
+        # kappa^2 overflows at every k_c: the minimum found is infinite.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"kappa_double_prime": 1e160}))
+        out = tmp_path / "kc.json"
+        rc = main(["optimize", "--params", str(pfile), "--target", "kc", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scenario", ["input-squeeze", "double-squeeze-optimal"])
     def test_band_target_when_squeezing_underflows(self, tmp_path, scenario):
         # The spectrum is the constant kpp / (2 N) = 0.05, below the limit
@@ -255,6 +269,18 @@ class TestOptimizeCommand:
                    "--scenario", "double-squeeze-optimal", "--out", str(out)])
         assert rc == 0
         band = json.loads(out.read_text())["band"]
+        assert band["lower"] == pytest.approx(0.2799567425, abs=1e-6)
+        assert band["upper"] == pytest.approx(4.0499401647, abs=1e-6)
+
+    def test_band_target_at_extreme_photon_number(self, tmp_path):
+        # The band does not depend on N; 1/(4N) squared overflows here.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"n_photons": 1e-200}))
+        out = tmp_path / "band.json"
+        rc = main(["optimize", "--params", str(pfile), "--target", "band",
+                   "--scenario", "double-squeeze-optimal", "--out", str(out)])
+        assert rc == 0
+        band = load_strict_json(out.read_text())["band"]
         assert band["lower"] == pytest.approx(0.2799567425, abs=1e-6)
         assert band["upper"] == pytest.approx(4.0499401647, abs=1e-6)
 

@@ -15,6 +15,9 @@ from sqz_sensor import (
     SpectrumCurve,
 )
 
+from conftest import random_cancelled_params
+
+SCENARIOS = (Scenario.no_squeeze(), Scenario.input_squeeze(), Scenario.double_squeeze_optimal())
 SPEED_OF_LIGHT = 299792458.0
 
 
@@ -171,15 +174,14 @@ class TestScenario:
         p = Scenario.custom(-0.25).materialize(fig2_params)
         assert p.k_c == -0.25
 
-    def test_check_rejects_contradictions(self, fig2_params):
-        with pytest.raises(ScenarioMismatchError):
-            Scenario.no_squeeze().check(fig2_params)  # r != 0
-        with pytest.raises(ScenarioMismatchError):
-            Scenario.input_squeeze().check(replace(fig2_params, k_c=0.2))
-        with pytest.raises(ScenarioMismatchError):
-            Scenario.double_squeeze_optimal().check(fig2_params)  # k_c not optimal
-        with pytest.raises(ScenarioMismatchError):
-            Scenario.custom(0.1).check(fig2_params)
+    def test_materialize_is_idempotent(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            p = random_cancelled_params(rng)
+            assert p.k_c != 0.0 and p.r_squeeze > 0.0
+            for sc in (*SCENARIOS, Scenario.custom(-0.5 * p.k_c)):
+                pm = sc.materialize(p)
+                assert sc.materialize(pm) == pm
 
     def test_from_name(self):
         assert Scenario.from_name("no-squeeze").tag == "no_squeeze"

@@ -188,9 +188,11 @@ class TestSignalWaveform:
         silent = replace(cfg, signal=SignalWaveform.sinusoid(0.0, 0.5))
         assert np.array_equal(sq.simulate(fig2_params, silent).d_s, run.d_s)
 
-    def test_unknown_kind(self):
-        with pytest.raises(sq.RangeError):
-            SignalWaveform(kind="chirp")
+    def test_negative_frequency_rejected(self):
+        with pytest.raises(sq.RangeError, match=">= 0"):
+            SignalWaveform(frequency=-1.0)
+        with pytest.raises(sq.RangeError, match=">= 0"):
+            SignalWaveform.sinusoid(1.0, -1.0)
 
     @pytest.mark.parametrize("args", [(math.nan, 1.0, 0.0), (math.inf, 1.0, 0.0),
                                       (1.0, math.nan, 0.0), (1.0, math.inf, 0.0),

@@ -117,6 +117,13 @@ class TestNumericMinKc:
         assert not res.boundary
         assert abs(res.argmin - sq.optimal_kc(p)) <= 1e-8
 
+    def test_overflowed_minimum_rejected(self):
+        # kappa^2 overflows across the whole stable range of k_c.
+        p = SensorParams(kappa_prime=1.0, kappa_double_prime=1e160, eta=0.7,
+                         n_photons=1.0, r_squeeze=1.7)
+        with pytest.raises(RangeError, match="not finite"):
+            sq.numeric_min_kc(p)
+
     def test_objective_independent_of_kc_rejected(self):
         # eta = 1 and exp(-2r) underflowed: every stable k_c gives the
         # same spectrum, so there is no unique optimum.
@@ -236,6 +243,24 @@ class TestSnlCrossings:
     def test_lossy_no_squeeze_has_no_band(self, fig2_params):
         with pytest.raises(NoBandError):
             sq.snl_crossings(Scenario.no_squeeze(), fig2_params, (0.0, 8.0))
+
+    @pytest.mark.parametrize("n_photons", [1e-300, 1e-200, 1e-160, 1e160, 1e170, 1e300])
+    def test_band_does_not_depend_on_photon_number(self, n_photons):
+        # Spectrum and limit both scale as 1/N, so the band does not move.
+        p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7,
+                         n_photons=1.0, r_squeeze=1.7)
+        p_n = replace(p, n_photons=n_photons)
+        for scenario in (Scenario.input_squeeze(), Scenario.double_squeeze_optimal()):
+            at_one = sq.snl_crossings(scenario, p, (0.0, 8.0))
+            band = sq.snl_crossings(scenario, p_n, (0.0, 8.0))
+            assert band.lower == pytest.approx(at_one.lower, rel=1e-15)
+            assert band.upper == pytest.approx(at_one.upper, rel=1e-15)
+        with pytest.raises(NoBandError):
+            sq.snl_crossings(Scenario.no_squeeze(), p_n, (0.0, 8.0))
+
+    def test_nan_edges_rejected(self):
+        with pytest.raises(RangeError):
+            sq.SnlBand(lower=math.nan, upper=math.nan)
 
     def test_bad_interval_rejected(self, fig2_params):
         with pytest.raises(RangeError):

@@ -25,6 +25,8 @@ import sqz_sensor as sq
 from sqz_sensor import NoBandError, Scenario, SensorParams
 from sqz_sensor.cli import main
 
+from conftest import load_strict_json
+
 PROPERTY_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 SCENARIOS = (Scenario.no_squeeze(), Scenario.input_squeeze(), Scenario.double_squeeze_optimal())
@@ -195,10 +197,16 @@ def test_parameter_file_fuzz_exits_cleanly(dropped, overrides, command):
             redirect_stderr(err):
         pfile = Path(tmp) / "params.json"
         pfile.write_text(json.dumps(data))
-        argv = [command[0], "--params", str(pfile), *command[1:]]
-        if command[0] == "spectrum":
-            argv += ["--out", str(Path(tmp) / "curve.csv")]
-        rc = main(argv)
+        out = Path(tmp) / ("curve.csv" if command[0] == "spectrum" else "result.json")
+        rc = main([command[0], "--params", str(pfile), *command[1:], "--out", str(out)])
+        # A clean exit must leave strict JSON and finite CSV values behind.
+        if rc == 0:
+            for path in Path(tmp).glob("*.json"):
+                load_strict_json(path.read_text())
+            for path in Path(tmp).glob("*.csv"):
+                rows = [line.split(",") for line in path.read_text().splitlines()
+                        if not line.startswith("#")][1:]
+                assert np.all(np.isfinite(np.array(rows, dtype=float)))
     assert rc in (0, 2)
     if rc == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

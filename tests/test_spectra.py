@@ -10,7 +10,6 @@ from sqz_sensor import (
     DoubleNormalizationError,
     RangeError,
     Scenario,
-    ScenarioMismatchError,
     SensorParams,
 )
 
@@ -143,9 +142,15 @@ class TestClosedFormDispatch:
             assert sq.closed_form_psd(scenario, p, 0.0) == pytest.approx(at0, rel=1e-13)
             assert sq.closed_form_psd(scenario, p, 1.0) == pytest.approx(at1, rel=1e-13)
 
-    def test_mismatch_raises(self, fig2_params):
-        with pytest.raises(ScenarioMismatchError):
-            sq.closed_form_psd(Scenario.no_squeeze(), fig2_params, 0.0)
+    def test_unmaterialized_params_give_the_scenario_curve(self):
+        rng = np.random.default_rng(43)
+        w = np.linspace(0.0, 4.0, 17)
+        for _ in range(20):
+            p = random_cancelled_params(rng)
+            assert p.k_c != 0.0 and p.r_squeeze > 0.0
+            for sc in (*SCENARIOS, Scenario.custom(-0.5 * p.k_c)):
+                assert np.array_equal(sq.closed_form_psd(sc, p, w),
+                                      sq.scenario_curve(sc, p, w).values)
 
     def test_custom_uses_general_form(self, fig2_params):
         p = replace(fig2_params, k_c=-0.4)

@@ -15,6 +15,7 @@ from sqz_sensor import (
     SimulationConfig,
     SnrError,
 )
+from sqz_sensor.cli import _random_cancelled_params
 from sqz_sensor.stochastic import _demodulate, spectral_comparison_config
 
 from reference_demod import demodulate_loop
@@ -68,6 +69,16 @@ class TestSimulate:
         cfg = SimulationConfig(dt=0.02, duration=100.03, seed=1, n_segments=4)
         run = sq.simulate(fig2_params, cfg)
         assert run.n_samples == int(100.03 / 0.02)
+
+    def test_comparison_runs_hold_whole_sized_segments(self):
+        # simulate keeps int(duration / dt) samples (see above); one short
+        # and estimate_psd shortens every segment below a power of two.
+        rng = np.random.default_rng(0)
+        for budget in range(1, 2001):
+            cfg = spectral_comparison_config(_random_cancelled_params(rng), budget, 0)
+            n = int(cfg.duration / cfg.dt)
+            nperseg = 2 * n // (budget + 1)
+            assert n % (budget + 1) == 0 and nperseg & (nperseg - 1) == 0, budget
 
     def test_spurious_coupling_to_cosine_row_is_irrelevant(self):
         # The sine gain keeps feeding the cosine quadrature after the
