@@ -225,19 +225,35 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     h = 0.5 * dt * p_bs
     coupling = drift.signal_coupling
 
+    num_s = h * np.array([1.0, 1.0 - a00, -a00])
+    den = np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10])
+    streams = ((STREAM_A_S, 1, (sig["a_s"],)), (STREAM_V, 2, (sig["v_c"], sig["v_s"])),
+               (STREAM_U, 1, (sig["u_s"],)))
+
+    def f_s(a_s, v, signal):
+        f = c_a * a_s + c_v * v[1::2]
+        if signal is not None:
+            f += coupling * signal
+        return f
+
+    if a10 == 0.0:
+        # The cosine quadrature never reaches the detector (cancelled
+        # self-phase modulation), so a_c and the f_c filter are left out.
+        def drive(draws, signal):
+            a_s, v, u_s = draws
+            return (f_s(a_s, v, signal),), q_as * a_s + q_us * u_s
+
+        return _Plan(streams=streams, den=den, numerators=(num_s,), drive=drive)
+
     def drive(draws, signal):
         a_c, a_s, v, u_s = draws
-        f_s = c_a * a_s + c_v * v[1::2]
-        if signal is not None:
-            f_s += coupling * signal
-        return (c_a * a_c + c_v * v[0::2], f_s), q_as * a_s + q_us * u_s
+        return (c_a * a_c + c_v * v[0::2], f_s(a_s, v, signal)), q_as * a_s + q_us * u_s
 
     return _Plan(
-        streams=((STREAM_A_C, 1, (sig["a_c"],)), (STREAM_A_S, 1, (sig["a_s"],)),
-                 (STREAM_V, 2, (sig["v_c"], sig["v_s"])), (STREAM_U, 1, (sig["u_s"],))),
-        den=np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10]),
+        streams=((STREAM_A_C, 1, (sig["a_c"],)),) + streams,
+        den=den,
         # The detector's numerators on f_c and on f_s.
-        numerators=(h * np.array([0.0, a10, a10]), h * np.array([1.0, 1.0 - a00, -a00])),
+        numerators=(h * np.array([0.0, a10, a10]), num_s),
         drive=drive,
     )
 
