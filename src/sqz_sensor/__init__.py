@@ -70,7 +70,7 @@ from .stochastic import (
     spectral_comparison_config,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "PSD_CONVENTION",

@@ -6,14 +6,15 @@ assembled sample by sample through the output and loss relations, and its
 spectrum is estimated with a segment-averaged periodogram.  Nothing here
 reuses the closed-form algebra of :mod:`sqz_sensor.spectra`.
 
-Noise generation uses one counter-based stream per input field, keyed by
-``(seed, stream id)``, and the integrator runs as a bank of linear
-filters (:func:`scipy.signal.lfilter`), so realizations are reproducible
-bit for bit on any platform for pinned numpy/scipy versions.  Each
-integration method (Euler-Maruyama, exact Ornstein-Uhlenbeck update) is
-a small plan: the streams it draws, the detector's filter coefficients
-and how the draws form the filter inputs.  One chunked loop runs either
-plan and records the detector alone.  The streams are drawn concurrently,
+Noise generation uses one SFC64 stream per input field, seeded by
+``SeedSequence([seed, stream id])``, and the integrator runs as a bank
+of linear filters (:func:`scipy.signal.lfilter`), so within one tool
+version a seed reproduces its realization bit for bit for pinned
+numpy/scipy versions, whatever the core count.  Each integration method
+(Euler-Maruyama, exact Ornstein-Uhlenbeck update) is a small plan: the
+streams whose samples reach the detector, the detector's filter
+coefficients and how the draws form the filter inputs.  One chunked
+loop runs either plan and records the detector alone.  The streams are drawn concurrently,
 one task per stream and chunk, which leaves every sequence as a serial
 draw gives it, whatever the core count.  The periodogram is Welch's
 estimate as batched real FFTs; the gain is demodulated in one product.
@@ -53,11 +54,14 @@ METHOD_EXACT = "exact"
 #: Integrator implementation recorded on every run.
 BACKEND = "lfilter"
 
-#: Stream ids for the counter-based noise generators.
+#: Stream ids of the noise inputs, one stream per input.  The exact
+#: plan's residual of the filtered a_s integral has its own stream.
 STREAM_A_C = 0
 STREAM_A_S = 1
-STREAM_V = 2
-STREAM_U = 3
+STREAM_V_C = 2
+STREAM_V_S = 3
+STREAM_U_S = 4
+STREAM_A_S_RESIDUAL = 5
 
 #: Fixed chunk length; reproducibility must not depend on memory layout.
 _CHUNK = 1 << 20
@@ -130,7 +134,8 @@ class SimulationRun:
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed=[int(seed), int(stream_id)]))
+    bits = np.random.SFC64(np.random.SeedSequence([int(seed), int(stream_id)]))
+    return np.random.Generator(bits)
 
 
 def spectral_comparison_config(params: SensorParams, n_segments: int, seed: int) -> SimulationConfig:
@@ -155,12 +160,12 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     """Integrate the quadrature Langevin system and record the detector.
 
     The default Euler-Maruyama method advances the full 2x2 system; each
-    step draws bin-averaged samples of the five white inputs, and the
-    detected quadrature combines the cavity output with the very same
-    input sample plus the detection vacuum.  ``method="exact"`` instead
-    uses the exact one-step relaxation of the decoupled measured
-    quadrature (valid only when the self-phase-modulation coupling is
-    cancelled) as a discretization-bias cross-check.
+    step draws bin-averaged samples of the white inputs that reach the
+    detector, and the detected quadrature combines the cavity output with
+    the very same input sample plus the detection vacuum.
+    ``method="exact"`` instead uses the exact one-step relaxation of the
+    decoupled measured quadrature (valid only when the self-phase-
+    modulation coupling is cancelled) as a discretization-bias check.
     """
     rate_min, rate_max = relaxation_rates(params)
     if config.dt * rate_max >= _DT_MARGIN:
@@ -182,12 +187,12 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
 class _Plan:
     """One integration method as a bank of IIR filters over noise draws.
 
-    ``streams`` lists the Philox streams drawn per chunk as ``(stream id,
-    draws per step, scales)``.  The detector is a filter with denominator
-    ``den`` and one numerator per drive input in ``numerators``.
-    ``drive(draws, signal)`` turns the chunk's scaled draws and waveform
-    samples (``None`` without a signal) into the drive inputs and the
-    detector's direct term.
+    ``streams`` lists the noise streams drawn per chunk, one normal per
+    step each, as ``(stream id, scale)``.  The detector is a filter with
+    denominator ``den`` and one numerator per drive input in
+    ``numerators``.  ``drive(draws, signal)`` turns the chunk's scaled
+    draws and waveform samples (``None`` without a signal) into the drive
+    inputs and the detector's direct term.
     """
 
     streams: tuple
@@ -225,35 +230,27 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     h = 0.5 * dt * p_bs
     coupling = drift.signal_coupling
 
-    num_s = h * np.array([1.0, 1.0 - a00, -a00])
-    den = np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10])
-    streams = ((STREAM_A_S, 1, (sig["a_s"],)), (STREAM_V, 2, (sig["v_c"], sig["v_s"])),
-               (STREAM_U, 1, (sig["u_s"],)))
-
-    def f_s(a_s, v, signal):
-        f = c_a * a_s + c_v * v[1::2]
-        if signal is not None:
-            f += coupling * signal
-        return f
-
-    if a10 == 0.0:
-        # The cosine quadrature never reaches the detector (cancelled
-        # self-phase modulation), so a_c and the f_c filter are left out.
-        def drive(draws, signal):
-            a_s, v, u_s = draws
-            return (f_s(a_s, v, signal),), q_as * a_s + q_us * u_s
-
-        return _Plan(streams=streams, den=den, numerators=(num_s,), drive=drive)
+    streams = ((STREAM_A_S, sig["a_s"]), (STREAM_V_S, sig["v_s"]), (STREAM_U_S, sig["u_s"]),
+               (STREAM_A_C, sig["a_c"]), (STREAM_V_C, sig["v_c"]))
+    # The detector's numerators on f_s and on f_c.
+    numerators = (h * np.array([1.0, 1.0 - a00, -a00]), h * np.array([0.0, a10, a10]))
 
     def drive(draws, signal):
-        a_c, a_s, v, u_s = draws
-        return (c_a * a_c + c_v * v[0::2], f_s(a_s, v, signal)), q_as * a_s + q_us * u_s
+        a_s, v_s, u_s, *cosine = draws
+        f_s = c_a * a_s + c_v * v_s
+        if signal is not None:
+            f_s += coupling * signal
+        f_c = (c_a * cosine[0] + c_v * cosine[1],) if cosine else ()
+        return (f_s, *f_c), q_as * a_s + q_us * u_s
 
+    if a10 == 0.0:
+        # The cosine quadrature never reaches the detector (cancelled self-
+        # phase modulation), so a_c, v_c and the f_c filter are left out.
+        streams, numerators = streams[:3], numerators[:1]
     return _Plan(
-        streams=((STREAM_A_C, 1, (sig["a_c"],)),) + streams,
-        den=den,
-        # The detector's numerators on f_c and on f_s.
-        numerators=(h * np.array([0.0, a10, a10]), num_s),
+        streams=streams,
+        den=np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10]),
+        numerators=numerators,
         drive=drive,
     )
 
@@ -288,17 +285,15 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     sig_scale = drift.signal_coupling * ((1.0 - decay) / lam)
 
     def drive(draws, signal):
-        za, zv, u_s = draws
-        a_bar = za[0::2]
-        # Only the odd draws of the v stream enter the drive.
-        w = c_a * (gain01 * (a_bar * dt) + za[1::2]) + c_v * zv[1::2]
+        a_bar, a_resid, v_s, u_s = draws
+        w = c_a * (gain01 * (a_bar * dt) + a_resid) + c_v * v_s
         if signal is not None:
             w += sig_scale * signal
         return (w,), q_as * a_bar + q_us * u_s
 
     return _Plan(
-        streams=((STREAM_A_S, 2, (math.sqrt(s_as / dt), resid)), (STREAM_V, 2, (sig_i1v,)),
-                 (STREAM_U, 1, (math.sqrt(psds["u_s"] / dt),))),
+        streams=((STREAM_A_S, math.sqrt(s_as / dt)), (STREAM_A_S_RESIDUAL, resid),
+                 (STREAM_V_S, sig_i1v), (STREAM_U_S, math.sqrt(psds["u_s"] / dt))),
         den=np.array([1.0, -decay]),
         numerators=(0.5 * p_bs * np.array([1.0, 1.0]),),
         drive=drive,
@@ -308,15 +303,10 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
 _PLANS = {METHOD_EULER: _euler_plan, METHOD_EXACT: _exact_plan}
 
 
-def _fill(gen: np.random.Generator, out: np.ndarray, scales: tuple) -> None:
-    """Draw standard normals into ``out`` and scale them in place.
-
-    Interleaved columns take their own factor: ``out[j::len(scales)]``
-    is multiplied by ``scales[j]``.
-    """
+def _fill(gen: np.random.Generator, out: np.ndarray, scale: float) -> None:
+    """Draw standard normals into ``out`` and scale them in place."""
     gen.standard_normal(out=out)
-    for j, scale in enumerate(scales):
-        out[j::len(scales)] *= scale
+    out *= scale
 
 
 def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int) -> np.ndarray:
@@ -331,18 +321,16 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
     series.  The pool ends with the call, so no idle workers outlive it
     or are inherited by a forked child.
     """
-    gens = [_stream(config.seed, stream_id) for stream_id, _, _ in plan.streams]
-    ends = np.cumsum([width for _, width, _ in plan.streams])
+    gens = [_stream(config.seed, stream_id) for stream_id, _ in plan.streams]
     out = np.empty(n_total)
     zi = np.zeros((len(plan.numerators), plan.den.size - 1))
     with ThreadPoolExecutor(max_workers=min(len(plan.streams), os.cpu_count() or 1)) as pool:
         for i0 in range(0, n_total, _CHUNK):
             i1 = min(i0 + _CHUNK, n_total)
             n = i1 - i0
-            buf = np.empty(ends[-1] * n)
-            draws = np.split(buf, ends[:-1] * n)
-            jobs = [pool.submit(_fill, gen, out, scales)
-                    for gen, out, (_, _, scales) in zip(gens, draws, plan.streams)]
+            draws = np.empty((len(gens), n))
+            jobs = [pool.submit(_fill, gen, row, scale)
+                    for gen, row, (_, scale) in zip(gens, draws, plan.streams)]
             for job in jobs:
                 job.result()
             signal = None
@@ -358,7 +346,7 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
                     series[:] = y
             series += direct
             # Free this chunk's arrays before the next chunk is drawn.
-            del buf, draws, signal, inputs, direct, x, y
+            del draws, signal, inputs, direct, x, y
     return out[n_burn:]
 
 

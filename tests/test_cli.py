@@ -1,6 +1,8 @@
 import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,3 +460,11 @@ class TestProvenance:
         for header in (manifest, report, optimized):
             assert header["psd_convention"] == sq.PSD_CONVENTION
         assert optimized["params_sha256"] == manifest["params_sha256"]
+
+    def test_package_version_is_the_project_version(self):
+        # Manifests record tool_version, and seeds reproduce realizations
+        # only within one version.  A regex, not tomllib: Python 3.10 is
+        # supported.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        versions = re.findall(r'^version\s*=\s*"([^"]*)"', text, flags=re.MULTILINE)
+        assert versions == [sq.__version__]

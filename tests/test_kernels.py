@@ -18,7 +18,19 @@ from sqz_sensor import (
     simulate,
 )
 
+from sqz_sensor.stochastic import (
+    STREAM_A_C,
+    STREAM_A_S,
+    STREAM_A_S_RESIDUAL,
+    STREAM_U_S,
+    STREAM_V_C,
+    STREAM_V_S,
+)
+
 from reference_loops import euler_maruyama_loop, exact_relax_loop
+
+STREAMS = {"a_c": STREAM_A_C, "a_s": STREAM_A_S, "v_c": STREAM_V_C,
+           "v_s": STREAM_V_S, "u_s": STREAM_U_S}
 
 BASE = dict(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0,
             r_squeeze=0.5, k_c=-0.3)
@@ -26,12 +38,18 @@ BASE = dict(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0,
 
 def serial_stream(seed, stream_id, n):
     """``n`` standard normals of one noise stream, drawn in one call."""
-    return np.random.Generator(np.random.Philox(seed=[seed, stream_id])).standard_normal(n)
+    bits = np.random.SFC64(np.random.SeedSequence([seed, stream_id]))
+    return np.random.Generator(bits).standard_normal(n)
 
 
 def reference_run(params, config):
     """Detector series from the per-step loops, fed by each noise stream
-    drawn serially; ``config`` must have no burn-in."""
+    drawn serially; ``config`` must have no burn-in.
+
+    The Euler loop always gets the cosine-quadrature inputs a_c and v_c,
+    also when the self-phase-modulation coupling is cancelled and the
+    package leaves them out.
+    """
     n, dt, seed = int(config.duration / config.dt), config.dt, config.seed
     psds = input_noise_psds(params)
     drift = drift_matrix(params)
@@ -43,8 +61,8 @@ def reference_run(params, config):
     signal = config.signal.evaluate(dt * np.arange(n))
     d = np.empty(n)
     if config.method == "exact":
-        # Exact OU update: the bin average of a_s and its exponentially
-        # filtered integral are drawn jointly from one stream.
+        # Exact OU update: the exponentially filtered integral of a_s is
+        # its regression on the bin average plus an independent residual.
         lam = drift.matrix[1, 1]
         decay = math.exp(-lam * dt)
         s_as = psds["a_s"]
@@ -52,23 +70,20 @@ def reference_run(params, config):
         cov01 = s_as * (1.0 - decay) / lam
         resid = math.sqrt(max(s_as * (1.0 - decay * decay) / (2.0 * lam)
                               - cov01 * cov01 / var0, 0.0))
-        za, zv = serial_stream(seed, 1, 2 * n), serial_stream(seed, 2, 2 * n)
-        a_bar = math.sqrt(s_as / dt) * za[0::2]
-        i1_a = cov01 / var0 * (a_bar * dt) + resid * za[1::2]
-        i1_v = math.sqrt(psds["v_s"] * (1.0 - decay * decay) / (2.0 * lam)) * zv[1::2]
+        a_bar = math.sqrt(s_as / dt) * serial_stream(seed, STREAM_A_S, n)
+        i1_a = cov01 / var0 * (a_bar * dt) + resid * serial_stream(seed, STREAM_A_S_RESIDUAL, n)
+        i1_v = (math.sqrt(psds["v_s"] * (1.0 - decay * decay) / (2.0 * lam))
+                * serial_stream(seed, STREAM_V_S, n))
         w_drive = (c_a * i1_a + c_v * i1_v
                    + drift.signal_coupling * (1.0 - decay) / lam * signal)
-        u_s = math.sqrt(psds["u_s"] / dt) * serial_stream(seed, 3, n)
+        u_s = math.sqrt(psds["u_s"] / dt) * serial_stream(seed, STREAM_U_S, n)
         exact_relax_loop(0.0, decay, a_bar, w_drive, u_s, p_bs, q_as, q_us, d)
         return d
-    sig = {k: math.sqrt(v / dt) for k, v in psds.items()}
-    v = serial_stream(seed, 2, 2 * n)
+    z = {name: math.sqrt(psd / dt) * serial_stream(seed, STREAMS[name], n)
+         for name, psd in psds.items()}
     m = drift.matrix
     euler_maruyama_loop(0.0, 0.0, m[0, 0], m[0, 1], m[1, 0], m[1, 1], dt,
-                        sig["a_c"] * serial_stream(seed, 0, n),
-                        sig["a_s"] * serial_stream(seed, 1, n),
-                        sig["v_c"] * v[0::2], sig["v_s"] * v[1::2],
-                        sig["u_s"] * serial_stream(seed, 3, n),
+                        z["a_c"], z["a_s"], z["v_c"], z["v_s"], z["u_s"],
                         drift.signal_coupling * signal,
                         p_bs, q_as, q_us, c_a, c_v, d)
     return d
@@ -158,3 +173,23 @@ class TestStreams:
         single = simulate(params, cfg)
         assert workers == [1]
         assert np.array_equal(reference.d_s, single.d_s)
+
+    @pytest.mark.parametrize("case, ids", [
+        ("euler_cancelled_spm", {STREAM_A_S, STREAM_V_S, STREAM_U_S}),
+        ("euler_coupled_spm", {STREAM_A_C, STREAM_A_S, STREAM_V_C, STREAM_V_S, STREAM_U_S}),
+        ("exact", {STREAM_A_S, STREAM_A_S_RESIDUAL, STREAM_V_S, STREAM_U_S}),
+    ])
+    def test_a_run_draws_only_the_streams_the_detector_sees(self, case, ids, monkeypatch):
+        params, extra = CASES[case]
+        cfg = SimulationConfig(dt=0.02, duration=60.0, seed=13, n_segments=4, **extra)
+        requested = []
+        stream = stochastic._stream
+
+        def recording_stream(seed, stream_id):
+            requested.append(stream_id)
+            return stream(seed, stream_id)
+
+        monkeypatch.setattr(stochastic, "_stream", recording_stream)
+        simulate(params, cfg)
+        # One generator per stream, however many chunks the run takes.
+        assert sorted(requested) == sorted(ids)
