@@ -328,7 +328,7 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
         for i0 in range(0, n_total, _CHUNK):
             i1 = min(i0 + _CHUNK, n_total)
             n = i1 - i0
-            draws = np.empty((len(gens), n))
+            draws = [np.empty(n) for _ in gens]
             jobs = [pool.submit(_fill, gen, row, scale)
                     for gen, row, (_, scale) in zip(gens, draws, plan.streams)]
             for job in jobs:
