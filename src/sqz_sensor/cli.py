@@ -246,6 +246,9 @@ def _random_cancelled_params(rng: np.random.Generator) -> SensorParams:
 def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = False) -> dict:
     """Run the dual-oracle validation gates and return a report dict.
 
+    The gates run with the self-phase-modulation coupling cancelled, so
+    each check records the parameters it ran at (``params``; the
+    stochastic gate one set and seed per scenario, under ``runs``).
     ``mutate`` perturbs the closed-form reference by one part per
     million as a negative control; the gates must then fail.
     """
@@ -280,6 +283,7 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
         "gate": 1e-12,
         "measured": worst,
         "passed": worst <= 1e-12,
+        "params": params_to_dict(params_c),
         "runtime_s": time.perf_counter() - t0,
     })
 
@@ -297,15 +301,17 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
         "gate": 1e-8,
         "measured": measured,
         "passed": measured <= 1e-8,
+        "params": params_to_dict(params_c),
         "runtime_s": time.perf_counter() - t0,
     })
 
     # Gate 3: stochastic simulator against the closed forms.
     t0 = time.perf_counter()
     worst_rms = 0.0
-    details = {}
+    details, runs = {}, {}
     for i, scenario in enumerate(scenarios):
         params_m = scenario.materialize(params_c)
+        runs[scenario.tag] = {"params": params_to_dict(params_m), "seed": seed + i}
         config = stochastic.spectral_comparison_config(params_m, budget, seed + i)
         run = stochastic.simulate(params_m, config)
         band = np.linspace(0.2 * params_m.kappa_prime, 3.0 * params_m.kappa_prime, 36)
@@ -321,6 +327,7 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
         "measured": worst_rms,
         "passed": worst_rms <= 0.05,
         "details": details,
+        "runs": runs,
         "runtime_s": time.perf_counter() - t0,
     })
 

@@ -206,6 +206,27 @@ class TestValidateCommand:
                             if c["name"] == "frequency_domain_solver_vs_closed_forms")
         assert not solver_check["passed"]
 
+    def test_each_gate_records_the_point_it_ran_at(self, tmp_path):
+        # Uncancelled self-phase modulation: the gates run at k_s = 2 gamma N.
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({
+            "kappa_prime": 1.0, "kappa_double_prime": 0.2, "eta": 0.8, "n_photons": 1.0,
+            "gamma_spm": 0.1, "r_squeeze": 0.7, "k_c": 0.3, "k_s": 0.5}))
+        report_path = tmp_path / "report.json"
+        main(["validate", "--params", str(params_file), "--budget", "20",
+              "--seed", "7", "--out", str(report_path)])
+        report = json.loads(report_path.read_text())
+        assert report["params"]["k_s"] == 0.5
+        cancelled = report["params"] | {"k_s": 0.2}
+        solver, numeric, stochastic = report["checks"]
+        assert solver["params"] == numeric["params"] == cancelled
+        runs = stochastic["runs"]
+        assert {tag: run["seed"] for tag, run in runs.items()} == {
+            "no_squeeze": 7, "input_squeeze": 8, "double_squeeze_optimal": 9}
+        for tag, run in runs.items():
+            ran_at = sq.Scenario.from_name(tag).materialize(sq.SensorParams(**cancelled))
+            assert run["params"] == sq.params_to_dict(ran_at)
+
 
 class TestOptimizeCommand:
     def test_kc_target(self, params_file, tmp_path, capsys):
