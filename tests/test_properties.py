@@ -12,6 +12,7 @@ spectrum.  Examples are derandomized so the suite stays deterministic.
 import io
 import json
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -173,6 +174,12 @@ JSON_VALUES = st.one_of(
     st.text(max_size=6), st.lists(st.floats(0.0, 2.0), max_size=2),
     st.sampled_from(["kappa_prime", "si", "true", "1.0"]),
 )
+#: The keys whose magnitude sets the float range of the outputs, and
+#: extreme magnitudes for them.  Drawn from all doubles, the one key that
+#: matters almost never gets such a value, so the fuzz draws them per key
+#: and a sweep puts each one on every command.
+EXTREME_KEYS = ("n_photons", "kappa_double_prime", "kappa_prime", "k_c", "k_s")
+EXTREME_MAGNITUDES = (1e-300, 1e-200, 1e160, 1e300)
 COMMANDS = (
     ["spectrum", "--scenario", "no-squeeze", "--points", "5"],
     ["spectrum", "--scenario", "input-squeeze", "--points", "5"],
@@ -186,12 +193,10 @@ COMMANDS = (
 )
 
 
-@PROPERTY_SETTINGS
-@given(dropped=st.sets(st.sampled_from(sorted(VALID_FILE)), max_size=1),
-       overrides=st.dictionaries(st.sampled_from(FILE_KEYS), JSON_VALUES, max_size=3),
-       command=st.sampled_from(COMMANDS))
-def test_parameter_file_fuzz_exits_cleanly(dropped, overrides, command):
-    data = {k: v for k, v in VALID_FILE.items() if k not in dropped} | overrides
+def assert_exits_cleanly(data: dict, command: list) -> str:
+    """Run ``command`` on a parameter file holding ``data``: it exits 0 and
+    leaves strict JSON and finite CSV values behind, or exits 2 with a
+    one-line error.  Returns what it wrote to stderr."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), \
             redirect_stderr(err):
@@ -199,7 +204,6 @@ def test_parameter_file_fuzz_exits_cleanly(dropped, overrides, command):
         pfile.write_text(json.dumps(data))
         out = Path(tmp) / ("curve.csv" if command[0] == "spectrum" else "result.json")
         rc = main([command[0], "--params", str(pfile), *command[1:], "--out", str(out)])
-        # A clean exit must leave strict JSON and finite CSV values behind.
         if rc == 0:
             for path in Path(tmp).glob("*.json"):
                 load_strict_json(path.read_text())
@@ -210,3 +214,25 @@ def test_parameter_file_fuzz_exits_cleanly(dropped, overrides, command):
     assert rc in (0, 2)
     if rc == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return err.getvalue()
+
+
+@PROPERTY_SETTINGS
+@given(dropped=st.sets(st.sampled_from(sorted(VALID_FILE)), max_size=1),
+       overrides=st.dictionaries(st.sampled_from(FILE_KEYS), JSON_VALUES, max_size=3),
+       extremes=st.dictionaries(st.sampled_from(EXTREME_KEYS),
+                                st.sampled_from(EXTREME_MAGNITUDES), max_size=2),
+       command=st.sampled_from(COMMANDS))
+def test_parameter_file_fuzz_exits_cleanly(dropped, overrides, extremes, command):
+    data = {k: v for k, v in VALID_FILE.items() if k not in dropped} | overrides | extremes
+    assert_exits_cleanly(data, command)
+
+
+@pytest.mark.parametrize("magnitude", EXTREME_MAGNITUDES)
+@pytest.mark.parametrize("key", EXTREME_KEYS)
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_parameter_file_fuzz_at_extreme_magnitudes(command, key, magnitude):
+    error = assert_exits_cleanly(VALID_FILE | {key: magnitude}, command)
+    # The file is finite, so a NaN in the error comes from a computation
+    # that broke down, not from a check of the input.
+    assert not re.search(r"\bnan\b", error, flags=re.IGNORECASE)
