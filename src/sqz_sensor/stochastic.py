@@ -14,10 +14,10 @@ numpy/scipy versions, whatever the core count.  Each integration method
 (Euler-Maruyama, exact Ornstein-Uhlenbeck update) is a small plan: the
 streams whose samples reach the detector, the detector's filter
 coefficients and how the draws form the filter inputs.  One chunked
-loop runs either plan and records the detector alone.  The streams are drawn concurrently,
-one task per stream and chunk, which leaves every sequence as a serial
-draw gives it, whatever the core count.  The periodogram is Welch's
-estimate as batched real FFTs; the gain is demodulated in one product.
+loop runs either plan and records the detector alone.  The streams are
+drawn concurrently, one task per stream and chunk, which leaves every
+sequence as a serial draw gives it.  The periodogram is Welch's estimate
+as batched real FFTs; the gain is demodulated in one product.
 """
 
 from __future__ import annotations

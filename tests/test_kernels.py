@@ -17,7 +17,6 @@ from sqz_sensor import (
     input_noise_psds,
     simulate,
 )
-
 from sqz_sensor.stochastic import (
     STREAM_A_C,
     STREAM_A_S,
