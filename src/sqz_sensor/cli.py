@@ -36,6 +36,7 @@ from .core import (
     SpectrumCurve,
     load_params,
     params_to_dict,
+    spm_cancelling_ks,
 )
 from .dynamics import psd_from_response
 from .errors import NoBandError, SqzSensorError
@@ -105,6 +106,11 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _write_json(path: Path, obj) -> None:
+    """The one JSON output format: indented, sorted keys, final newline."""
+    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def build_manifest(command: str, params: SensorParams, *, params_file=None,
                    scenario: str | None = None, normalization: str = NORMALIZATION_RAW,
                    grid: dict | None = None, outputs: list[str] | None = None) -> dict:
@@ -130,8 +136,8 @@ def _curve_csv(curve: SpectrumCurve, manifest: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _curve_json(curve: SpectrumCurve, manifest: dict) -> str:
-    payload = {
+def _curve_json(curve: SpectrumCurve, manifest: dict) -> dict:
+    return {
         "manifest": manifest,
         "scenario": curve.scenario,
         "normalization": curve.normalization,
@@ -139,23 +145,20 @@ def _curve_json(curve: SpectrumCurve, manifest: dict) -> str:
         "omega": curve.omegas.tolist(),
         "S": curve.values.tolist(),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_curve(path: Path, curve: SpectrumCurve, manifest: dict, fmt: str) -> None:
     if fmt == "csv":
         _atomic_write_text(path, _curve_csv(curve, manifest))
     else:
-        _atomic_write_text(path, _curve_json(curve, manifest))
-    _atomic_write_text(Path(str(path) + ".manifest.json"),
-                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write_json(path, _curve_json(curve, manifest))
+    _write_json(Path(str(path) + ".manifest.json"), manifest)
 
 
 def _make_curve(scenario_name: str, params: SensorParams, grid: np.ndarray) -> SpectrumCurve:
     if scenario_name == "snl":
         return spectra.snl_curve(params, grid)
-    scenario = Scenario.from_name(scenario_name, custom_kc=params.k_c)
-    return spectra.scenario_curve(scenario, params, grid)
+    return spectra.scenario_curve(Scenario.from_name(scenario_name), params, grid)
 
 
 def cmd_spectrum(args) -> int:
@@ -182,13 +185,8 @@ def cmd_spectrum(args) -> int:
 def cmd_fig2(args) -> int:
     params = reference_params()
     grid = np.linspace(0.0, 4.0 * params.kappa_prime, args.points)
-    curves = {
-        "no_squeeze": spectra.scenario_curve(Scenario.no_squeeze(), params, grid),
-        "input_squeeze": spectra.scenario_curve(Scenario.input_squeeze(), params, grid),
-        "double_squeeze_optimal": spectra.scenario_curve(
-            Scenario.double_squeeze_optimal(), params, grid),
-        "snl": spectra.snl_curve(params, grid),
-    }
+    curves = {name: _make_curve(name, params, grid)
+              for name in ("no_squeeze", "input_squeeze", "double_squeeze_optimal", "snl")}
 
     s_no = curves["no_squeeze"].values
     s_in = curves["input_squeeze"].values
@@ -216,8 +214,7 @@ def cmd_fig2(args) -> int:
         write_curve(path, normalized, file_manifest, args.format)
         outputs.append(path.name)
     manifest["outputs"] = outputs
-    _atomic_write_text(out_dir / "manifest.json",
-                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {len(outputs)} curves to {out_dir}")
     return 0
 
@@ -239,8 +236,14 @@ def _random_cancelled_params(rng: np.random.Generator) -> SensorParams:
         gamma_spm=gamma_spm,
         r_squeeze=r_squeeze,
         k_c=k_c,
-        k_s=2.0 * gamma_spm * n_photons,
+        k_s=spm_cancelling_ks(gamma_spm, n_photons),
     )
+
+
+def _gate(name: str, comparison: str, gate: float, measured: float, t0: float, **fields) -> dict:
+    """A validation check record: it passes when ``measured <= gate``."""
+    return {"name": name, "comparison": comparison, "gate": gate, "measured": measured,
+            "passed": measured <= gate, **fields, "runtime_s": time.perf_counter() - t0}
 
 
 def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = False) -> dict:
@@ -277,15 +280,8 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
         oracle = psd_from_response(p, probe_omegas).values
         closed = spectra.measurement_psd_raw(p, probe_omegas) * corrupt
         worst = max(worst, float(np.max(np.abs(oracle - closed) / closed)))
-    checks.append({
-        "name": "frequency_domain_solver_vs_closed_forms",
-        "comparison": "max relative deviation",
-        "gate": 1e-12,
-        "measured": worst,
-        "passed": worst <= 1e-12,
-        "params": params_to_dict(params_c),
-        "runtime_s": time.perf_counter() - t0,
-    })
+    checks.append(_gate("frequency_domain_solver_vs_closed_forms", "max relative deviation",
+                        1e-12, worst, t0, params=params_to_dict(params_c)))
 
     # Gate 2: numeric gain optimum against the closed form.
     t0 = time.perf_counter()
@@ -294,16 +290,8 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
         abs(optimize.numeric_min_kc(params_c, omega_probe=w).argmin - closed_kc)
         for w in (0.0, params_c.kappa_prime)
     ]
-    measured = max(deltas)
-    checks.append({
-        "name": "numeric_kc_minimum_vs_closed_form",
-        "comparison": "max absolute deviation",
-        "gate": 1e-8,
-        "measured": measured,
-        "passed": measured <= 1e-8,
-        "params": params_to_dict(params_c),
-        "runtime_s": time.perf_counter() - t0,
-    })
+    checks.append(_gate("numeric_kc_minimum_vs_closed_form", "max absolute deviation",
+                        1e-8, max(deltas), t0, params=params_to_dict(params_c)))
 
     # Gate 3: stochastic simulator against the closed forms.
     t0 = time.perf_counter()
@@ -320,16 +308,9 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
         rms = float(np.sqrt(np.mean((estimate / closed - 1.0) ** 2)))
         details[scenario.tag] = rms
         worst_rms = max(worst_rms, rms)
-    checks.append({
-        "name": "stochastic_simulator_vs_closed_forms",
-        "comparison": "max rms relative deviation over [0.2, 3] kappa_prime",
-        "gate": 0.05,
-        "measured": worst_rms,
-        "passed": worst_rms <= 0.05,
-        "details": details,
-        "runs": runs,
-        "runtime_s": time.perf_counter() - t0,
-    })
+    checks.append(_gate("stochastic_simulator_vs_closed_forms",
+                        "max rms relative deviation over [0.2, 3] kappa_prime",
+                        0.05, worst_rms, t0, details=details, runs=runs))
 
     return _provenance("validate", params) | {
         "budget": budget,
@@ -345,7 +326,7 @@ def cmd_validate(args) -> int:
     report = run_validation(params, budget=args.budget, seed=args.seed, mutate=args.mutate)
     out = Path(args.out)
     report.update(params_file=str(args.params), params_sha256=_sha256(args.params))
-    _atomic_write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out, report)
     for check in report["checks"]:
         verdict = "PASS" if check["passed"] else "FAIL"
         print(f"{verdict} {check['name']}: measured {check['measured']:.3e} "
@@ -381,7 +362,7 @@ def cmd_optimize(args) -> int:
         print(f"SNL-optimal kappa at omega={args.omega}: closed {closed.argmin!r}, "
               f"numeric {numeric.argmin!r} (delta {result['agreement']:.3e})")
     else:  # band
-        scenario = Scenario.from_name(args.scenario, custom_kc=params.k_c)
+        scenario = Scenario.from_name(args.scenario)
         omega_max = args.omega_max if args.omega_max is not None else 8.0 * params.kappa_prime
         try:
             band = optimize.snl_crossings(scenario, params, (args.omega_min, omega_max))
@@ -396,7 +377,7 @@ def cmd_optimize(args) -> int:
             result.update({"scenario": scenario.tag, "band": None, "reason": str(exc)})
             print(f"no sub-SNL band for {scenario.tag}: {exc}")
     if args.out:
-        _atomic_write_text(Path(args.out), json.dumps(result, indent=2, sort_keys=True) + "\n")
+        _write_json(Path(args.out), result)
         print(f"report written to {args.out}")
     return 0
 

@@ -173,7 +173,7 @@ class SensorParams:
 
     @property
     def is_spm_cancelled(self) -> bool:
-        ks_target = 2.0 * self.gamma_spm * self.n_photons
+        ks_target = spm_cancelling_ks(self.gamma_spm, self.n_photons)
         scale = max(abs(self.k_s), abs(ks_target), self.kappa)
         return abs(self.k_s - ks_target) <= 1e-12 * scale
 
@@ -204,7 +204,10 @@ def _number(data: dict, key: str, default: float = 0.0) -> float:
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"parameter {key!r} must be a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise RangeError(f"parameter {key!r} is beyond floating-point range") from None
 
 
 def params_from_dict(data: dict) -> SensorParams:
@@ -286,20 +289,15 @@ class Scenario:
 
     ``no_squeeze`` forces r = 0 and k_c = 0, ``input_squeeze`` forces
     k_c = 0, ``double_squeeze_optimal`` sets k_c to the loss-optimal
-    internal gain, and ``custom`` pins k_c to an explicit value.
+    internal gain, and ``custom`` keeps the ``k_c`` the params carry.
     :meth:`materialize` is the one place these pins are applied.
     """
 
     tag: str
-    custom_kc: float | None = None
 
     def __post_init__(self):
         if self.tag not in _SCENARIO_TAGS:
             raise ScenarioMismatchError(f"unknown scenario tag {self.tag!r}")
-        if self.tag == SCENARIO_CUSTOM and self.custom_kc is None:
-            raise ScenarioMismatchError("custom scenario needs an explicit k_c")
-        if self.tag != SCENARIO_CUSTOM and self.custom_kc is not None:
-            raise ScenarioMismatchError(f"scenario {self.tag!r} does not take a k_c value")
 
     @classmethod
     def no_squeeze(cls) -> "Scenario":
@@ -314,20 +312,17 @@ class Scenario:
         return cls(SCENARIO_DOUBLE_SQUEEZE_OPTIMAL)
 
     @classmethod
-    def custom(cls, k_c: float) -> "Scenario":
-        return cls(SCENARIO_CUSTOM, custom_kc=float(k_c))
+    def custom(cls) -> "Scenario":
+        return cls(SCENARIO_CUSTOM)
 
     @classmethod
-    def from_name(cls, name: str, custom_kc: float | None = None) -> "Scenario":
-        tag = name.strip().lower().replace("-", "_")
-        if tag == SCENARIO_CUSTOM and custom_kc is not None:
-            return cls.custom(custom_kc)
-        return cls(tag)
+    def from_name(cls, name: str) -> "Scenario":
+        return cls(name.strip().lower().replace("-", "_"))
 
     def materialize(self, params: SensorParams) -> SensorParams:
-        """Return a copy of ``params`` with the scenario's ``(r, k_c)`` applied.
+        """Return ``params`` with the scenario's ``(r, k_c)`` applied.
 
-        Idempotent: no pin reads ``params.k_c``.
+        Idempotent: no pin reads ``params.k_c``, and ``custom`` pins nothing.
         """
         if self.tag == SCENARIO_NO_SQUEEZE:
             return replace(params, r_squeeze=0.0, k_c=0.0)
@@ -336,7 +331,7 @@ class Scenario:
         if self.tag == SCENARIO_DOUBLE_SQUEEZE_OPTIMAL:
             from .optimize import optimal_kc
             return replace(params, k_c=optimal_kc(params))
-        return replace(params, k_c=self.custom_kc)
+        return params
 
 
 SCENARIO_SNL = "snl"

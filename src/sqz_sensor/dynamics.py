@@ -20,6 +20,7 @@ from .core import (
     SensorParams,
     SpectrumCurve,
     params_to_dict,
+    spm_cancelling_ks,
 )
 from .errors import InstabilityError, RangeError
 
@@ -55,7 +56,7 @@ def drift_matrix(params: SensorParams) -> DriftMatrix:
     which vanishes when the parametric drive is tuned to cancel it.
     """
     kappa = params.kappa
-    g2 = 2.0 * params.gamma_spm * params.n_photons
+    g2 = spm_cancelling_ks(params.gamma_spm, params.n_photons)
     m = np.array(
         [
             [kappa - params.k_c, params.k_s],
@@ -91,10 +92,15 @@ def input_noise_psds(params: SensorParams) -> dict[str, float]:
     The input beam is squeezed in the measured (sine) quadrature,
     exp(-2r)/2, and taken minimum-uncertainty anti-squeezed in the
     conjugate one, exp(+2r)/2.  Loss and detection noises are vacuum.
+    Raises :class:`RangeError` when exp(2r) overflows.
     """
     r = params.r_squeeze
+    try:
+        anti = math.exp(2.0 * r)
+    except OverflowError:
+        raise RangeError(f"r_squeeze = {r!r}: the anti-squeezed input exp(2r) overflows") from None
     return {
-        "a_c": 0.5 * math.exp(2.0 * r),
+        "a_c": 0.5 * anti,
         "a_s": 0.5 * math.exp(-2.0 * r),
         "v_c": 0.5,
         "v_s": 0.5,
@@ -193,7 +199,7 @@ def psd_from_response(params: SensorParams, omegas, xi_referred: bool = True) ->
 
 @dataclass(frozen=True)
 class SignalWaveform:
-    """Classical eigenfrequency perturbation ``amplitude * sin(frequency t + phase)``.
+    """Classical eigenfrequency perturbation ``amplitude * sin(frequency t)``.
 
     The perturbation is treated as exactly classical and noiseless.  A
     zero amplitude is no drive: the integrator skips the waveform.
@@ -201,10 +207,9 @@ class SignalWaveform:
 
     amplitude: float = 0.0
     frequency: float = 0.0
-    phase: float = 0.0
 
     def __post_init__(self):
-        for name in ("amplitude", "frequency", "phase"):
+        for name in ("amplitude", "frequency"):
             if not math.isfinite(getattr(self, name)):
                 raise RangeError(f"waveform {name} must be finite, got {getattr(self, name)}")
         if self.frequency < 0.0:
@@ -215,9 +220,9 @@ class SignalWaveform:
         return cls()
 
     @classmethod
-    def sinusoid(cls, amplitude: float, frequency: float, phase: float = 0.0) -> "SignalWaveform":
-        return cls(amplitude=float(amplitude), frequency=float(frequency), phase=float(phase))
+    def sinusoid(cls, amplitude: float, frequency: float) -> "SignalWaveform":
+        return cls(amplitude=float(amplitude), frequency=float(frequency))
 
     def evaluate(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return self.amplitude * np.sin(self.frequency * t + self.phase)
+        return self.amplitude * np.sin(self.frequency * t)

@@ -15,8 +15,7 @@ class InstabilityError(SqzSensorError, RuntimeError):
 
 
 class ScenarioMismatchError(SqzSensorError, ValueError):
-    """A squeezing scenario is ill-formed: its tag is unknown, or a
-    custom gain is missing or given to a scenario that fixes its own."""
+    """A squeezing scenario tag is unknown."""
 
 
 class DoubleNormalizationError(SqzSensorError, ValueError):

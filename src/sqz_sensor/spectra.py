@@ -49,13 +49,20 @@ def quadratic_coefficients(params: SensorParams) -> tuple[float, float]:
     scenarios differ only in the cosine gain ``k_c`` carried by
     ``params``, which enters the frequency-independent floor ``c0``
     alone.  Stability, ``|k_c| < kappa``, is checked when ``params`` is built.
+    Raises :class:`RangeError` when a squared rate overflows.
     """
     kp, kpp, kc = params.kappa_prime, params.kappa_double_prime, params.k_c
     em2r = math.exp(-2.0 * params.r_squeeze)
     eps2 = params.epsilon_sq
     scale = 8.0 * kp * params.n_photons
     c2 = (em2r + eps2) / scale
-    c0 = ((kp - kpp - kc) ** 2 * em2r + 4.0 * kp * kpp + eps2 * (params.kappa + kc) ** 2) / scale
+    try:
+        c0 = ((kp - kpp - kc) ** 2 * em2r + 4.0 * kp * kpp + eps2 * (params.kappa + kc) ** 2) / scale
+    except OverflowError:
+        raise RangeError(
+            f"kappa_prime = {kp!r}, kappa_double_prime = {kpp!r} and k_c = {kc!r}: "
+            "their squares overflow the spectrum floor"
+        ) from None
     return c2, c0
 
 

@@ -80,6 +80,18 @@ class TestSpectrumCommand:
         recomputed = sq.closed_form_psd(sq.Scenario.input_squeeze(), params, omegas)
         assert np.array_equal(values, recomputed)
 
+    def test_custom_scenario_uses_the_file_kc(self, tmp_path):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"k_c": -0.4}))
+        out = tmp_path / "curve.csv"
+        rc = main(["spectrum", "--params", str(pfile), "--scenario", "custom",
+                   "--points", "9", "--out", str(out)])
+        assert rc == 0
+        omegas, values, _ = read_curve_csv(out)
+        grid = np.linspace(0.0, 4.0, 9)
+        assert np.array_equal(omegas, grid)
+        assert np.array_equal(values, sq.measurement_psd_raw(sq.load_params(pfile), grid))
+
     def test_single_point_lossless(self, tmp_path):
         pfile = tmp_path / "lossless.json"
         pfile.write_text(json.dumps({
@@ -295,6 +307,22 @@ class TestOptimizeCommand:
         assert band["lower"] == pytest.approx(0.2799567425, abs=1e-6)
         assert band["upper"] == pytest.approx(4.0499401647, abs=1e-6)
 
+    def test_custom_band_uses_the_file_kc(self, tmp_path):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"k_c": -0.4}))
+        out = tmp_path / "band.json"
+        rc = main(["optimize", "--params", str(pfile), "--target", "band",
+                   "--scenario", "custom", "--out", str(out)])
+        assert rc == 0
+        result = json.loads(out.read_text())
+        params = sq.load_params(pfile)
+        expected = sq.snl_crossings(sq.Scenario.custom(), params, (0.0, 8.0))
+        assert result["scenario"] == "custom"
+        assert (result["band"]["lower"], result["band"]["upper"]) == (expected.lower,
+                                                                      expected.upper)
+        at_zero_kc = sq.snl_crossings(sq.Scenario.input_squeeze(), params, (0.0, 8.0))
+        assert expected.lower != at_zero_kc.lower
+
     def test_band_target_at_extreme_photon_number(self, tmp_path):
         # The band does not depend on N; 1/(4N) squared overflows here.
         pfile = tmp_path / "params.json"
@@ -399,7 +427,8 @@ class TestExitCodes:
         assert next(iter(override)) in err
 
     @pytest.mark.parametrize("override", [{"kappa_prime": 10 ** 400},
-                                          {"kappa_double_prime": 1.5e154}])
+                                          {"kappa_double_prime": 1.5e154},
+                                          {"kappa_prime": 1e160}])
     def test_values_beyond_float_range_are_input_errors(self, override, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(FIG2_FILE | override))
@@ -408,6 +437,18 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert next(iter(override)) in err
+
+    def test_anti_squeezing_beyond_float_range_names_r_squeeze(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(FIG2_FILE | {"r_squeeze": 400.0}))
+        out = tmp_path / "report.json"
+        rc = main(["validate", "--params", str(bad), "--budget", "20", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "r_squeeze = 400.0" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--target", "kc"],

@@ -171,26 +171,25 @@ class TestScenario:
         assert p1.k_c == p2.k_c == sq.optimal_kc(fig2_params)
 
     def test_custom_materialization(self, fig2_params):
-        p = Scenario.custom(-0.25).materialize(fig2_params)
+        p = Scenario.custom().materialize(replace(fig2_params, k_c=-0.25))
         assert p.k_c == -0.25
+        assert p.r_squeeze == fig2_params.r_squeeze
 
     def test_materialize_is_idempotent(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
             p = random_cancelled_params(rng)
             assert p.k_c != 0.0 and p.r_squeeze > 0.0
-            for sc in (*SCENARIOS, Scenario.custom(-0.5 * p.k_c)):
+            for sc in (*SCENARIOS, Scenario.custom()):
                 pm = sc.materialize(p)
                 assert sc.materialize(pm) == pm
 
     def test_from_name(self):
         assert Scenario.from_name("no-squeeze").tag == "no_squeeze"
         assert Scenario.from_name("double_squeeze_optimal").tag == "double_squeeze_optimal"
-        assert Scenario.from_name("custom", custom_kc=0.2).custom_kc == 0.2
+        assert Scenario.from_name("custom") == Scenario.custom()
         with pytest.raises(ScenarioMismatchError):
             Scenario.from_name("triple-squeeze")
-        with pytest.raises(ScenarioMismatchError):
-            Scenario.from_name("custom")
 
 
 class TestParamsFile:

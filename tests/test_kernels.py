@@ -97,7 +97,7 @@ CASES = {
                        {"signal": SignalWaveform.sinusoid(1.0, 0.7)}),
     "exact": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE), {"method": "exact"}),
     "exact_sinusoid": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE),
-                       {"method": "exact", "signal": SignalWaveform.sinusoid(1.0, 0.7, 0.3)}),
+                       {"method": "exact", "signal": SignalWaveform.sinusoid(1.0, 0.7)}),
 }
 
 

@@ -148,13 +148,13 @@ class TestClosedFormDispatch:
         for _ in range(20):
             p = random_cancelled_params(rng)
             assert p.k_c != 0.0 and p.r_squeeze > 0.0
-            for sc in (*SCENARIOS, Scenario.custom(-0.5 * p.k_c)):
+            for sc in (*SCENARIOS, Scenario.custom()):
                 assert np.array_equal(sq.closed_form_psd(sc, p, w),
                                       sq.scenario_curve(sc, p, w).values)
 
     def test_custom_uses_general_form(self, fig2_params):
         p = replace(fig2_params, k_c=-0.4)
-        assert sq.closed_form_psd(Scenario.custom(-0.4), p, 1.0) == pytest.approx(
+        assert sq.closed_form_psd(Scenario.custom(), p, 1.0) == pytest.approx(
             sq.measurement_psd_raw(p, 1.0), rel=1e-15)
 
     def test_ordering_with_any_squeezing(self):
