@@ -12,7 +12,6 @@ from .core import (
     Scenario,
     SensorParams,
     SpectrumCurve,
-    db_from_r,
     load_params,
     params_from_dict,
     params_to_dict,
@@ -95,7 +94,6 @@ __all__ = [
     "GridError",
     "SnrError",
     "r_from_db",
-    "db_from_r",
     "spm_cancelling_ks",
     "rates_from_quality",
     "load_params",

@@ -31,6 +31,8 @@ from .core import (
     NORMALIZATION_KP_OVER_N,
     NORMALIZATION_RAW,
     PSD_CONVENTION,
+    SCENARIO_SNL,
+    SCENARIO_TAGS,
     Scenario,
     SensorParams,
     SpectrumCurve,
@@ -41,13 +43,8 @@ from .core import (
 from .dynamics import psd_from_response
 from .errors import NoBandError, SqzSensorError
 
-_SCENARIO_CHOICES = (
-    "no-squeeze",
-    "input-squeeze",
-    "double-squeeze-optimal",
-    "custom",
-    "snl",
-)
+#: ``--scenario`` spellings of the scenario tags.
+_SCENARIO_NAMES = tuple(tag.replace("_", "-") for tag in SCENARIO_TAGS)
 
 _FIG2_SQUEEZE_POWER = 30.0  # exp(2r) of the reference operating point
 
@@ -77,8 +74,8 @@ def _sha256(path: str | Path | None) -> str | None:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _provenance(command: str, params: SensorParams, params_file=None) -> dict:
-    """The header every manifest and report carries: what produced it, from what."""
+def _provenance(command: str, params: SensorParams, params_file=None, **fields) -> dict:
+    """Every manifest and report: what produced it, from what, then ``fields``."""
     return {
         "command": command,
         "tool_version": __version__,
@@ -90,6 +87,7 @@ def _provenance(command: str, params: SensorParams, params_file=None) -> dict:
         "params_file": str(params_file) if params_file else None,
         "params_sha256": _sha256(params_file),
         "params": params_to_dict(params),
+        **fields,
     }
 
 
@@ -109,17 +107,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
 def _write_json(path: Path, obj) -> None:
     """The one JSON output format: indented, sorted keys, final newline."""
     _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def build_manifest(command: str, params: SensorParams, *, params_file=None,
-                   scenario: str | None = None, normalization: str = NORMALIZATION_RAW,
-                   grid: dict | None = None, outputs: list[str] | None = None) -> dict:
-    return _provenance(command, params, params_file) | {
-        "scenario": scenario,
-        "normalization": normalization,
-        "grid": grid,
-        "outputs": outputs or [],
-    }
 
 
 def _curve_csv(curve: SpectrumCurve, manifest: dict) -> str:
@@ -156,7 +143,7 @@ def write_curve(path: Path, curve: SpectrumCurve, manifest: dict, fmt: str) -> N
 
 
 def _make_curve(scenario_name: str, params: SensorParams, grid: np.ndarray) -> SpectrumCurve:
-    if scenario_name == "snl":
+    if scenario_name == SCENARIO_SNL:
         return spectra.snl_curve(params, grid)
     return spectra.scenario_curve(Scenario.from_name(scenario_name), params, grid)
 
@@ -171,8 +158,8 @@ def cmd_spectrum(args) -> int:
         curve = spectra.normalize_curve(curve, params)
         normalization = NORMALIZATION_KP_OVER_N
     out = Path(args.out)
-    manifest = build_manifest(
-        "spectrum", params, params_file=args.params,
+    manifest = _provenance(
+        "spectrum", params, args.params,
         scenario=curve.scenario, normalization=normalization,
         grid={"omega_min": args.omega_min, "omega_max": omega_max, "points": args.points},
         outputs=[out.name],
@@ -203,7 +190,7 @@ def cmd_fig2(args) -> int:
     out_dir = Path(args.out_dir)
     ext = "csv" if args.format == "csv" else "json"
     outputs = []
-    manifest = build_manifest(
+    manifest = _provenance(
         "fig2", params, scenario="all", normalization=NORMALIZATION_KP_OVER_N,
         grid={"omega_min": 0.0, "omega_max": 4.0 * params.kappa_prime, "points": args.points},
     )
@@ -270,15 +257,15 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
     worst = 0.0
     for scenario in scenarios:
         params_m = scenario.materialize(params_c)
-        oracle = psd_from_response(params_m, grid).values
         closed = spectra.closed_form_psd(scenario, params_m, grid) * corrupt
+        oracle = psd_from_response(params_m, grid).values
         worst = max(worst, float(np.max(np.abs(oracle - closed) / closed)))
     rng = np.random.default_rng(seed)
     probe_omegas = np.linspace(0.0, 4.0, 17)
     for _ in range(20):
         p = _random_cancelled_params(rng)
-        oracle = psd_from_response(p, probe_omegas).values
         closed = spectra.measurement_psd_raw(p, probe_omegas) * corrupt
+        oracle = psd_from_response(p, probe_omegas).values
         worst = max(worst, float(np.max(np.abs(oracle - closed) / closed)))
     checks.append(_gate("frequency_domain_solver_vs_closed_forms", "max relative deviation",
                         1e-12, worst, t0, params=params_to_dict(params_c)))
@@ -312,13 +299,8 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
                         "max rms relative deviation over [0.2, 3] kappa_prime",
                         0.05, worst_rms, t0, details=details, runs=runs))
 
-    return _provenance("validate", params) | {
-        "budget": budget,
-        "seed": seed,
-        "mutate": mutate,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
+    return _provenance("validate", params, budget=budget, seed=seed, mutate=mutate,
+                       checks=checks, passed=all(c["passed"] for c in checks))
 
 
 def cmd_validate(args) -> int:
@@ -337,7 +319,7 @@ def cmd_validate(args) -> int:
 
 def cmd_optimize(args) -> int:
     params = load_params(args.params)
-    result = _provenance("optimize", params, args.params) | {"target": args.target}
+    result = _provenance("optimize", params, args.params, target=args.target)
     if args.target == "kc":
         closed = optimize.optimal_kc(params)
         numeric = optimize.numeric_min_kc(params, omega_probe=args.omega)
@@ -413,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="evaluate a scenario spectrum on a grid")
     p_spec.add_argument("--params", required=True, help="JSON parameter file")
-    p_spec.add_argument("--scenario", required=True, choices=_SCENARIO_CHOICES)
+    p_spec.add_argument("--scenario", required=True, choices=_SCENARIO_NAMES + (SCENARIO_SNL,))
     p_spec.add_argument("--omega-min", type=_finite_float, default=0.0)
     p_spec.add_argument("--omega-max", type=_finite_float, default=None,
                         help="default: 4 kappa_prime")
@@ -444,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--params", required=True)
     p_opt.add_argument("--target", required=True, choices=("kc", "snl_kappa", "band"))
     p_opt.add_argument("--scenario", default="double-squeeze-optimal",
-                       choices=_SCENARIO_CHOICES[:4])
+                       choices=_SCENARIO_NAMES)
     p_opt.add_argument("--omega", type=_finite_float, default=1.0,
                        help="probe frequency for kc/snl_kappa targets")
     p_opt.add_argument("--omega-min", type=_finite_float, default=0.0)

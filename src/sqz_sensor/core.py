@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,21 +44,21 @@ def r_from_db(squeeze_db: float) -> float:
     return float(squeeze_db) * math.log(10.0) / 20.0
 
 
-def db_from_r(r_squeeze: float) -> float:
-    """Inverse of :func:`r_from_db`."""
-    return 20.0 * float(r_squeeze) / math.log(10.0)
-
-
 def spm_cancelling_ks(gamma_spm: float, n_photons: float) -> float:
     """Sine-quadrature parametric gain that cancels self-phase modulation.
 
-    Returns ``2 * gamma_spm * n_photons``.
+    Returns ``2 * gamma_spm * n_photons``; raises :class:`RangeError`
+    when that product overflows.
     """
     if not 0.0 <= gamma_spm < math.inf:
         raise RangeError(f"gamma_spm must be finite and >= 0, got {gamma_spm}")
     if not 0.0 < n_photons < math.inf:
         raise RangeError(f"n_photons must be finite and > 0, got {n_photons}")
-    return 2.0 * gamma_spm * n_photons
+    k_s = 2.0 * gamma_spm * n_photons
+    if k_s == math.inf:
+        raise RangeError(f"gamma_spm = {gamma_spm!r} and n_photons = {n_photons!r}: "
+                         "the cancelling gain 2 gamma_spm n_photons overflows")
+    return k_s
 
 
 def rates_from_quality(omega_0: float, q_intrinsic: float, coupling_ratio: float) -> tuple[float, float]:
@@ -143,8 +143,7 @@ class SensorParams:
             )
         if self.units not in (UNITS_KAPPA_PRIME, UNITS_SI):
             raise RangeError(f"units must be {UNITS_KAPPA_PRIME!r} or {UNITS_SI!r}, got {self.units!r}")
-        for name in ("kappa_prime", "kappa_double_prime", "eta", "n_photons",
-                     "gamma_spm", "r_squeeze", "k_c", "k_s"):
+        for name in _NUMERIC_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise RangeError(f"{name} must be finite")
         if not math.isfinite(self.kappa):
@@ -178,30 +177,22 @@ class SensorParams:
         return abs(self.k_s - ks_target) <= 1e-12 * scale
 
 
+#: The parameter schema, read off the fields: every field but the string
+#: ``units`` is a number, and the fields without a default are required.
+_FIELD_NAMES = tuple(f.name for f in fields(SensorParams))
+_NUMERIC_FIELDS = tuple(f.name for f in fields(SensorParams) if f.type == "float")
+_REQUIRED_FIELDS = tuple(f.name for f in fields(SensorParams) if f.default is MISSING)
+_PARAM_FILE_KEYS = {*_FIELD_NAMES, "squeeze_db", "auto_spm_cancel"}
+
+
 def params_to_dict(params: SensorParams) -> dict:
     """Plain-JSON-able snapshot of a parameter set."""
-    return {
-        "kappa_prime": params.kappa_prime,
-        "kappa_double_prime": params.kappa_double_prime,
-        "eta": params.eta,
-        "n_photons": params.n_photons,
-        "gamma_spm": params.gamma_spm,
-        "r_squeeze": params.r_squeeze,
-        "k_c": params.k_c,
-        "k_s": params.k_s,
-        "units": params.units,
-    }
+    return {name: getattr(params, name) for name in _FIELD_NAMES}
 
 
-_PARAM_FILE_KEYS = {
-    "kappa_prime", "kappa_double_prime", "eta", "n_photons", "gamma_spm",
-    "squeeze_db", "r_squeeze", "k_c", "k_s", "auto_spm_cancel", "units",
-}
-
-
-def _number(data: dict, key: str, default: float = 0.0) -> float:
+def _number(data: dict, key: str) -> float:
     """A numeric schema value; JSON booleans and strings are not numbers."""
-    value = data.get(key, default)
+    value = data[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"parameter {key!r} must be a number, got {type(value).__name__}")
     try:
@@ -213,9 +204,9 @@ def _number(data: dict, key: str, default: float = 0.0) -> float:
 def params_from_dict(data: dict) -> SensorParams:
     """Build :class:`SensorParams` from the parameter-file schema.
 
-    Required keys: ``kappa_prime``, ``kappa_double_prime``, ``eta``,
-    ``n_photons``.  Squeezing may be given as ``squeeze_db`` (decibels)
-    or directly as ``r_squeeze``.  The sine-quadrature gain is either
+    The keys are the :class:`SensorParams` fields, those without a default
+    required, plus two alternatives.  Squeezing may be given as
+    ``squeeze_db`` (decibels) or directly as ``r_squeeze``.  The sine-quadrature gain is either
     ``k_s`` or computed by ``"auto_spm_cancel": true``; supplying both is
     an error.  Rates and factors must be JSON numbers, ``auto_spm_cancel``
     a JSON boolean and ``units`` a string.
@@ -225,7 +216,7 @@ def params_from_dict(data: dict) -> SensorParams:
     unknown = set(data) - _PARAM_FILE_KEYS
     if unknown:
         raise ConfigError(f"unknown parameter keys: {sorted(unknown)}")
-    for key in ("kappa_prime", "kappa_double_prime", "eta", "n_photons"):
+    for key in _REQUIRED_FIELDS:
         if key not in data:
             raise ConfigError(f"missing required parameter {key!r}")
     if "squeeze_db" in data and "r_squeeze" in data:
@@ -240,28 +231,11 @@ def params_from_dict(data: dict) -> SensorParams:
     if not isinstance(units, str):
         raise ConfigError(f"parameter 'units' must be a string, got {type(units).__name__}")
 
-    gamma_spm = _number(data, "gamma_spm")
-    n_photons = _number(data, "n_photons")
-    if auto_spm_cancel:
-        k_s = spm_cancelling_ks(gamma_spm, n_photons)
-    else:
-        k_s = _number(data, "k_s")
+    values = {name: _number(data, name) for name in _NUMERIC_FIELDS if name in data}
     if "squeeze_db" in data:
-        r_squeeze = r_from_db(_number(data, "squeeze_db"))
-    else:
-        r_squeeze = _number(data, "r_squeeze")
-
-    return SensorParams(
-        kappa_prime=_number(data, "kappa_prime"),
-        kappa_double_prime=_number(data, "kappa_double_prime"),
-        eta=_number(data, "eta"),
-        n_photons=n_photons,
-        gamma_spm=gamma_spm,
-        r_squeeze=r_squeeze,
-        k_c=_number(data, "k_c"),
-        k_s=k_s,
-        units=units,
-    )
+        values["r_squeeze"] = r_from_db(_number(data, "squeeze_db"))
+    params = SensorParams(**values, units=units)
+    return params.with_spm_cancelled() if auto_spm_cancel else params
 
 
 def load_params(path: str | Path) -> SensorParams:
@@ -275,7 +249,7 @@ SCENARIO_INPUT_SQUEEZE = "input_squeeze"
 SCENARIO_DOUBLE_SQUEEZE_OPTIMAL = "double_squeeze_optimal"
 SCENARIO_CUSTOM = "custom"
 
-_SCENARIO_TAGS = (
+SCENARIO_TAGS = (
     SCENARIO_NO_SQUEEZE,
     SCENARIO_INPUT_SQUEEZE,
     SCENARIO_DOUBLE_SQUEEZE_OPTIMAL,
@@ -296,7 +270,7 @@ class Scenario:
     tag: str
 
     def __post_init__(self):
-        if self.tag not in _SCENARIO_TAGS:
+        if self.tag not in SCENARIO_TAGS:
             raise ScenarioMismatchError(f"unknown scenario tag {self.tag!r}")
 
     @classmethod
@@ -334,6 +308,22 @@ class Scenario:
         return params
 
 
+def frequency_grid(omegas) -> np.ndarray:
+    """``omegas`` as a float array, checked to be a frequency grid.
+
+    Raises :class:`GridError` unless the grid is 1-d, non-empty and
+    strictly increasing.
+    """
+    grid = np.asarray(omegas, dtype=float)
+    if grid.ndim != 1:
+        raise GridError(f"frequency grid must be 1-d, got shape {grid.shape}")
+    if grid.size == 0:
+        raise GridError("frequency grid must contain at least one point")
+    if not np.all(grid[1:] > grid[:-1]):
+        raise GridError("frequency grid must be strictly increasing")
+    return grid
+
+
 SCENARIO_SNL = "snl"
 _CURVE_LABELS_ALLOWING_ZERO = (SCENARIO_SNL,)
 
@@ -356,14 +346,11 @@ class SpectrumCurve:
     def __post_init__(self):
         # Private copies: freezing the caller's arrays would leave them
         # read-only for the caller, or still writeable through a base.
-        omegas = np.array(self.omegas, dtype=float)
+        omegas = frequency_grid(self.omegas).copy()
         values = np.array(self.values, dtype=float)
-        if omegas.ndim != 1 or values.shape != omegas.shape:
-            raise GridError("omegas and values must be 1-d arrays of equal length")
-        if omegas.size == 0:
-            raise GridError("curve must contain at least one point")
-        if omegas.size > 1 and not np.all(np.diff(omegas) > 0.0):
-            raise GridError("frequency grid must be strictly increasing")
+        if values.shape != omegas.shape:
+            raise GridError(f"values of shape {values.shape} do not match "
+                            f"the {omegas.size}-point frequency grid")
         if not np.all(np.isfinite(values)):
             raise RangeError("spectral values must be finite")
         if self.scenario in _CURVE_LABELS_ALLOWING_ZERO:

@@ -19,6 +19,7 @@ from .core import (
     NORMALIZATION_RAW,
     SensorParams,
     SpectrumCurve,
+    frequency_grid,
     params_to_dict,
     spm_cancelling_ks,
 )
@@ -172,11 +173,10 @@ def psd_from_response(params: SensorParams, omegas, xi_referred: bool = True) ->
 
     With ``xi_referred=True`` the sum noise is divided by the squared
     gain magnitude, expressing it in units of the eigenfrequency
-    perturbation being sensed.
+    perturbation being sensed.  ``omegas`` must pass
+    :func:`~sqz_sensor.core.frequency_grid`.
     """
-    w = np.asarray(omegas, dtype=float)
-    if w.ndim != 1:
-        raise RangeError("omegas must be a 1-d grid")
+    w = frequency_grid(omegas)
     resp = frequency_response(params, w)
     psds = input_noise_psds(params)
     total = (

@@ -75,20 +75,31 @@ def optimal_kc(params: SensorParams) -> float:
     """Loss-optimal cosine-quadrature parametric gain.
 
     The optimum balances the residual squeezed input noise against the
-    output-loss vacuum and is independent of the sideband frequency.  It
-    always lies strictly inside the stability range; its sign indicates
-    whether the measured quadrature is internally squeezed (positive) or
-    anti-squeezed (negative).
+    output-loss vacuum and is independent of the sideband frequency.  Its
+    sign indicates whether the measured quadrature is internally squeezed
+    (positive) or anti-squeezed (negative).  Raises :class:`RangeError`
+    unless it is finite and strictly inside the stability range
+    ``|k_c| < kappa``: it is on the edge for a lossless resonator with
+    ``eta = 1``, and rounds onto it when one rate is far below the other
+    or the loss factor far exceeds ``exp(-2r)``.
     """
+    kp, kpp = params.kappa_prime, params.kappa_double_prime
     em2r = math.exp(-2.0 * params.r_squeeze)
     eps2 = params.epsilon_sq
     den = em2r + eps2
     if den == 0.0:
         # eta = 1 and exp(-2r) underflows: the eta = 1 optimum holds for
         # any squeezing.
-        return params.kappa_prime - params.kappa_double_prime
-    num = (params.kappa_prime - params.kappa_double_prime) * em2r - eps2 * params.kappa
-    return num / den
+        kc = kp - kpp
+    else:
+        kc = ((kp - kpp) * em2r - eps2 * params.kappa) / den
+    if not abs(kc) < params.kappa:
+        raise RangeError(
+            f"kappa_prime = {kp!r}, kappa_double_prime = {kpp!r}, eta = {params.eta!r} and "
+            f"r_squeeze = {params.r_squeeze!r}: the loss-optimal k_c = {kc!r} is not "
+            f"inside the stability range |k_c| < kappa = {params.kappa!r}"
+        )
+    return kc
 
 
 def numeric_min_kc(params: SensorParams, omega_probe: float = 0.0) -> OptimizationResult:

@@ -49,12 +49,20 @@ def quadratic_coefficients(params: SensorParams) -> tuple[float, float]:
     scenarios differ only in the cosine gain ``k_c`` carried by
     ``params``, which enters the frequency-independent floor ``c0``
     alone.  Stability, ``|k_c| < kappa``, is checked when ``params`` is built.
-    Raises :class:`RangeError` when a squared rate overflows.
+    Raises :class:`RangeError` when the scale ``8 kappa_prime N`` underflows
+    to 0 or overflows, when the loss factor ``(1 - eta) / eta`` overflows,
+    or when a squared rate overflows.
     """
     kp, kpp, kc = params.kappa_prime, params.kappa_double_prime, params.k_c
     em2r = math.exp(-2.0 * params.r_squeeze)
     eps2 = params.epsilon_sq
     scale = 8.0 * kp * params.n_photons
+    if not (0.0 < scale < math.inf and eps2 < math.inf):
+        raise RangeError(
+            f"kappa_prime = {kp!r}, n_photons = {params.n_photons!r} and eta = {params.eta!r}: "
+            "the spectrum scale 8 kappa_prime n_photons or the loss factor "
+            "(1 - eta) / eta is beyond floating-point range"
+        )
     c2 = (em2r + eps2) / scale
     try:
         c0 = ((kp - kpp - kc) ** 2 * em2r + 4.0 * kp * kpp + eps2 * (params.kappa + kc) ** 2) / scale

@@ -37,6 +37,7 @@ from .core import (
     NORMALIZATION_RAW,
     SensorParams,
     SpectrumCurve,
+    frequency_grid,
     params_to_dict,
 )
 from .dynamics import (
@@ -356,13 +357,11 @@ def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> S
     Hann window, 50% overlap, double-sided density convention (a vacuum
     input estimates to 1/2).  With ``xi_referred=True`` the estimate is
     divided by the squared model gain, expressing it in units of the
-    sensed frequency perturbation.
+    sensed frequency perturbation.  ``omega_grid`` must pass
+    :func:`~sqz_sensor.core.frequency_grid`, start at or above 0 and end
+    at or below the Nyquist frequency.
     """
-    grid = np.asarray(omega_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise GridError("omega_grid must be a non-empty 1-d array")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0.0):
-        raise GridError("omega_grid must be strictly increasing")
+    grid = frequency_grid(omega_grid)
     if grid[0] < 0.0:
         raise GridError("omega_grid must be non-negative")
     dt = run.dt

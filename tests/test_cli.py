@@ -264,9 +264,23 @@ class TestOptimizeCommand:
         assert not out.exists()
 
     def test_kc_target_when_the_objective_overflows(self, tmp_path, capsys):
-        # kappa^2 overflows at every k_c: the minimum found is infinite.
+        # The closed-form optimum rounds to -kappa, onto the stability edge;
+        # the objective, whose kappa^2 overflows, is never evaluated.
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps(FIG2_FILE | {"kappa_double_prime": 1e160}))
+        out = tmp_path / "kc.json"
+        rc = main(["optimize", "--params", str(pfile), "--target", "kc", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "kappa_double_prime = 1e+160" in err and "stability range" in err
+        assert not out.exists()
+
+    def test_kc_target_when_the_objective_overflows_inside_the_range(self, tmp_path, capsys):
+        # The closed-form optimum is inside the stability range, but
+        # kappa^2 overflows at every k_c: the minimum found is infinite.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"kappa_prime": 1e160}))
         out = tmp_path / "kc.json"
         rc = main(["optimize", "--params", str(pfile), "--target", "kc", "--out", str(out)])
         assert rc == 2

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -142,9 +142,10 @@ class TestRateHelpers:
     def test_squeeze_db_conversion(self):
         r = sq.r_from_db(15.0)
         assert math.exp(2.0 * r) == pytest.approx(10.0 ** 1.5, rel=1e-12)
-        assert sq.db_from_r(r) == pytest.approx(15.0, rel=1e-12)
+        assert sq.r_from_db(0.0) == 0.0
         # a power factor of 30 is a squeezing level just under 15 dB
-        assert sq.db_from_r(0.5 * math.log(30.0)) == pytest.approx(14.77, abs=0.01)
+        assert sq.r_from_db(14.77) == pytest.approx(0.5 * math.log(30.0),
+                                                    abs=0.01 * math.log(10.0) / 20.0)
 
     def test_with_spm_cancelled(self):
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7,
@@ -244,11 +245,46 @@ class TestParamsFile:
         with pytest.raises(ConfigError, match="bandwidth"):
             sq.load_params(path)
 
+    def test_roundtrip_with_every_field_set(self):
+        p = SensorParams(kappa_prime=2.0, kappa_double_prime=0.3, eta=0.6, n_photons=3.0,
+                         gamma_spm=0.05, r_squeeze=0.4, k_c=-0.5, k_s=0.2, units="si")
+        assert all(getattr(p, f.name) != f.default
+                   for f in fields(SensorParams) if f.default is not MISSING)
+        assert sq.params_from_dict(sq.params_to_dict(p)) == p
+
     def test_roundtrip_dict(self, fig2_params):
         d = sq.params_to_dict(fig2_params)
         assert sq.params_from_dict(
             {k: v for k, v in d.items() if k != "r_squeeze"} | {"r_squeeze": d["r_squeeze"]}
         ) == fig2_params
+
+
+BAD_GRIDS = {
+    "2-d": [[0.5, 1.0], [1.5, 2.0]],
+    "empty": [],
+    "decreasing": [1.0, 0.5],
+    "repeated-point": [0.5, 1.0, 1.0],
+}
+
+
+@pytest.fixture(scope="module")
+def short_run():
+    params = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0)
+    return sq.simulate(params, sq.SimulationConfig(dt=0.02, duration=20.0, seed=1,
+                                                   n_segments=2))
+
+
+@pytest.mark.parametrize("consumer", ["SpectrumCurve", "psd_from_response", "estimate_psd"])
+@pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+def test_every_grid_consumer_applies_the_one_grid_rule(consumer, grid, fig2_params, short_run):
+    grid = np.array(grid, dtype=float)
+    call = {
+        "SpectrumCurve": lambda: SpectrumCurve(omegas=grid, values=np.ones(grid.shape)),
+        "psd_from_response": lambda: sq.psd_from_response(fig2_params, grid),
+        "estimate_psd": lambda: sq.estimate_psd(short_run, grid),
+    }[consumer]
+    with pytest.raises(sq.GridError, match="frequency grid must"):
+        call()
 
 
 class TestSpectrumCurve:

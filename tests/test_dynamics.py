@@ -166,7 +166,7 @@ class TestPsdFromResponse:
         assert up == pytest.approx(down, rel=1e-14)
 
     def test_grid_must_be_1d(self, fig2_params):
-        with pytest.raises(sq.RangeError):
+        with pytest.raises(sq.GridError):
             sq.psd_from_response(fig2_params, np.ones((2, 2)))
 
 

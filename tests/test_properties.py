@@ -228,6 +228,28 @@ def test_parameter_file_fuzz_exits_cleanly(dropped, overrides, extremes, command
     assert_exits_cleanly(data, command)
 
 
+#: Files that put the spectrum scale 8 kappa_prime N, the loss factor
+#: (1 - eta) / eta, the loss-optimal gain or the cancelling gain 2 gamma N
+#: beyond floating-point range (or the optimum onto the stability edge).
+OUT_OF_RANGE_FILES = (
+    {"kappa_prime": 1e-200, "n_photons": 1e-200},
+    {"kappa_prime": 1e-30, "n_photons": 1e-300},
+    {"kappa_prime": 1e100, "n_photons": 1e300},
+    {"eta": 5e-324},
+    {"kappa_prime": 1e-300},
+    {"gamma_spm": 1e200, "n_photons": 1e200, "auto_spm_cancel": True},
+)
+
+
+@pytest.mark.parametrize("command", COMMANDS + (["validate", "--budget", "4"],), ids=" ".join)
+@pytest.mark.parametrize("overrides", OUT_OF_RANGE_FILES, ids=json.dumps)
+def test_out_of_range_files_name_their_keys(command, overrides):
+    error = assert_exits_cleanly(VALID_FILE | overrides, command)
+    if error:
+        assert any(f"{key} = {value!r}" in error for key, value in overrides.items())
+        assert "float division by zero" not in error
+
+
 @pytest.mark.parametrize("magnitude", EXTREME_MAGNITUDES)
 @pytest.mark.parametrize("key", EXTREME_KEYS)
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
