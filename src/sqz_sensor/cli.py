@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -233,14 +234,27 @@ def _gate(name: str, comparison: str, gate: float, measured: float, t0: float, *
             "passed": measured <= gate, **fields, "runtime_s": time.perf_counter() - t0}
 
 
+def _stochastic_rms(scenario: Scenario, params: SensorParams,
+                    config: stochastic.SimulationConfig) -> float:
+    """RMS relative deviation of one simulated spectrum from its closed form."""
+    run = stochastic.simulate(params, config)
+    band = np.linspace(0.2 * params.kappa_prime, 3.0 * params.kappa_prime, 36)
+    estimate = stochastic.estimate_psd(run, band, xi_referred=True).values
+    closed = spectra.closed_form_psd(scenario, params, band)
+    return float(np.sqrt(np.mean((estimate / closed - 1.0) ** 2)))
+
+
 def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = False) -> dict:
     """Run the dual-oracle validation gates and return a report dict.
 
     The gates run with the self-phase-modulation coupling cancelled, so
     each check records the parameters it ran at (``params``; the
     stochastic gate one set and seed per scenario, under ``runs``).
-    ``mutate`` perturbs the closed-form reference by one part per
-    million as a negative control; the gates must then fail.
+    The stochastic gate's three runs overlap on up to three threads,
+    longest first; its values, key order and first error are those of a
+    serial loop in scenario order, so the report does not depend on the
+    core count.  ``mutate`` perturbs the closed-form reference by one
+    part per million as a negative control; the gates must then fail.
     """
     checks = []
     params_c = params.with_spm_cancelled()
@@ -280,24 +294,30 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
     checks.append(_gate("numeric_kc_minimum_vs_closed_form", "max absolute deviation",
                         1e-8, max(deltas), t0, params=params_to_dict(params_c)))
 
-    # Gate 3: stochastic simulator against the closed forms.
+    # Gate 3: stochastic simulator against the closed forms.  Results are
+    # read in scenario order, so the first error is a serial loop's; as
+    # there, settings that fail to build stop the list, and their error
+    # is raised once the runs before them have reported.
     t0 = time.perf_counter()
-    worst_rms = 0.0
-    details, runs = {}, {}
+    jobs, runs, config_error = [], {}, None
     for i, scenario in enumerate(scenarios):
         params_m = scenario.materialize(params_c)
         runs[scenario.tag] = {"params": params_to_dict(params_m), "seed": seed + i}
-        config = stochastic.spectral_comparison_config(params_m, budget, seed + i)
-        run = stochastic.simulate(params_m, config)
-        band = np.linspace(0.2 * params_m.kappa_prime, 3.0 * params_m.kappa_prime, 36)
-        estimate = stochastic.estimate_psd(run, band, xi_referred=True).values
-        closed = spectra.closed_form_psd(scenario, params_m, band)
-        rms = float(np.sqrt(np.mean((estimate / closed - 1.0) ** 2)))
-        details[scenario.tag] = rms
-        worst_rms = max(worst_rms, rms)
+        try:
+            config = stochastic.spectral_comparison_config(params_m, budget, seed + i)
+        except Exception as exc:
+            config_error = exc
+            break
+        jobs.append((scenario, params_m, config))
+    longest_first = sorted(jobs, key=lambda job: job[2].duration / job[2].dt, reverse=True)
+    with ThreadPoolExecutor(max_workers=min(len(scenarios), os.cpu_count() or 1)) as pool:
+        futures = {job[0].tag: pool.submit(_stochastic_rms, *job) for job in longest_first}
+        details = {scenario.tag: futures[scenario.tag].result() for scenario, _, _ in jobs}
+    if config_error is not None:
+        raise config_error
     checks.append(_gate("stochastic_simulator_vs_closed_forms",
                         "max rms relative deviation over [0.2, 3] kappa_prime",
-                        0.05, worst_rms, t0, details=details, runs=runs))
+                        0.05, max(0.0, *details.values()), t0, details=details, runs=runs))
 
     return _provenance("validate", params, budget=budget, seed=seed, mutate=mutate,
                        checks=checks, passed=all(c["passed"] for c in checks))

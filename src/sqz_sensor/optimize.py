@@ -157,11 +157,18 @@ def numeric_min_kappa(omega: float, n_photons: float = 1.0) -> OptimizationResul
     spacing of an end.  In ``u`` the spectrum is
     ``(|omega|/4N) cosh(u - ln|omega|)``, symmetric about its minimum, so
     the parabolic polish leaves no first-order bias.  Raises
-    :class:`RangeError` for a zero or non-finite omega, and when the
+    :class:`RangeError` for a zero or non-finite omega, when ``8 kappa N``
+    leaves the floating-point range at an end of the search, and when the
     spectrum does not depend on the bandwidth because ``omega^2`` and
     ``kappa^2`` overflow or underflow.
     """
     w = _check_omega(omega)
+    if not (0.0 < 8.0 * (w / 1e3) * n_photons and 8.0 * 1e3 * w * n_photons < math.inf):
+        raise RangeError(
+            f"n_photons = {n_photons!r} and omega = {omega!r}: the spectrum scale "
+            "8 kappa N is beyond floating-point range over the bandwidth search "
+            "|omega| 1e-3 .. |omega| 1e3"
+        )
 
     def objective(u: float) -> float:
         # np.exp keeps kappa a numpy float, so an overflowing kappa**2
@@ -231,7 +238,8 @@ def snl_crossings(
     # At the vertex b / (2 c2), (spectrum - limit) is -disc / (4 c2) and
     # (spectrum + limit) is (3 b^2 + 4 c2 c0) / (4 c2); the test compares
     # the two with the common factor taken out, so c2 = 0 needs no case.
-    if abs(disc) <= 1e-9 * (3.0 * b * b + 4.0 * c2 * c0):
+    # An overflowing 4 c2 c0 leaves disc = -inf: no root and no tangency.
+    if math.isfinite(disc) and abs(disc) <= 1e-9 * (3.0 * b * b + 4.0 * c2 * c0):
         lower = upper = b / (2.0 * c2)
     elif disc < 0.0:
         raise NoBandError("spectrum stays above the shot-noise limit")

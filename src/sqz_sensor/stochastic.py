@@ -14,9 +14,12 @@ numpy/scipy versions, whatever the core count.  Each integration method
 (Euler-Maruyama, exact Ornstein-Uhlenbeck update) is a small plan: the
 streams whose samples reach the detector, the detector's filter
 coefficients and how the draws form the filter inputs.  One chunked
-loop runs either plan and records the detector alone.  The streams are
-drawn concurrently, one task per stream and chunk, which leaves every
-sequence as a serial draw gives it.  The periodogram is Welch's estimate
+loop runs either plan and records the detector alone, on chunks small
+enough to stay in cache.  The streams are drawn concurrently, one task
+per stream and chunk, which leaves every sequence as a serial draw gives
+it.  Runs share no state, so callers may overlap them: the validation
+gate runs its three scenarios at once, longest first, and its report
+does not depend on the core count.  The periodogram is Welch's estimate
 as batched real FFTs; the gain is demodulated in one product.
 """
 
@@ -64,8 +67,12 @@ STREAM_V_S = 3
 STREAM_U_S = 4
 STREAM_A_S_RESIDUAL = 5
 
-#: Fixed chunk length; reproducibility must not depend on memory layout.
-_CHUNK = 1 << 20
+#: Samples per chunk.  At 2**16 each per-chunk array (512 KiB) stays in
+#: a core's L2 cache, and a chunk's arrays (a few MB in all) are small
+#: against the recorded series, so overlapping runs keep the peak
+#: resident set low.  Realizations do not depend on it: every stream is
+#: drawn in order and the filter states carry across chunks.
+_CHUNK = 1 << 16
 
 #: Periodogram segments transformed per batched FFT; bounds work memory.
 _SEGMENT_BATCH = 32
@@ -193,7 +200,8 @@ class _Plan:
     denominator ``den`` and one numerator per drive input in
     ``numerators``.  ``drive(draws, signal)`` turns the chunk's scaled
     draws and waveform samples (``None`` without a signal) into the drive
-    inputs and the detector's direct term.
+    inputs and the detector's direct term; both arrays are the chunk's
+    own, and it may overwrite them.
     """
 
     streams: tuple
@@ -237,12 +245,26 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     numerators = (h * np.array([1.0, 1.0 - a00, -a00]), h * np.array([0.0, a10, a10]))
 
     def drive(draws, signal):
+        # In place on the chunk's own arrays, each product and sum as in
+        # c_a a_s + c_v v_s, so the drive is the same to the last bit.
         a_s, v_s, u_s, *cosine = draws
-        f_s = c_a * a_s + c_v * v_s
+        v_s *= c_v
+        f_s = np.multiply(a_s, c_a)
+        f_s += v_s
         if signal is not None:
-            f_s += coupling * signal
-        f_c = (c_a * cosine[0] + c_v * cosine[1],) if cosine else ()
-        return (f_s, *f_c), q_as * a_s + q_us * u_s
+            signal *= coupling
+            f_s += signal
+        f_c = ()
+        if cosine:
+            a_c, v_c = cosine
+            a_c *= c_a
+            v_c *= c_v
+            a_c += v_c
+            f_c = (a_c,)
+        u_s *= q_us
+        direct = np.multiply(a_s, q_as, out=a_s)
+        direct += u_s
+        return (f_s, *f_c), direct
 
     if a10 == 0.0:
         # The cosine quadrature never reaches the detector (cancelled self-
@@ -286,11 +308,22 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     sig_scale = drift.signal_coupling * ((1.0 - decay) / lam)
 
     def drive(draws, signal):
+        # In place, each operation as in
+        # c_a (gain01 (a_bar dt) + a_resid) + c_v v_s.
         a_bar, a_resid, v_s, u_s = draws
-        w = c_a * (gain01 * (a_bar * dt) + a_resid) + c_v * v_s
+        w = np.multiply(a_bar, dt)
+        w *= gain01
+        w += a_resid
+        w *= c_a
+        v_s *= c_v
+        w += v_s
         if signal is not None:
-            w += sig_scale * signal
-        return (w,), q_as * a_bar + q_us * u_s
+            signal *= sig_scale
+            w += signal
+        u_s *= q_us
+        direct = np.multiply(a_bar, q_as, out=a_bar)
+        direct += u_s
+        return (w,), direct
 
     return _Plan(
         streams=((STREAM_A_S, math.sqrt(s_as / dt)), (STREAM_A_S_RESIDUAL, resid),
@@ -321,9 +354,20 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
     have negative times.  The result is a view of the one recorded
     series.  The pool ends with the call, so no idle workers outlive it
     or are inherited by a forked child.
+
+    The series has its own anonymous memory map, returned to the system
+    when its last view goes.  A malloc'd series freed on a worker thread
+    can stay resident in that thread's malloc arena, so runs that
+    overlap, as the validation gate's do, would keep up to one such
+    series per arena.
     """
+    import mmap  # loaded by the first run, not by the package import
+
     gens = [_stream(config.seed, stream_id) for stream_id, _ in plan.streams]
-    out = np.empty(n_total)
+    try:
+        out = np.frombuffer(mmap.mmap(-1, 8 * n_total), dtype=np.float64)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map {n_total} samples for the detector series") from exc
     zi = np.zeros((len(plan.numerators), plan.den.size - 1))
     with ThreadPoolExecutor(max_workers=min(len(plan.streams), os.cpu_count() or 1)) as pool:
         for i0 in range(0, n_total, _CHUNK):
@@ -338,16 +382,15 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
             if config.signal.amplitude != 0.0:
                 signal = config.signal.evaluate((np.arange(i0, i1) - n_burn) * config.dt)
             inputs, direct = plan.drive(draws, signal)
-            series = out[i0:i1]
             for j, (num, x) in enumerate(zip(plan.numerators, inputs)):
-                y, zi[j] = _scipy_signal.lfilter(num, plan.den, x, zi=zi[j])
+                y_j, zi[j] = _scipy_signal.lfilter(num, plan.den, x, zi=zi[j])
                 if j:
-                    series += y
+                    y += y_j
                 else:
-                    series[:] = y
-            series += direct
+                    y = y_j
+            np.add(y, direct, out=out[i0:i1])
             # Free this chunk's arrays before the next chunk is drawn.
-            del draws, signal, inputs, direct, x, y
+            del draws, signal, inputs, direct, x, y, y_j
     return out[n_burn:]
 
 

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +12,8 @@ import pytest
 import scipy
 
 import sqz_sensor as sq
+import sqz_sensor.cli as cli
+import sqz_sensor.stochastic as stochastic
 from sqz_sensor.cli import main, reference_params, run_validation
 
 from conftest import load_strict_json
@@ -240,6 +245,120 @@ class TestValidateCommand:
             assert run["params"] == sq.params_to_dict(ran_at)
 
 
+SPM_UNCANCELLED = sq.SensorParams(kappa_prime=1.0, kappa_double_prime=0.2, eta=0.8,
+                                  n_photons=1.0, gamma_spm=0.1, r_squeeze=0.7,
+                                  k_c=0.3, k_s=0.5)
+
+SCENARIO_ORDER = ["no_squeeze", "input_squeeze", "double_squeeze_optimal"]
+
+
+def without_timing(report):
+    """A validation report less its timestamp and runtimes."""
+    checks = [{k: v for k, v in check.items() if k != "runtime_s"} for check in report["checks"]]
+    return {k: v for k, v in report.items() if k != "timestamp"} | {"checks": checks}
+
+
+class TestStochasticGateRuns:
+    """Gate 3's runs overlap, but the report is that of a serial loop."""
+
+    @pytest.mark.parametrize("params", [reference_params(), SPM_UNCANCELLED],
+                             ids=["reference", "spm_uncancelled"])
+    @pytest.mark.parametrize("seed", [3, 12345])
+    def test_report_does_not_depend_on_core_count(self, params, seed, monkeypatch):
+        report = run_validation(params, budget=20, seed=seed)
+        workers, started = [], []
+        simulate = stochastic.simulate
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        def recording_simulate(params, config):
+            started.append((config.duration / config.dt, config.seed - seed))
+            return simulate(params, config)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(stochastic, "simulate", recording_simulate)
+        serial = run_validation(params, budget=20, seed=seed)
+        assert workers == [1]
+        # One worker starts the runs in submission order: longest first,
+        # equal lengths in scenario order.
+        assert started == sorted(started, key=lambda run: (-run[0], run[1]))
+        assert sorted(index for _, index in started) == [0, 1, 2]
+        assert without_timing(serial) == without_timing(report)
+        gate = report["checks"][2]
+        assert list(gate["details"]) == list(gate["runs"]) == SCENARIO_ORDER
+
+    def test_first_error_in_scenario_order_surfaces(self, monkeypatch):
+        simulate = stochastic.simulate
+        third_failed = threading.Event()
+
+        def failing_simulate(params, config):
+            if config.seed == 7:
+                # Fail only after the third scenario's run has failed.
+                third_failed.wait(timeout=30)
+                raise sq.ConfigError("first scenario")
+            if config.seed == 9:
+                third_failed.set()
+                raise sq.RangeError("third scenario")
+            return simulate(params, config)
+
+        monkeypatch.setattr(stochastic, "simulate", failing_simulate)
+        with pytest.raises(sq.ConfigError, match="first scenario"):
+            run_validation(reference_params(), budget=20, seed=7)
+        assert third_failed.is_set()
+
+    def test_a_settings_error_waits_for_the_runs_before_it(self, monkeypatch):
+        # A serial loop would run the first scenario before it sized the
+        # second one's run, so the first run's error comes first.
+        config_for = stochastic.spectral_comparison_config
+        started = []
+
+        def failing_config(params, n_segments, seed):
+            if seed == 8:
+                raise sq.ConfigError("second scenario's settings")
+            return config_for(params, n_segments, seed)
+
+        def failing_simulate(params, config):
+            started.append(config.seed)
+            raise sq.RangeError("first scenario's run")
+
+        monkeypatch.setattr(stochastic, "spectral_comparison_config", failing_config)
+        monkeypatch.setattr(stochastic, "simulate", failing_simulate)
+        with pytest.raises(sq.RangeError, match="first scenario's run"):
+            run_validation(reference_params(), budget=20, seed=7)
+        assert started == [7]
+        # With the first run passing, the settings error surfaces.
+        monkeypatch.setattr(cli, "_stochastic_rms", lambda *job: 0.01)
+        with pytest.raises(sq.ConfigError, match="second scenario's settings"):
+            run_validation(reference_params(), budget=20, seed=7)
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        run_validation(reference_params(), budget=20, seed=1)
+        assert threading.active_count() == before
+
+    def test_memory_error_in_a_worker_is_an_input_error(self, params_file, tmp_path,
+                                                        monkeypatch, capsys):
+        simulate = stochastic.simulate
+        threads = []
+
+        def recording_simulate(params, config):
+            threads.append(threading.current_thread())
+            return simulate(params, config)
+
+        monkeypatch.setattr(stochastic, "simulate", recording_simulate)
+        out = tmp_path / "report.json"
+        rc = main(["validate", "--params", str(params_file), "--budget", str(10 ** 12),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "exceeds the available memory" in capsys.readouterr().err
+        assert threads and threading.main_thread() not in threads
+        assert not out.exists()
+
+
 class TestOptimizeCommand:
     def test_kc_target(self, params_file, tmp_path, capsys):
         out = tmp_path / "kc.json"
@@ -382,6 +501,21 @@ class TestOptimizeCommand:
         assert result["band"] is None
         assert "reason" in result
 
+    @pytest.mark.parametrize("scenario", ["no-squeeze", "input-squeeze"])
+    def test_band_absent_when_the_quadratic_overflows(self, scenario, tmp_path):
+        # 4 c2 c0 overflows: the spectrum is far above the limit, which a
+        # tangency test reading inf <= inf took for a zero-width band.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps({"kappa_prime": 1e-200, "kappa_double_prime": 0.1,
+                                     "eta": 0.7, "n_photons": 1.0, "r_squeeze": 1.7}))
+        out = tmp_path / "band.json"
+        rc = main(["optimize", "--params", str(pfile), "--target", "band",
+                   "--scenario", scenario, "--out", str(out)])
+        assert rc == 0
+        result = load_strict_json(out.read_text())
+        assert result["band"] is None
+        assert "reason" in result
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("content", [b'{"kappa_prime": 1.0,', b"\xff\xfe"])
@@ -502,14 +636,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_snl_kappa_search_beyond_float_range_names_its_inputs(self, tmp_path, capsys):
+        # 8 kappa N overflows at the top of the bandwidth search.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"n_photons": 1e306}))
+        rc = main(["optimize", "--params", str(pfile), "--target", "snl_kappa"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n_photons = 1e+306" in err and "omega = 1.0" in err
+        assert "kappa_prime" not in err
+
     @pytest.mark.parametrize("argv", [
         ["validate", "--budget", str(10 ** 12)],
+        ["validate", "--budget", str(10 ** 15)],
+        ["validate", "--budget", str(10 ** 20)],
         ["spectrum", "--scenario", "snl", "--points", str(10 ** 17)],
     ])
     def test_sizes_beyond_the_address_space_are_input_errors(self, argv, params_file,
                                                              tmp_path, capsys):
-        # Both requests are petabytes, beyond the address space a 64-bit
-        # process gets, so the allocation fails at once and reserves nothing.
+        # All requests are petabytes or more, beyond the address space a
+        # 64-bit process gets, so the allocation fails at once and
+        # reserves nothing.  The larger budgets do not fit in a C size.
         out = tmp_path / "x.out"
         rc = main([*argv, "--params", str(params_file), "--out", str(out)])
         assert rc == 2

@@ -219,13 +219,25 @@ class TestSnlCrossings:
         mid = np.linspace(band.lower * 1.01, band.upper * 0.99, 17)
         assert np.all(sq.closed_form_psd(Scenario.input_squeeze(), p, mid) < sq.snl(p, mid))
 
-    def test_lossless_no_squeeze_tangency(self):
+    @pytest.mark.parametrize("kappa_prime", [2.0, 1e-150, 1e150])
+    def test_lossless_no_squeeze_tangency(self, kappa_prime):
         # With no squeezing the lossless spectrum touches the limit at
-        # exactly the half-bandwidth and never dips below.
-        p = SensorParams(kappa_prime=2.0, kappa_double_prime=0.0, eta=1.0, n_photons=1.0)
-        band = sq.snl_crossings(Scenario.no_squeeze(), p, (0.0, 10.0))
+        # exactly the half-bandwidth and never dips below, also where
+        # N c2 and N c0 are far from 1 (their product stays 1/64).
+        p = SensorParams(kappa_prime=kappa_prime, kappa_double_prime=0.0, eta=1.0,
+                         n_photons=1.0)
+        band = sq.snl_crossings(Scenario.no_squeeze(), p, (0.0, 10.0 * kappa_prime))
         assert band.is_degenerate
-        assert band.lower == pytest.approx(2.0, rel=1e-6)
+        assert band.lower == pytest.approx(kappa_prime, rel=1e-6)
+
+    @pytest.mark.parametrize("scenario", [Scenario.no_squeeze(), Scenario.input_squeeze()])
+    def test_no_band_when_the_quadratic_overflows(self, scenario):
+        # N c2 and N c0 are both about 1e199, so 4 c2 c0 overflows: the
+        # spectrum is far above the limit, not touching it.
+        p = SensorParams(kappa_prime=1e-200, kappa_double_prime=0.1, eta=0.7,
+                         n_photons=1.0, r_squeeze=1.7)
+        with pytest.raises(NoBandError):
+            sq.snl_crossings(scenario, p, (0.0, 8e-200))
 
     def test_band_when_squeezing_underflows(self, fig2_params):
         # eta = 1 with exp(-2r) underflowed: c2 = 0, the spectrum is the
