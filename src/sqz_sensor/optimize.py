@@ -11,6 +11,7 @@ quadratic minus the linear shot-noise limit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -158,12 +159,12 @@ def numeric_min_kappa(omega: float, n_photons: float = 1.0) -> OptimizationResul
     ``(|omega|/4N) cosh(u - ln|omega|)``, symmetric about its minimum, so
     the parabolic polish leaves no first-order bias.  Raises
     :class:`RangeError` for a zero or non-finite omega, when ``8 kappa N``
-    leaves the floating-point range at an end of the search, and when the
-    spectrum does not depend on the bandwidth because ``omega^2`` and
-    ``kappa^2`` overflow or underflow.
+    leaves the normal floating-point range at an end of the search, and
+    when the spectrum does not depend on the bandwidth because ``omega^2``
+    and ``kappa^2`` overflow.
     """
     w = _check_omega(omega)
-    if not (0.0 < 8.0 * (w / 1e3) * n_photons and 8.0 * 1e3 * w * n_photons < math.inf):
+    if not sys.float_info.min <= 8.0 * (w / 1e3) * n_photons <= 8.0 * 1e3 * w * n_photons < math.inf:
         raise RangeError(
             f"n_photons = {n_photons!r} and omega = {omega!r}: the spectrum scale "
             "8 kappa N is beyond floating-point range over the bandwidth search "

@@ -19,6 +19,7 @@ cases are this quadratic at ``kappa_double_prime = 0``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -50,27 +51,30 @@ def quadratic_coefficients(params: SensorParams) -> tuple[float, float]:
     ``params``, which enters the frequency-independent floor ``c0``
     alone.  Stability, ``|k_c| < kappa``, is checked when ``params`` is built.
     Raises :class:`RangeError` when the scale ``8 kappa_prime N`` underflows
-    to 0 or overflows, when the loss factor ``(1 - eta) / eta`` overflows,
-    or when a squared rate overflows.
+    to 0 or overflows, when the loss factor ``(1 - eta) / eta`` or ``c2``
+    overflows, or when a squared rate overflows.
     """
     kp, kpp, kc = params.kappa_prime, params.kappa_double_prime, params.k_c
     em2r = math.exp(-2.0 * params.r_squeeze)
     eps2 = params.epsilon_sq
     scale = 8.0 * kp * params.n_photons
-    if not (0.0 < scale < math.inf and eps2 < math.inf):
+    c2 = (em2r + eps2) / scale if scale > 0.0 else math.inf
+    if not (c2 < math.inf and scale < math.inf):
         raise RangeError(
             f"kappa_prime = {kp!r}, n_photons = {params.n_photons!r} and eta = {params.eta!r}: "
-            "the spectrum scale 8 kappa_prime n_photons or the loss factor "
-            "(1 - eta) / eta is beyond floating-point range"
+            "the spectrum scale 8 kappa_prime n_photons, the loss factor "
+            "(1 - eta) / eta or their ratio is beyond floating-point range"
         )
-    c2 = (em2r + eps2) / scale
+    d, s = kp - kpp - kc, params.kappa + kc
     try:
-        c0 = ((kp - kpp - kc) ** 2 * em2r + 4.0 * kp * kpp + eps2 * (params.kappa + kc) ** 2) / scale
+        c0 = (d ** 2 * em2r + 4.0 * kp * kpp + eps2 * s ** 2) / scale
     except OverflowError:
         raise RangeError(
             f"kappa_prime = {kp!r}, kappa_double_prime = {kpp!r} and k_c = {kc!r}: "
             "their squares overflow the spectrum floor"
         ) from None
+    if c0 == 0.0:  # the squares underflow: divide kappa_prime out of them and the scale
+        c0 = (d * (d / kp) * em2r + 4.0 * kpp + eps2 * s * (s / kp)) / (8.0 * params.n_photons)
     return c2, c0
 
 
@@ -82,7 +86,9 @@ def measurement_psd_raw(params: SensorParams, omega):
     :func:`quadratic_coefficients`.
     """
     c2, c0 = quadratic_coefficients(params)
-    values = c2 * np.square(np.asarray(omega, dtype=float)) + c0
+    w = np.asarray(omega, dtype=float)
+    # Where the terms meet at a subnormal omega^2, (c2 omega) omega keeps its digits.
+    values = (c2 * w * w if c0 < c2 * sys.float_info.min else c2 * np.square(w)) + c0
     return _shape_match(omega, values)
 
 

@@ -17,10 +17,9 @@ coefficients and how the draws form the filter inputs.  One chunked
 loop runs either plan and records the detector alone, on chunks small
 enough to stay in cache.  The streams are drawn concurrently, one task
 per stream and chunk, which leaves every sequence as a serial draw gives
-it.  Runs share no state, so callers may overlap them: the validation
-gate runs its three scenarios at once, longest first, and its report
-does not depend on the core count.  The periodogram is Welch's estimate
-as batched real FFTs; the gain is demodulated in one product.
+it.  Runs share no state, so callers may overlap them.  The periodogram
+is Welch's estimate as batched real FFTs; the gain is demodulated in one
+product.
 """
 
 from __future__ import annotations

@@ -7,6 +7,14 @@ import pytest
 from sqz_sensor import SensorParams
 
 
+def pytest_sessionfinish(session, exitstatus):
+    """A skipped test is not evidence: a run that skipped any fails."""
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if exitstatus == pytest.ExitCode.OK and reporter is not None and reporter.stats.get("skipped"):
+        reporter.write_line("\nerror: skipped tests fail the run, as a skip is not evidence")
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
 @pytest.fixture
 def fig2_params() -> SensorParams:
     """Reference operating point: coupling ten times the intrinsic loss,

@@ -39,6 +39,11 @@ README_FILE = {
     "units": "kappa_prime",
 }
 
+# kappa_prime^2 underflows to 0: the no-squeeze spectrum is
+# (omega^2 / kappa_prime + kappa_prime) / 8, touching the limit at 1e-200.
+SQUARES_UNDERFLOW_FILE = {"kappa_prime": 1e-200, "kappa_double_prime": 0.0, "eta": 1.0,
+                          "n_photons": 1.0}
+
 
 @pytest.fixture
 def params_file(tmp_path):
@@ -110,6 +115,17 @@ class TestSpectrumCommand:
         _, values, _ = read_curve_csv(out)
         assert values == pytest.approx([0.25], rel=1e-15)
 
+    def test_rates_whose_squares_underflow(self, tmp_path):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(SQUARES_UNDERFLOW_FILE))
+        out = tmp_path / "curve.csv"
+        rc = main(["spectrum", "--params", str(pfile), "--scenario", "no-squeeze",
+                   "--points", "5", "--out", str(out)])
+        assert rc == 0
+        omegas, values, _ = read_curve_csv(out)
+        kp = SQUARES_UNDERFLOW_FILE["kappa_prime"]
+        assert values == pytest.approx((omegas / kp * omegas + kp) / 8.0, rel=1e-15, abs=0.0)
+
     def test_json_format(self, params_file, tmp_path):
         out = tmp_path / "curve.json"
         main(["spectrum", "--params", str(params_file), "--scenario", "snl",
@@ -146,6 +162,17 @@ class TestSpectrumCommand:
 
 
 class TestFig2Command:
+    def test_ordering_failure_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        make_curve = cli._make_curve
+        swap = {"no_squeeze": "input_squeeze", "input_squeeze": "no_squeeze"}
+        monkeypatch.setattr(cli, "_make_curve",
+                            lambda name, params, grid: make_curve(swap.get(name, name), params, grid))
+        out_dir = tmp_path / "fig2"
+        rc = main(["fig2", "--out-dir", str(out_dir), "--points", "9"])
+        assert rc == 1
+        assert "ordering check failed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_curves_and_ordering(self, tmp_path):
         out_dir = tmp_path / "fig2"
         rc = main(["fig2", "--out-dir", str(out_dir), "--points", "401"])
@@ -310,9 +337,9 @@ class TestStochasticGateRuns:
             run_validation(reference_params(), budget=20, seed=7)
         assert third_failed.is_set()
 
-    def test_a_settings_error_waits_for_the_runs_before_it(self, monkeypatch):
-        # A serial loop would run the first scenario before it sized the
-        # second one's run, so the first run's error comes first.
+    def test_a_settings_error_raises_before_any_run_starts(self, monkeypatch):
+        # Every run is sized before any starts, so no simulation is spent
+        # on a gate whose second run cannot be built.
         config_for = stochastic.spectral_comparison_config
         started = []
 
@@ -321,19 +348,15 @@ class TestStochasticGateRuns:
                 raise sq.ConfigError("second scenario's settings")
             return config_for(params, n_segments, seed)
 
-        def failing_simulate(params, config):
+        def recording_simulate(params, config):
             started.append(config.seed)
-            raise sq.RangeError("first scenario's run")
+            raise AssertionError("a run started")
 
         monkeypatch.setattr(stochastic, "spectral_comparison_config", failing_config)
-        monkeypatch.setattr(stochastic, "simulate", failing_simulate)
-        with pytest.raises(sq.RangeError, match="first scenario's run"):
-            run_validation(reference_params(), budget=20, seed=7)
-        assert started == [7]
-        # With the first run passing, the settings error surfaces.
-        monkeypatch.setattr(cli, "_stochastic_rms", lambda *job: 0.01)
+        monkeypatch.setattr(stochastic, "simulate", recording_simulate)
         with pytest.raises(sq.ConfigError, match="second scenario's settings"):
             run_validation(reference_params(), budget=20, seed=7)
+        assert started == []
 
     def test_no_thread_outlives_the_call(self):
         before = threading.active_count()
@@ -421,6 +444,17 @@ class TestOptimizeCommand:
         band = json.loads(out.read_text())["band"]
         assert band["lower"] == pytest.approx(0.2, rel=1e-15)
         assert band["upper"] == 8.0
+
+    def test_band_target_when_rate_squares_underflow(self, tmp_path):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(SQUARES_UNDERFLOW_FILE))
+        out = tmp_path / "band.json"
+        rc = main(["optimize", "--params", str(pfile), "--target", "band",
+                   "--scenario", "no-squeeze", "--omega-max", "1e-199", "--out", str(out)])
+        assert rc == 0
+        band = json.loads(out.read_text())["band"]
+        assert band["degenerate"]
+        assert band["lower"] == pytest.approx(1e-200, rel=1e-15, abs=0.0)
 
     def test_snl_kappa_target(self, params_file, tmp_path):
         out = tmp_path / "kappa.json"
@@ -528,6 +562,29 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    def test_json_array_as_params_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "params.json"
+        bad.write_text(json.dumps([FIG2_FILE]))
+        rc = main(["spectrum", "--params", str(bad), "--scenario", "no-squeeze",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must contain a JSON object" in err
+
+    def test_arithmetic_error_is_input_error(self, params_file, tmp_path, monkeypatch, capsys):
+        def overflowing_curve(name, params, grid):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "_make_curve", overflowing_curve)
+        out = tmp_path / "x.csv"
+        rc = main(["spectrum", "--params", str(params_file), "--scenario", "no-squeeze",
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: parameters out of floating-point range: math range error\n")
+        assert not out.exists()
+
     def test_directory_as_params_is_input_error(self, tmp_path, capsys):
         rc = main(["validate", "--params", str(tmp_path), "--out", str(tmp_path / "r.json")])
         assert rc == 2
@@ -626,10 +683,10 @@ class TestExitCodes:
         assert err.value.code == 2
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("omega", ["1e300", "1e-300"])
+    @pytest.mark.parametrize("omega", ["1e300", "1e-310"])
     def test_snl_kappa_beyond_float_range_is_input_error(self, omega, params_file, capsys):
         # The bandwidth search spans 1e3 either side of omega, where
-        # omega^2 and kappa^2 overflow or underflow.
+        # omega^2 and kappa^2 overflow or 8 kappa N leaves the normal range.
         rc = main(["optimize", "--params", str(params_file), "--target", "snl_kappa",
                    "--omega", omega])
         assert rc == 2

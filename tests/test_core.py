@@ -54,6 +54,10 @@ class TestSensorParams:
         with pytest.raises(RangeError, match=field):
             SensorParams(**kwargs)
 
+    def test_infinite_rate_rejected(self):
+        with pytest.raises(RangeError, match="kappa_prime must be finite"):
+            SensorParams(kappa_prime=math.inf, kappa_double_prime=0.1, eta=0.7, n_photons=1.0)
+
     def test_derived_kappa_must_be_finite(self):
         with pytest.raises(RangeError, match="kappa = kappa_prime"):
             SensorParams(kappa_prime=1e308, kappa_double_prime=1e308, eta=0.7,
@@ -300,6 +304,19 @@ class TestSpectrumCurve:
         curve = SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.array([0.0, 0.25]),
                               scenario="snl")
         assert curve.values[0] == 0.0
+
+    def test_values_match_the_grid(self):
+        with pytest.raises(sq.GridError, match="do not match"):
+            SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.ones(3))
+
+    def test_snl_curve_may_not_go_negative(self):
+        with pytest.raises(RangeError, match=">= 0"):
+            SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.array([-0.1, 0.25]),
+                          scenario="snl")
+
+    def test_unknown_normalization(self):
+        with pytest.raises(RangeError, match="unknown normalization"):
+            SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.ones(2), normalization="db")
 
     def test_values_finite(self):
         with pytest.raises(RangeError):

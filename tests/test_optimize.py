@@ -173,10 +173,20 @@ class TestSnlOptimalKappa:
         res = sq.numeric_min_kappa(omega, n_photons)
         assert abs(res.argmin / abs(omega) - 1.0) <= 3e-11
 
-    @pytest.mark.parametrize("omega", [1e300, 1e-300])
+    @pytest.mark.parametrize("omega", [1e300, 1e-310])
     def test_frequency_beyond_float_range_raises_package_error(self, omega):
         with pytest.raises((sq.ConvergenceError, RangeError)):
             sq.numeric_min_kappa(omega, 1.0)
+
+    @pytest.mark.parametrize("omega, rel", [(1e-155, 1e-9), (1e-160, 1e-3), (1e-300, 1e-12)])
+    def test_tiny_frequency_finds_the_optimum(self, omega, rel):
+        # kappa^2 and omega^2 are subnormal or zero over much of the search.
+        # Below about 2e-162 kappa^2 is 0 and the floor kappa / 8N is
+        # recomputed; near 1e-160 the subnormal kappa^2 keeps about 4 digits.
+        res = sq.numeric_min_kappa(omega, 1.0)
+        assert res.argmin == pytest.approx(omega, rel=rel, abs=0.0)
+        assert res.value == pytest.approx(omega / 4.0, rel=rel, abs=0.0)
+        assert not res.boundary
 
 
 def quadratic_crossings(c2: float, c0: float, n_photons: float = 1.0):
@@ -251,6 +261,11 @@ class TestSnlCrossings:
     def test_interval_inside_band_is_the_band(self, fig2_params):
         band = sq.snl_crossings(Scenario.input_squeeze(), fig2_params, (3.0, 3.5))
         assert (band.lower, band.upper) == (3.0, 3.5)
+
+    def test_band_outside_the_interval(self, fig2_params):
+        # The input-squeeze band, about (0.54, 3.79), ends below 5.
+        with pytest.raises(NoBandError, match=r"no sub-shot-noise frequency in \(5\.0, 8\.0\)"):
+            sq.snl_crossings(Scenario.input_squeeze(), fig2_params, (5.0, 8.0))
 
     def test_lossy_no_squeeze_has_no_band(self, fig2_params):
         with pytest.raises(NoBandError):

@@ -229,14 +229,16 @@ def test_parameter_file_fuzz_exits_cleanly(dropped, overrides, extremes, command
 
 
 #: Files that put the spectrum scale 8 kappa_prime N, the loss factor
-#: (1 - eta) / eta, the loss-optimal gain or the cancelling gain 2 gamma N
-#: beyond floating-point range (or the optimum onto the stability edge).
+#: (1 - eta) / eta, their ratio, the loss-optimal gain or the cancelling
+#: gain 2 gamma N beyond floating-point range (or the optimum onto the
+#: stability edge).
 OUT_OF_RANGE_FILES = (
     {"kappa_prime": 1e-200, "n_photons": 1e-200},
     {"kappa_prime": 1e-30, "n_photons": 1e-300},
     {"kappa_prime": 1e100, "n_photons": 1e300},
     {"eta": 5e-324},
     {"kappa_prime": 1e-300},
+    {"kappa_prime": 1e-320},
     {"gamma_spm": 1e200, "n_photons": 1e200, "auto_spm_cancel": True},
 )
 

@@ -108,6 +108,16 @@ class TestMeasurementPsd:
         popt = replace(fig2_params, k_c=sq.optimal_kc(fig2_params))
         assert sq.measurement_psd_raw(popt, 0.0) == pytest.approx(S_DOUBLE_0, rel=1e-13)
 
+    def test_rates_whose_squares_underflow(self):
+        # Lossless, no squeezing: S = (omega^2 / kappa' + kappa') / 8N,
+        # though kappa'^2 and omega^2 underflow to 0 at kappa' = 1e-200.
+        p = SensorParams(kappa_prime=1e-200, kappa_double_prime=0.0, eta=1.0, n_photons=1.0)
+        assert sq.spectra.quadratic_coefficients(p) == pytest.approx((1.25e199, 1.25e-201),
+                                                                     rel=1e-15, abs=0.0)
+        w = np.array([0.0, 1e-200, 4e-200])
+        assert sq.measurement_psd_raw(p, w) == pytest.approx(
+            [1.25e-201, 2.5e-201, 2.125e-200], rel=1e-15, abs=0.0)
+
     def test_kc_beyond_stability_rejected(self, fig2_params):
         bad = replace(fig2_params, kappa_double_prime=0.5)  # widen kappa, keep k_c legal
         bad = replace(bad, k_c=1.3)
@@ -321,6 +331,10 @@ class TestAntisqueeze:
             )
             values.append(sq.closed_form_psd(Scenario.input_squeeze(), p, 0.7))
         assert np.all(np.diff(values) < 0.0)
+
+    def test_two_stage_rejects_an_efficiency_outside_the_unit_interval(self):
+        with pytest.raises(RangeError, match="eta_coupling must be in"):
+            sq.two_stage_epsilon_sq(0.0, 0.8)
 
     def test_two_stage_composition(self):
         # With no gain the two stages compose to the total efficiency.

@@ -103,6 +103,10 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="dt"):
             sq.simulate(fig2_params, SimulationConfig(dt=0.2, duration=10.0, seed=0, n_segments=1))
 
+    def test_duration_shorter_than_one_step(self, fig2_params):
+        with pytest.raises(ConfigError, match="duration shorter than one step"):
+            sq.simulate(fig2_params, SimulationConfig(dt=0.01, duration=0.005, seed=0))
+
     def test_exact_requires_cancellation(self):
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7,
                          n_photons=1.0, gamma_spm=0.1, k_s=0.0)
@@ -119,6 +123,10 @@ class TestSimulate:
             SimulationConfig(dt=0.1, duration=1.0, seed=0, n_segments=0)
         with pytest.raises(ConfigError):
             SimulationConfig(dt=0.1, duration=1.0, seed=0, method="heun")
+        with pytest.raises(ConfigError, match="duration"):
+            SimulationConfig(dt=0.1, duration=math.inf, seed=0)
+        with pytest.raises(ConfigError, match="signal must be a SignalWaveform"):
+            SimulationConfig(dt=0.1, duration=1.0, seed=0, signal=0.0)
         for bad in (math.nan, math.inf, -1.0):
             with pytest.raises(ConfigError, match="burn_in"):
                 SimulationConfig(dt=0.1, duration=1.0, seed=0, burn_in=bad)
