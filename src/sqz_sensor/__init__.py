@@ -51,14 +51,12 @@ from .optimize import (
     snl_optimal_kappa,
 )
 from .spectra import (
-    apply_external_antisqueeze,
     closed_form_psd,
     measurement_psd_raw,
     normalize_curve,
     scenario_curve,
     snl,
     snl_curve,
-    two_stage_epsilon_sq,
 )
 from .stochastic import (
     SimulationConfig,
@@ -69,7 +67,7 @@ from .stochastic import (
     spectral_comparison_config,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "PSD_CONVENTION",
@@ -107,8 +105,6 @@ __all__ = [
     "measurement_psd_raw",
     "closed_form_psd",
     "snl",
-    "apply_external_antisqueeze",
-    "two_stage_epsilon_sq",
     "normalize_curve",
     "scenario_curve",
     "snl_curve",

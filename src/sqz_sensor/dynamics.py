@@ -140,22 +140,27 @@ def frequency_response(params: SensorParams, omega) -> FrequencyResponse:
     non-positive relaxation rate.
     """
     drift, _ = _require_stable(params)
-    m = drift.matrix
+    kappa = params.kappa
+    # The 2x2 solve in units of kappa, so that its determinant does not
+    # underflow (or overflow) with the squared rates; the responses then
+    # carry the rates over kappa.
+    m = drift.matrix / kappa
     w = np.asarray(omega, dtype=float)
 
-    d_cc = -1j * w + m[0, 0]
+    jw = -1j * (w / kappa)
+    d_cc = jw + m[0, 0]
     d_cs = np.broadcast_to(np.asarray(m[0, 1], dtype=complex), w.shape)
     d_sc = np.broadcast_to(np.asarray(m[1, 0], dtype=complex), w.shape)
-    d_ss = -1j * w + m[1, 1]
+    d_ss = jw + m[1, 1]
     det = d_cc * d_ss - d_cs * d_sc
-    inv_ss = d_cc / det        # sine response to a sine-row drive
-    inv_sc = -d_sc / det       # sine response to a cosine-row drive
+    inv_ss = d_cc / det        # kappa times the sine response to a sine-row drive
+    inv_sc = -d_sc / det       # kappa times the sine response to a cosine-row drive
 
     sqrt_eta = math.sqrt(params.eta)
-    two_kp = 2.0 * params.kappa_prime
-    cross = 2.0 * math.sqrt(params.kappa_prime * params.kappa_double_prime)
+    two_kp = 2.0 * params.kappa_prime / kappa
+    cross = 2.0 * math.sqrt(params.kappa_prime / kappa) * math.sqrt(params.kappa_double_prime / kappa)
 
-    gain = sqrt_eta * math.sqrt(two_kp) * drift.signal_coupling * inv_ss
+    gain = sqrt_eta * (math.sqrt(2.0 * params.kappa_prime) / kappa) * drift.signal_coupling * inv_ss
     t_a_c = sqrt_eta * two_kp * inv_sc
     t_v_c = sqrt_eta * cross * inv_sc
     t_a_s = sqrt_eta * (two_kp * inv_ss - 1.0)

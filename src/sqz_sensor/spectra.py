@@ -67,13 +67,17 @@ def quadratic_coefficients(params: SensorParams) -> tuple[float, float]:
         )
     d, s = kp - kpp - kc, params.kappa + kc
     try:
-        c0 = (d ** 2 * em2r + 4.0 * kp * kpp + eps2 * s ** 2) / scale
+        d2, s2 = d ** 2, s ** 2
     except OverflowError:
         raise RangeError(
             f"kappa_prime = {kp!r}, kappa_double_prime = {kpp!r} and k_c = {kc!r}: "
             "their squares overflow the spectrum floor"
         ) from None
-    if c0 == 0.0:  # the squares underflow: divide kappa_prime out of them and the scale
+    c0 = (d2 * em2r + 4.0 * kp * kpp + eps2 * s2) / scale
+    if c0 == 0.0 or 0.0 < d2 < sys.float_info.min or 0.0 < s2 < sys.float_info.min:
+        # A square is subnormal, or every term underflows: divide
+        # kappa_prime out of the squares and the scale.  As d + s =
+        # 2 kappa_prime, neither ratio can overflow where a square is small.
         c0 = (d * (d / kp) * em2r + 4.0 * kpp + eps2 * s * (s / kp)) / (8.0 * params.n_photons)
     return c2, c0
 
@@ -109,44 +113,6 @@ def closed_form_psd(scenario: Scenario, params: SensorParams, omega):
     ``k_c`` (and ``r = 0`` for no squeeze) whatever ``params`` carries.
     """
     return measurement_psd_raw(scenario.materialize(params), omega)
-
-
-def apply_external_antisqueeze(epsilon_ext_sq: float, r_anti: float):
-    """Effective loss factor after anti-squeezing ahead of the loss source.
-
-    Amplifying the measured quadrature by exp(2 R) before a downstream
-    loss stage suppresses that stage's referred noise by exp(-2 R).
-    """
-    if not 0.0 <= epsilon_ext_sq < math.inf:
-        raise RangeError(f"epsilon_ext_sq must be finite and >= 0, got {epsilon_ext_sq}")
-    if not 0.0 <= r_anti < math.inf:
-        raise RangeError(f"r_anti must be finite and >= 0, got {r_anti}")
-    return epsilon_ext_sq * math.exp(-2.0 * r_anti)
-
-
-def two_stage_epsilon_sq(eta_coupling: float, eta_detection: float, r_anti: float = 0.0) -> float:
-    """Combined loss factor for a coupling stage followed by detection.
-
-    The anti-squeezer sits between the two stages, so only the detection
-    part is suppressed.  Callers decide how to split a total efficiency
-    into ``eta_coupling * eta_detection``.  Referred to the signal, the
-    downstream stage contributes ``(1 - eta_d) / (eta_d * eta_c)``; with
-    no anti-squeezing the two stages compose to the loss factor of the
-    product efficiency.
-    """
-    for name, eta in (("eta_coupling", eta_coupling), ("eta_detection", eta_detection)):
-        if not 0.0 < eta <= 1.0:
-            raise RangeError(f"{name} must be in (0, 1], got {eta}")
-    eps_c = (1.0 - eta_coupling) / eta_coupling
-    eps_ext = (1.0 - eta_detection) / (eta_detection * eta_coupling)
-    return eps_c + apply_external_antisqueeze(eps_ext, r_anti)
-
-
-def effective_eta(epsilon_sq: float) -> float:
-    """Quantum efficiency equivalent to a given loss factor."""
-    if not 0.0 <= epsilon_sq < math.inf:
-        raise RangeError(f"epsilon_sq must be finite and >= 0, got {epsilon_sq}")
-    return 1.0 / (1.0 + epsilon_sq)
 
 
 def normalize_curve(curve: SpectrumCurve, params: SensorParams) -> SpectrumCurve:

@@ -6,27 +6,33 @@ assembled sample by sample through the output and loss relations, and its
 spectrum is estimated with a segment-averaged periodogram.  Nothing here
 reuses the closed-form algebra of :mod:`sqz_sensor.spectra`.
 
-Noise generation uses one SFC64 stream per input field, seeded by
+Each integration method (Euler-Maruyama, exact Ornstein-Uhlenbeck
+update) is a small plan of data: the detector's filters and the noise
+they see.  Rather than the physical inputs, a plan draws that noise
+directly: the pair (measured-quadrature drive, direct term) is a 2-d
+Gaussian with a fixed per-step covariance, so it takes two standard
+normals through the plan's lower-triangular factor, and the cosine
+drive, independent of the pair, one more.  A cancelled Euler run draws
+2 normals per step, a coupled one 3 and an exact one 2; a stream whose
+factor is exactly 0, such as the direct term's own normal at a lossless
+point, is not drawn.  Each stream is one SFC64 generator seeded by
 ``SeedSequence([seed, stream id])``, and the integrator runs as a bank
 of linear filters (:func:`scipy.signal.lfilter`), so within one tool
 version a seed reproduces its realization bit for bit for pinned
-numpy/scipy versions, whatever the core count.  Each integration method
-(Euler-Maruyama, exact Ornstein-Uhlenbeck update) is a small plan: the
-streams whose samples reach the detector, the detector's filter
-coefficients and how the draws form the filter inputs.  One chunked
-loop runs either plan and records the detector alone, on chunks small
-enough to stay in cache.  The streams are drawn concurrently, one task
-per stream and chunk, which leaves every sequence as a serial draw gives
-it.  Runs share no state, so callers may overlap them.  The periodogram
-is Welch's estimate as batched real FFTs; the gain is demodulated in one
-product.
+numpy/scipy versions, whatever the core count.  Version 0.3.0 drew the
+pair in place of the inputs, so its realizations differ from 0.2.0's.
+One chunked loop runs either plan and records the detector alone, on
+chunks small enough to stay in cache.  The streams are drawn
+concurrently, one task per stream and chunk, which leaves every
+sequence as a serial draw gives it.  Runs share no state, so callers
+may overlap them.  The periodogram is Welch's estimate as batched real
+FFTs; the gain is demodulated in one product.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -57,14 +63,12 @@ METHOD_EXACT = "exact"
 #: Integrator implementation recorded on every run.
 BACKEND = "lfilter"
 
-#: Stream ids of the noise inputs, one stream per input.  The exact
-#: plan's residual of the filtered a_s integral has its own stream.
-STREAM_A_C = 0
-STREAM_A_S = 1
-STREAM_V_C = 2
-STREAM_V_S = 3
-STREAM_U_S = 4
-STREAM_A_S_RESIDUAL = 5
+#: Stream ids of the standard normals a plan draws: the normal shared by
+#: the measured quadrature's drive f_s and the detector's direct term,
+#: the direct term's own normal, and the cosine drive f_c's.
+STREAM_DRIVE = 0
+STREAM_DIRECT = 1
+STREAM_COSINE = 2
 
 #: Samples per chunk.  At 2**16 each per-chunk array (512 KiB) stays in
 #: a core's L2 cache, and a chunk's arrays (a few MB in all) are small
@@ -167,9 +171,9 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     """Integrate the quadrature Langevin system and record the detector.
 
     The default Euler-Maruyama method advances the full 2x2 system; each
-    step draws bin-averaged samples of the white inputs that reach the
-    detector, and the detected quadrature combines the cavity output with
-    the very same input sample plus the detection vacuum.
+    step draws the bin-averaged noise the detector sees, and the detected
+    quadrature combines the cavity output with a direct term correlated
+    with its drive as the same input sample makes them.
     ``method="exact"`` instead uses the exact one-step relaxation of the
     decoupled measured quadrature (valid only when the self-phase-
     modulation coupling is cancelled) as a discretization-bias check.
@@ -192,21 +196,57 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
 
 @dataclass(frozen=True)
 class _Plan:
-    """One integration method as a bank of IIR filters over noise draws.
+    """One integration method as the noise the detector sees and its filters.
 
-    ``streams`` lists the noise streams drawn per chunk, one normal per
-    step each, as ``(stream id, scale)``.  The detector is a filter with
-    denominator ``den`` and one numerator per drive input in
-    ``numerators``.  ``drive(draws, signal)`` turns the chunk's scaled
-    draws and waveform samples (``None`` without a signal) into the drive
-    inputs and the detector's direct term; both arrays are the chunk's
-    own, and it may overwrite them.
+    Per step the detector sees the drive ``f_s`` of the measured
+    quadrature, its direct term (the input and detection-vacuum samples
+    that reach it unfiltered) and, unless self-phase modulation is
+    cancelled, the cosine drive ``f_c``.  The noise of the pair (f_s,
+    direct) is a 2-d Gaussian whose per-step covariance is ``factor @
+    factor.T``, with ``factor`` lower-triangular: f_s takes the
+    ``STREAM_DRIVE`` normal alone, the direct term that one and the
+    ``STREAM_DIRECT`` normal.  The f_c noise, independent of the pair,
+    is ``cosine`` times the ``STREAM_COSINE`` normal; ``cosine`` is 0
+    when f_c never reaches the detector.  ``filters`` holds one
+    ``(numerator, denominator)`` per drive, f_s first, and the detector
+    is the sum of their outputs and the direct term.  The injected
+    waveform enters f_s times ``signal_scale``.
     """
 
-    streams: tuple
-    den: np.ndarray
-    numerators: tuple
-    drive: Callable
+    factor: np.ndarray
+    cosine: float
+    filters: tuple
+    signal_scale: float
+
+    @property
+    def streams(self) -> tuple:
+        """Ids of the streams drawn, one normal per step each.
+
+        ``STREAM_DRIVE`` is always drawn; a stream whose factor is 0 is not.
+        """
+        scales = ((STREAM_DRIVE, 1.0), (STREAM_DIRECT, self.factor[1, 1]),
+                  (STREAM_COSINE, self.cosine))
+        return tuple(stream_id for stream_id, scale in scales if scale != 0.0)
+
+
+def _pair_factor(f_shared: float, f_own: tuple, direct_shared: float,
+                 direct_own: float) -> np.ndarray:
+    """Lower-triangular factor of the (f_s, direct) noise covariance.
+
+    f_s is ``f_shared`` times a unit normal shared with the direct term,
+    plus independent terms of standard deviations ``f_own``; the direct
+    term is ``direct_shared`` times the shared normal plus an
+    independent one times ``direct_own``.  Written in standard
+    deviations, with no square and no difference of the covariances, the
+    factor neither underflows with the rates nor cancels: ``factor[1,
+    1]`` is exactly 0 when the direct term is a multiple of f_s.
+    """
+    l00 = math.hypot(f_shared, *f_own)
+    if l00 == 0.0:  # no drive noise: the direct term stands alone
+        return np.array([[0.0, 0.0], [0.0, math.hypot(direct_shared, direct_own)]])
+    l10 = direct_shared * (f_shared / l00)
+    l11 = math.hypot(direct_own, direct_shared * (math.hypot(*f_own) / l00))
+    return np.array([[l00, 0.0], [l10, l11]])
 
 
 def _output_coefficients(params: SensorParams) -> tuple[float, float, float]:
@@ -221,12 +261,13 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     # The Euler-Maruyama step x[n+1] = A x[n] + dt f[n], A = I - dt M, is
     # a two-state linear recursion, so the detected series is a sum of
     # second-order IIR filters (common denominator det(I - A/z)) of the
-    # drives f_c and f_s.  The detected sample combines the bin average
-    # of the intracavity state, taken as the midpoint 0.5 (b_s[n] +
-    # b_s[n+1]) of the step, with the same a_s sample that drives the
-    # cavity over the bin; an endpoint state would bias the interference
-    # term at first order in dt.  Each noise sample is a bin average of
-    # variance PSD/dt.
+    # drives f_c = c_a a_c + c_v v_c and f_s = c_a a_s + c_v v_s.  The
+    # detected sample combines the bin average of the intracavity state,
+    # taken as the midpoint 0.5 (b_s[n] + b_s[n+1]) of the step, with the
+    # direct term q_as a_s + q_us u_s of the same a_s sample that drives
+    # the cavity over the bin; an endpoint state would bias the
+    # interference term at first order in dt.  Each noise sample is a bin
+    # average of variance PSD/dt.
     dt = config.dt
     drift = drift_matrix(params)
     a = np.eye(2) - dt * drift.matrix
@@ -236,44 +277,21 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     c_v = math.sqrt(2.0 * params.kappa_double_prime)
     p_bs, q_as, q_us = _output_coefficients(params)
     h = 0.5 * dt * p_bs
-    coupling = drift.signal_coupling
-
-    streams = ((STREAM_A_S, sig["a_s"]), (STREAM_V_S, sig["v_s"]), (STREAM_U_S, sig["u_s"]),
-               (STREAM_A_C, sig["a_c"]), (STREAM_V_C, sig["v_c"]))
-    # The detector's numerators on f_s and on f_c.
-    numerators = (h * np.array([1.0, 1.0 - a00, -a00]), h * np.array([0.0, a10, a10]))
-
-    def drive(draws, signal):
-        # In place on the chunk's own arrays, each product and sum as in
-        # c_a a_s + c_v v_s, so the drive is the same to the last bit.
-        a_s, v_s, u_s, *cosine = draws
-        v_s *= c_v
-        f_s = np.multiply(a_s, c_a)
-        f_s += v_s
-        if signal is not None:
-            signal *= coupling
-            f_s += signal
-        f_c = ()
-        if cosine:
-            a_c, v_c = cosine
-            a_c *= c_a
-            v_c *= c_v
-            a_c += v_c
-            f_c = (a_c,)
-        u_s *= q_us
-        direct = np.multiply(a_s, q_as, out=a_s)
-        direct += u_s
-        return (f_s, *f_c), direct
-
+    factor = _pair_factor(c_a * sig["a_s"], (c_v * sig["v_s"],), q_as * sig["a_s"], q_us * sig["u_s"])
     if a10 == 0.0:
         # The cosine quadrature never reaches the detector (cancelled self-
-        # phase modulation), so a_c, v_c and the f_c filter are left out.
-        streams, numerators = streams[:3], numerators[:1]
+        # phase modulation): f_c is left out, and the f_s numerator
+        # h (1 + 1/z) (1 - a00/z) cancels the denominator's a00 pole.
+        return _Plan(factor=factor, cosine=0.0,
+                     filters=((h * np.array([1.0, 1.0]), np.array([1.0, -a11])),),
+                     signal_scale=drift.signal_coupling)
+    den = np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10])
     return _Plan(
-        streams=streams,
-        den=np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10]),
-        numerators=numerators,
-        drive=drive,
+        factor=factor,
+        cosine=math.hypot(c_a * sig["a_c"], c_v * sig["v_c"]),
+        filters=((h * np.array([1.0, 1.0 - a00, -a00]), den),
+                 (h * np.array([0.0, a10, a10]), den)),
+        signal_scale=drift.signal_coupling,
     )
 
 
@@ -281,9 +299,11 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     # Exact one-step relaxation b_s[n+1] = decay b_s[n] + w[n] of the
     # decoupled measured quadrature, run as a first-order IIR filter; the
     # detector uses the same midpoint state average as the Euler path.
-    # The bin average of a_s is correlated with its exponentially
-    # filtered integral, so the pair is sampled jointly (Gillespie 1996,
-    # exact OU update).
+    # The drive w = c_a I_a + c_v I_v holds the exponentially filtered
+    # integrals of a_s and v_s over the step.  I_a is correlated with the
+    # bin average of a_s in the direct term: it is its regression on that
+    # average plus an independent residual (Gillespie 1996, exact OU
+    # update).
     if not params.is_spm_cancelled:
         raise ConfigError(
             "exact method needs the self-phase-modulation coupling cancelled "
@@ -298,48 +318,23 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     var0 = s_as * dt
     var1 = s_as * (1.0 - decay * decay) / (2.0 * lam)
     cov01 = s_as * (1.0 - decay) / lam
-    gain01 = cov01 / var0
     resid = math.sqrt(max(var1 - cov01 * cov01 / var0, 0.0))
     sig_i1v = math.sqrt(psds["v_s"] * (1.0 - decay * decay) / (2.0 * lam))
     c_a = math.sqrt(2.0 * params.kappa_prime)
     c_v = math.sqrt(2.0 * params.kappa_double_prime)
     p_bs, q_as, q_us = _output_coefficients(params)
-    sig_scale = drift.signal_coupling * ((1.0 - decay) / lam)
-
-    def drive(draws, signal):
-        # In place, each operation as in
-        # c_a (gain01 (a_bar dt) + a_resid) + c_v v_s.
-        a_bar, a_resid, v_s, u_s = draws
-        w = np.multiply(a_bar, dt)
-        w *= gain01
-        w += a_resid
-        w *= c_a
-        v_s *= c_v
-        w += v_s
-        if signal is not None:
-            signal *= sig_scale
-            w += signal
-        u_s *= q_us
-        direct = np.multiply(a_bar, q_as, out=a_bar)
-        direct += u_s
-        return (w,), direct
-
+    sig_as = math.sqrt(s_as / dt)
+    factor = _pair_factor(c_a * cov01 / math.sqrt(var0), (c_a * resid, c_v * sig_i1v),
+                          q_as * sig_as, q_us * math.sqrt(psds["u_s"] / dt))
     return _Plan(
-        streams=((STREAM_A_S, math.sqrt(s_as / dt)), (STREAM_A_S_RESIDUAL, resid),
-                 (STREAM_V_S, sig_i1v), (STREAM_U_S, math.sqrt(psds["u_s"] / dt))),
-        den=np.array([1.0, -decay]),
-        numerators=(0.5 * p_bs * np.array([1.0, 1.0]),),
-        drive=drive,
+        factor=factor,
+        cosine=0.0,
+        filters=((0.5 * p_bs * np.array([1.0, 1.0]), np.array([1.0, -decay])),),
+        signal_scale=drift.signal_coupling * ((1.0 - decay) / lam),
     )
 
 
 _PLANS = {METHOD_EULER: _euler_plan, METHOD_EXACT: _exact_plan}
-
-
-def _fill(gen: np.random.Generator, out: np.ndarray, scale: float) -> None:
-    """Draw standard normals into ``out`` and scale them in place."""
-    gen.standard_normal(out=out)
-    out *= scale
 
 
 def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int) -> np.ndarray:
@@ -362,34 +357,42 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
     """
     import mmap  # loaded by the first run, not by the package import
 
-    gens = [_stream(config.seed, stream_id) for stream_id, _ in plan.streams]
+    streams = plan.streams
+    gens = [_stream(config.seed, stream_id) for stream_id in streams]
     try:
         out = np.frombuffer(mmap.mmap(-1, 8 * n_total), dtype=np.float64)
     except (OSError, OverflowError) as exc:
         raise MemoryError(f"cannot map {n_total} samples for the detector series") from exc
-    zi = np.zeros((len(plan.numerators), plan.den.size - 1))
-    with ThreadPoolExecutor(max_workers=min(len(plan.streams), os.cpu_count() or 1)) as pool:
+    (l00, _), (l10, l11) = plan.factor
+    zi = [np.zeros(den.size - 1) for _, den in plan.filters]
+    with ThreadPoolExecutor(max_workers=min(len(gens), os.cpu_count() or 1)) as pool:
         for i0 in range(0, n_total, _CHUNK):
             i1 = min(i0 + _CHUNK, n_total)
-            n = i1 - i0
-            draws = [np.empty(n) for _ in gens]
-            jobs = [pool.submit(_fill, gen, row, scale)
-                    for gen, row, (_, scale) in zip(gens, draws, plan.streams)]
+            z = [np.empty(i1 - i0) for _ in gens]
+            jobs = [pool.submit(gen.standard_normal, out=row) for gen, row in zip(gens, z)]
             for job in jobs:
                 job.result()
-            signal = None
+            draws = dict(zip(streams, z))
+            # The pair through its factor, in place: the direct term
+            # l10 z0 + l11 z1 in the chunk's output slice, f_s = l00 z0
+            # over z0.
+            d = out[i0:i1]
+            z0 = draws[STREAM_DRIVE]
+            np.multiply(z0, l10, out=d)
+            if STREAM_DIRECT in draws:
+                d += np.multiply(draws[STREAM_DIRECT], l11, out=draws[STREAM_DIRECT])
+            inputs = [np.multiply(z0, l00, out=z0)]
             if config.signal.amplitude != 0.0:
-                signal = config.signal.evaluate((np.arange(i0, i1) - n_burn) * config.dt)
-            inputs, direct = plan.drive(draws, signal)
-            for j, (num, x) in enumerate(zip(plan.numerators, inputs)):
-                y_j, zi[j] = _scipy_signal.lfilter(num, plan.den, x, zi=zi[j])
-                if j:
-                    y += y_j
-                else:
-                    y = y_j
-            np.add(y, direct, out=out[i0:i1])
+                t = (np.arange(i0, i1) - n_burn) * config.dt
+                inputs[0] += plan.signal_scale * config.signal.evaluate(t)
+            if STREAM_COSINE in draws:
+                inputs.append(np.multiply(draws[STREAM_COSINE], plan.cosine,
+                                          out=draws[STREAM_COSINE]))
+            for j, ((num, den), x) in enumerate(zip(plan.filters, inputs)):
+                y, zi[j] = _scipy_signal.lfilter(num, den, x, zi=zi[j])
+                d += y
             # Free this chunk's arrays before the next chunk is drawn.
-            del draws, signal, inputs, direct, x, y, y_j
+            del z, draws, z0, inputs, x, y
     return out[n_burn:]
 
 

@@ -239,6 +239,20 @@ class TestValidateCommand:
             "stochastic_simulator_vs_closed_forms",
         }
 
+    def test_rates_whose_squares_underflow(self, tmp_path, capsys):
+        # The drift determinant is of order kappa^2 = 1e-400: solved in
+        # units of kappa it neither underflows nor warns, and any warning
+        # fails the test.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(SQUARES_UNDERFLOW_FILE))
+        rc = main(["validate", "--params", str(pfile), "--budget", "20",
+                   "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc in (0, 2)
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "kappa_prime = 1e-200" in err
+
     def test_mutation_negative_control(self, params_file, tmp_path):
         report_path = tmp_path / "mutated.json"
         rc = main(["validate", "--params", str(params_file), "--budget", "50",
@@ -270,6 +284,24 @@ class TestValidateCommand:
         for tag, run in runs.items():
             ran_at = sq.Scenario.from_name(tag).materialize(sq.SensorParams(**cancelled))
             assert run["params"] == sq.params_to_dict(ran_at)
+
+
+#: The stochastic gate's three rms values at the reference point, budget
+#: 800 and seed 12345, for the pinned numpy and scipy versions.  They fix
+#: the realizations of one tool version: a change that moves them changes
+#: realizations, and must bump the version with them.
+PINNED_REALIZATION = ("0.3.0", {
+    "no_squeeze": 0.03288648051570464,
+    "input_squeeze": 0.03314113362298651,
+    "double_squeeze_optimal": 0.0317513209000293,
+})
+
+
+def test_seeded_realization_is_pinned_to_the_tool_version():
+    version, details = PINNED_REALIZATION
+    report = run_validation(reference_params(), budget=800, seed=12345)
+    assert sq.__version__ == version
+    assert report["checks"][2]["details"] == details
 
 
 SPM_UNCANCELLED = sq.SensorParams(kappa_prime=1.0, kappa_double_prime=0.2, eta=0.8,

@@ -127,14 +127,8 @@ class TestRateHelpers:
         lambda: sq.spm_cancelling_ks(0.05, math.inf),
         lambda: sq.snl_optimal_kappa(1.0, math.nan),
         lambda: sq.snl_optimal_kappa(1.0, math.inf),
-        lambda: sq.apply_external_antisqueeze(math.nan, 0.0),
-        lambda: sq.apply_external_antisqueeze(0.1, math.nan),
-        lambda: sq.two_stage_epsilon_sq(0.9, 0.8, math.nan),
-        lambda: sq.spectra.effective_eta(math.nan),
-        lambda: sq.spectra.effective_eta(math.inf),
     ], ids=["rates-omega-nan", "rates-q-inf", "rates-ratio-nan", "spm-gamma-nan",
-            "spm-n-inf", "snl-kappa-n-nan", "snl-kappa-n-inf", "antisqueeze-eps-nan",
-            "antisqueeze-r-nan", "two-stage-r-nan", "eta-nan", "eta-inf"])
+            "spm-n-inf", "snl-kappa-n-nan", "snl-kappa-n-inf"])
     def test_scalar_helpers_reject_non_finite_inputs(self, call):
         with pytest.raises(RangeError, match="finite"):
             call()

@@ -4,9 +4,11 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.signal
 
 import sqz_sensor.stochastic as stochastic
 from sqz_sensor import (
@@ -17,19 +19,9 @@ from sqz_sensor import (
     input_noise_psds,
     simulate,
 )
-from sqz_sensor.stochastic import (
-    STREAM_A_C,
-    STREAM_A_S,
-    STREAM_A_S_RESIDUAL,
-    STREAM_U_S,
-    STREAM_V_C,
-    STREAM_V_S,
-)
+from sqz_sensor.stochastic import STREAM_COSINE, STREAM_DIRECT, STREAM_DRIVE
 
 from reference_loops import euler_maruyama_loop, exact_relax_loop
-
-STREAMS = {"a_c": STREAM_A_C, "a_s": STREAM_A_S, "v_c": STREAM_V_C,
-           "v_s": STREAM_V_S, "u_s": STREAM_U_S}
 
 BASE = dict(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0,
             r_squeeze=0.5, k_c=-0.3)
@@ -41,50 +33,73 @@ def serial_stream(seed, stream_id, n):
     return np.random.Generator(bits).standard_normal(n)
 
 
-def reference_run(params, config):
-    """Detector series from the per-step loops, fed by each noise stream
-    drawn serially; ``config`` must have no burn-in.
+def coefficients(params):
+    """Input couplings ``c_a``, ``c_v`` and output coefficients ``p_bs``,
+    ``q_as``, ``q_us`` of the detected quadrature."""
+    sqrt_eta = math.sqrt(params.eta)
+    c_a = math.sqrt(2.0 * params.kappa_prime)
+    c_v = math.sqrt(2.0 * params.kappa_double_prime)
+    return c_a, c_v, sqrt_eta * c_a, -sqrt_eta, math.sqrt(1.0 - params.eta)
 
-    The Euler loop always gets the cosine-quadrature inputs a_c and v_c,
-    also when the self-phase-modulation coupling is cancelled and the
-    package leaves them out.
+
+def pair_covariance(params, dt, method):
+    """Per-step covariance of the (drive, direct term) noise pair, written
+    out from the input spectral densities.
+
+    Euler: the drive c_a a_s + c_v v_s and the direct term q_as a_s +
+    q_us u_s of bin averages of variance PSD/dt.  Exact: the drive holds
+    the exponentially filtered step integrals of a_s and v_s instead,
+    and the one of a_s is correlated with the bin average of a_s.
+    """
+    psds = input_noise_psds(params)
+    s_as, s_vs, s_us = psds["a_s"], psds["v_s"], psds["u_s"]
+    c_a, c_v, _, q_as, q_us = coefficients(params)
+    direct = (q_as ** 2 * s_as + q_us ** 2 * s_us) / dt
+    if method == "euler":
+        drive = (c_a ** 2 * s_as + c_v ** 2 * s_vs) / dt
+        cross = c_a * q_as * s_as / dt
+    else:
+        lam = drift_matrix(params).matrix[1, 1]
+        decay = math.exp(-lam * dt)
+        drive = (c_a ** 2 * s_as + c_v ** 2 * s_vs) * (1.0 - decay ** 2) / (2.0 * lam)
+        cross = c_a * q_as * s_as * (1.0 - decay) / (lam * dt)
+    return np.array([[drive, cross], [cross, direct]])
+
+
+def reference_run(params, config):
+    """Detector series from the per-step loops, fed the (drive, direct)
+    pair drawn serially from its streams; ``config`` must have no burn-in.
+
+    The pair comes from its own Cholesky factor of
+    :func:`pair_covariance`, and enters the loops as ``v_s`` with
+    ``c_v = 1`` and as ``u_s`` with ``q_us = 1``, with ``a_s = 0``.  The
+    Euler loop always gets a cosine drive (as ``v_c``), also when the
+    self-phase-modulation coupling is cancelled and the package leaves
+    it out.
     """
     n, dt, seed = int(config.duration / config.dt), config.dt, config.seed
     psds = input_noise_psds(params)
     drift = drift_matrix(params)
-    sqrt_eta = math.sqrt(params.eta)
-    p_bs = sqrt_eta * math.sqrt(2.0 * params.kappa_prime)
-    q_as, q_us = -sqrt_eta, math.sqrt(1.0 - params.eta)
-    c_a = math.sqrt(2.0 * params.kappa_prime)
-    c_v = math.sqrt(2.0 * params.kappa_double_prime)
+    c_a, c_v, p_bs, _, _ = coefficients(params)
+    (l00, _), (l10, l11) = np.linalg.cholesky(pair_covariance(params, dt, config.method))
+    z0, z1 = serial_stream(seed, STREAM_DRIVE, n), serial_stream(seed, STREAM_DIRECT, n)
+    drive, direct = l00 * z0, l10 * z0 + l11 * z1
+    zero = np.zeros(n)
     signal = config.signal.evaluate(dt * np.arange(n))
     d = np.empty(n)
     if config.method == "exact":
-        # Exact OU update: the exponentially filtered integral of a_s is
-        # its regression on the bin average plus an independent residual.
         lam = drift.matrix[1, 1]
         decay = math.exp(-lam * dt)
-        s_as = psds["a_s"]
-        var0 = s_as * dt
-        cov01 = s_as * (1.0 - decay) / lam
-        resid = math.sqrt(max(s_as * (1.0 - decay * decay) / (2.0 * lam)
-                              - cov01 * cov01 / var0, 0.0))
-        a_bar = math.sqrt(s_as / dt) * serial_stream(seed, STREAM_A_S, n)
-        i1_a = cov01 / var0 * (a_bar * dt) + resid * serial_stream(seed, STREAM_A_S_RESIDUAL, n)
-        i1_v = (math.sqrt(psds["v_s"] * (1.0 - decay * decay) / (2.0 * lam))
-                * serial_stream(seed, STREAM_V_S, n))
-        w_drive = (c_a * i1_a + c_v * i1_v
-                   + drift.signal_coupling * (1.0 - decay) / lam * signal)
-        u_s = math.sqrt(psds["u_s"] / dt) * serial_stream(seed, STREAM_U_S, n)
-        exact_relax_loop(0.0, decay, a_bar, w_drive, u_s, p_bs, q_as, q_us, d)
+        w_drive = drive + drift.signal_coupling * (1.0 - decay) / lam * signal
+        exact_relax_loop(0.0, decay, zero, w_drive, direct, p_bs, 0.0, 1.0, d)
         return d
-    z = {name: math.sqrt(psd / dt) * serial_stream(seed, STREAMS[name], n)
-         for name, psd in psds.items()}
+    cosine = (math.sqrt((c_a ** 2 * psds["a_c"] + c_v ** 2 * psds["v_c"]) / dt)
+              * serial_stream(seed, STREAM_COSINE, n))
     m = drift.matrix
     euler_maruyama_loop(0.0, 0.0, m[0, 0], m[0, 1], m[1, 0], m[1, 1], dt,
-                        z["a_c"], z["a_s"], z["v_c"], z["v_s"], z["u_s"],
+                        zero, zero, cosine, drive, direct,
                         drift.signal_coupling * signal,
-                        p_bs, q_as, q_us, c_a, c_v, d)
+                        p_bs, 0.0, 1.0, c_a, 1.0, d)
     return d
 
 
@@ -99,6 +114,9 @@ CASES = {
     "exact_sinusoid": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE),
                        {"method": "exact", "signal": SignalWaveform.sinusoid(1.0, 0.7)}),
 }
+
+
+LOSSLESS = SensorParams(**BASE | {"kappa_double_prime": 0.0, "eta": 1.0})
 
 
 class WidePool(ThreadPoolExecutor):
@@ -174,12 +192,15 @@ class TestStreams:
         assert np.array_equal(reference.d_s, single.d_s)
 
     @pytest.mark.parametrize("case, ids", [
-        ("euler_cancelled_spm", {STREAM_A_S, STREAM_V_S, STREAM_U_S}),
-        ("euler_coupled_spm", {STREAM_A_C, STREAM_A_S, STREAM_V_C, STREAM_V_S, STREAM_U_S}),
-        ("exact", {STREAM_A_S, STREAM_A_S_RESIDUAL, STREAM_V_S, STREAM_U_S}),
+        ("euler_cancelled_spm", {STREAM_DRIVE, STREAM_DIRECT}),
+        ("euler_coupled_spm", {STREAM_DRIVE, STREAM_DIRECT, STREAM_COSINE}),
+        ("exact", {STREAM_DRIVE, STREAM_DIRECT}),
+        # eta = 1 and no intrinsic loss: the direct term is a multiple of
+        # the drive, so its own stream has factor 0 and is not drawn.
+        ("euler_lossless", {STREAM_DRIVE}),
     ])
     def test_a_run_draws_only_the_streams_the_detector_sees(self, case, ids, monkeypatch):
-        params, extra = CASES[case]
+        params, extra = CASES.get(case) or (LOSSLESS, {})
         cfg = SimulationConfig(dt=0.02, duration=60.0, seed=13, n_segments=4, **extra)
         requested = []
         stream = stochastic._stream
@@ -192,3 +213,55 @@ class TestStreams:
         simulate(params, cfg)
         # One generator per stream, however many chunks the run takes.
         assert sorted(requested) == sorted(ids)
+
+
+class TestPairFactor:
+    """The drawn (drive, direct) pair has the covariance the inputs give it."""
+
+    @pytest.mark.parametrize("method", ["euler", "exact"])
+    @pytest.mark.parametrize("params", [SensorParams(**BASE), LOSSLESS],
+                             ids=["lossy", "lossless"])
+    def test_factor_reproduces_the_input_covariance(self, params, method):
+        cfg = SimulationConfig(dt=0.02, duration=10.0, seed=0, method=method)
+        factor = stochastic._PLANS[method](params, cfg).factor
+        assert factor[0, 1] == 0.0
+        cov = pair_covariance(params, cfg.dt, method)
+        assert np.allclose(factor @ factor.T, cov, rtol=1e-13, atol=1e-13 * np.max(cov))
+
+    def test_noise_below_float_range_gives_a_zero_series(self):
+        # At kappa' = 1e-200, dt = 1e198 and r = 347 the squeezed input's
+        # bin average, sqrt(PSD / dt), underflows to 0 and nothing else is
+        # noisy: the factor is 0, and the run is all zeros, not an error.
+        params = SensorParams(kappa_prime=1e-200, kappa_double_prime=0.0, eta=1.0,
+                              n_photons=1.0, r_squeeze=347.0)
+        cfg = SimulationConfig(dt=1e198, duration=4e201, seed=3, n_segments=4)
+        assert not np.any(stochastic._PLANS["euler"](params, cfg).factor)
+        assert not np.any(simulate(params, cfg).d_s)
+
+    @pytest.mark.parametrize("method", ["euler", "exact"])
+    def test_sample_covariance_of_the_drawn_pair(self, method, monkeypatch):
+        # Record the drive each chunk feeds the filter and what the filter
+        # returns; the detector less the filter output is the direct term.
+        params = SensorParams(**BASE)
+        cfg = SimulationConfig(dt=0.02, duration=4000.0, seed=17, n_segments=4,
+                               burn_in=0.0, method=method)
+        drives, outputs = [], []
+
+        def recording_lfilter(num, den, x, zi):
+            y, zf = scipy.signal.lfilter(num, den, x, zi=zi)
+            drives.append(x.copy())
+            outputs.append(y)
+            return y, zf
+
+        monkeypatch.setattr(stochastic, "_scipy_signal",
+                            SimpleNamespace(lfilter=recording_lfilter))
+        run = simulate(params, cfg)
+        drive = np.concatenate(drives)
+        direct = run.d_s - np.concatenate(outputs)
+        cov = pair_covariance(params, cfg.dt, method)
+        sample = np.cov(np.vstack([drive, direct]), bias=True)
+        # Each entry's standard error is below sqrt(2 / n) of the scale
+        # sqrt(cov_ii cov_jj); 200 000 samples put 5 of them under 1.6%.
+        scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        assert drive.size == 200_000
+        assert np.all(np.abs(sample - cov) < 5.0 * math.sqrt(2.0 / drive.size) * scale)

@@ -178,11 +178,12 @@ class TestSnlOptimalKappa:
         with pytest.raises((sq.ConvergenceError, RangeError)):
             sq.numeric_min_kappa(omega, 1.0)
 
-    @pytest.mark.parametrize("omega, rel", [(1e-155, 1e-9), (1e-160, 1e-3), (1e-300, 1e-12)])
+    @pytest.mark.parametrize("omega, rel", [(1e-155, 1e-9), (1e-160, 1e-13), (1e-300, 1e-12)])
     def test_tiny_frequency_finds_the_optimum(self, omega, rel):
         # kappa^2 and omega^2 are subnormal or zero over much of the search.
-        # Below about 2e-162 kappa^2 is 0 and the floor kappa / 8N is
-        # recomputed; near 1e-160 the subnormal kappa^2 keeps about 4 digits.
+        # Wherever kappa^2 is subnormal or 0, the floor kappa / 8N is
+        # recomputed with kappa divided out; near 1e-160 a subnormal
+        # kappa^2 kept only about 4 digits of it.
         res = sq.numeric_min_kappa(omega, 1.0)
         assert res.argmin == pytest.approx(omega, rel=rel, abs=0.0)
         assert res.value == pytest.approx(omega / 4.0, rel=rel, abs=0.0)

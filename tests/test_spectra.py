@@ -304,42 +304,16 @@ class TestLosslessForms:
         assert lossless_double_psd(p, w) == pytest.approx(oracle_db, rel=1e-12)
 
 
-class TestAntisqueeze:
-    def test_identity_without_gain(self):
-        assert sq.apply_external_antisqueeze(0.3, 0.0) == 0.3
-
-    def test_reference_value(self):
-        result = sq.apply_external_antisqueeze(3.0 / 7.0, 0.5 * math.log(30.0))
-        assert result == pytest.approx(3.0 / 7.0 / 30.0, rel=1e-13)
-
-    def test_rejects_negative(self):
-        with pytest.raises(RangeError):
-            sq.apply_external_antisqueeze(-0.1, 0.0)
-        with pytest.raises(RangeError):
-            sq.apply_external_antisqueeze(0.1, -1.0)
-
-    def test_sensitivity_decreases_monotonically_with_antisqueezing(self):
-        # Coupling-stage loss untouched, detection loss suppressed.
-        eta_coupling, eta_detection = 0.9, 0.8
+class TestLossFactor:
+    def test_sensitivity_decreases_monotonically_with_efficiency(self):
+        # Less detection loss, a smaller loss factor (1 - eta) / eta and a
+        # lower squeezed spectrum.
         values = []
-        for r_anti in np.linspace(0.0, 3.0, 13):
-            eps2 = sq.two_stage_epsilon_sq(eta_coupling, eta_detection, r_anti)
-            p = SensorParams(
-                kappa_prime=1.0, kappa_double_prime=0.1,
-                eta=sq.spectra.effective_eta(eps2),
-                n_photons=1.0, r_squeeze=1.0,
-            )
+        for eta in np.linspace(0.5, 1.0, 11):
+            p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=eta,
+                             n_photons=1.0, r_squeeze=1.0)
             values.append(sq.closed_form_psd(Scenario.input_squeeze(), p, 0.7))
         assert np.all(np.diff(values) < 0.0)
-
-    def test_two_stage_rejects_an_efficiency_outside_the_unit_interval(self):
-        with pytest.raises(RangeError, match="eta_coupling must be in"):
-            sq.two_stage_epsilon_sq(0.0, 0.8)
-
-    def test_two_stage_composition(self):
-        # With no gain the two stages compose to the total efficiency.
-        eps2 = sq.two_stage_epsilon_sq(0.9, 0.8, 0.0)
-        assert sq.spectra.effective_eta(eps2) == pytest.approx(0.9 * 0.8, rel=1e-14)
 
 
 class TestNormalization:
