@@ -235,14 +235,11 @@ def _gate(name: str, comparison: str, gate: float, measured: float, t0: float, *
             "passed": measured <= gate, **fields, "runtime_s": time.perf_counter() - t0}
 
 
-def _stochastic_rms(scenario: Scenario, params: SensorParams,
-                    config: stochastic.SimulationConfig) -> float:
-    """RMS relative deviation of one simulated spectrum from its closed form."""
+def _band_estimate(params: SensorParams, config: stochastic.SimulationConfig,
+                   band: np.ndarray) -> np.ndarray:
+    """Signal-referred spectrum of one simulated run on ``band``."""
     run = stochastic.simulate(params, config)
-    band = np.linspace(0.2 * params.kappa_prime, 3.0 * params.kappa_prime, 36)
-    estimate = stochastic.estimate_psd(run, band, xi_referred=True).values
-    closed = spectra.closed_form_psd(scenario, params, band)
-    return float(np.sqrt(np.mean((estimate / closed - 1.0) ** 2)))
+    return stochastic.estimate_psd(run, band, xi_referred=True).values
 
 
 def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = False) -> dict:
@@ -293,19 +290,24 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
                         1e-8, max(deltas), t0, params=params_to_dict(params_c)))
 
     # Gate 3: stochastic simulator against the closed forms.  Every run
-    # is sized before any starts.
+    # is sized, and its closed form evaluated, before any starts.
     t0 = time.perf_counter()
-    jobs = []
+    band = np.linspace(0.2 * params_c.kappa_prime, 3.0 * params_c.kappa_prime, 36)
+    jobs, closed = [], {}
     for i, scenario in enumerate(scenarios):
         params_m = scenario.materialize(params_c)
-        jobs.append((scenario, params_m,
+        jobs.append((scenario.tag, params_m,
                      stochastic.spectral_comparison_config(params_m, budget, seed + i)))
-    runs = {scenario.tag: {"params": params_to_dict(params_m), "seed": config.seed}
-            for scenario, params_m, config in jobs}
+        closed[scenario.tag] = spectra.closed_form_psd(scenario, params_m, band)
+    runs = {tag: {"params": params_to_dict(params_m), "seed": config.seed}
+            for tag, params_m, config in jobs}
     longest_first = sorted(jobs, key=lambda job: job[2].duration / job[2].dt, reverse=True)
     with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-        futures = {job[0].tag: pool.submit(_stochastic_rms, *job) for job in longest_first}
-        details = {tag: futures[tag].result() for tag in runs}
+        futures = {tag: pool.submit(_band_estimate, params_m, config, band)
+                   for tag, params_m, config in longest_first}
+        estimates = {tag: futures[tag].result() for tag in runs}
+    details = {tag: float(np.sqrt(np.mean((estimates[tag] / closed[tag] - 1.0) ** 2)))
+               for tag in runs}
     checks.append(_gate("stochastic_simulator_vs_closed_forms",
                         "max rms relative deviation over [0.2, 3] kappa_prime",
                         0.05, max(details.values()), t0, details=details, runs=runs))

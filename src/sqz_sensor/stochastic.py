@@ -20,13 +20,16 @@ point, is not drawn.  Each stream is one SFC64 generator seeded by
 of linear filters (:func:`scipy.signal.lfilter`), so within one tool
 version a seed reproduces its realization bit for bit for pinned
 numpy/scipy versions, whatever the core count.  Version 0.3.0 drew the
-pair in place of the inputs, so its realizations differ from 0.2.0's.
-One chunked loop runs either plan and records the detector alone, on
-chunks small enough to stay in cache.  The streams are drawn
-concurrently, one task per stream and chunk, which leaves every
-sequence as a serial draw gives it.  Runs share no state, so callers
-may overlap them.  The periodogram is Welch's estimate as batched real
-FFTs; the gain is demodulated in one product.
+pair in place of the inputs, so its realizations differ from 0.2.0's;
+version 0.3.1 takes the injected sinusoid from a block-indexed phasor
+table, which changes driven runs in their last bits and leaves undriven
+ones as they were.  One chunked loop runs either plan and records the
+detector alone, on chunks small enough to stay in cache.  The streams
+are drawn concurrently, one task per stream and chunk, one chunk ahead
+of the filter bank, which leaves every sequence as a serial draw gives
+it.  Runs share no state, so callers may overlap them.  The periodogram
+is Welch's estimate as batched real FFTs; the gain is demodulated in
+one product.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ STREAM_COSINE = 2
 #: resident set low.  Realizations do not depend on it: every stream is
 #: drawn in order and the filter states carry across chunks.
 _CHUNK = 1 << 16
+
+#: Samples per block of the drive's phasor table (32 KiB per column).
+_BLOCK = 4096
 
 #: Periodogram segments transformed per batched FFT; bounds work memory.
 _SEGMENT_BATCH = 32
@@ -341,13 +347,24 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
     """Run ``plan`` for ``n_total`` steps; return the detector after burn-in.
 
     Each chunk draws its streams concurrently, one task per stream
-    (numpy releases the GIL while it draws).  The chunks follow one
-    another, so every stream yields the same sequence as a serial draw,
-    whatever the core count.  Filter states carry across chunks.  The
-    waveform clock is zero at the first retained step, so burn-in steps
-    have negative times.  The result is a view of the one recorded
-    series.  The pool ends with the call, so no idle workers outlive it
-    or are inherited by a forked child.
+    (numpy releases the GIL while it draws), and the next chunk's draws
+    are submitted as soon as this chunk's have returned, so they run
+    while this chunk is mixed and filtered.  A stream's chunks are still
+    drawn one after another on its one generator, so every stream yields
+    the same sequence as a serial draw, whatever the core count, and
+    nothing is drawn past ``n_total``.  Filter states carry across
+    chunks.
+
+    The waveform clock is zero at the first retained step, so burn-in
+    steps have negative times.  A driven run takes its sinusoid from a
+    phasor table: with the retained index ``m = q * _BLOCK + k`` (floor
+    division, so burn-in blocks have ``q < 0``), the drive is
+    ``sin(a_q) C[k] + cos(a_q) S[k]``, with ``a_q = w q _BLOCK dt`` and
+    ``(C, S)`` the scaled ``(cos, sin)(w k dt)``.  A sample's value
+    depends on its index alone, not on where its chunk starts.  The
+    result is a view of the one recorded series.  The pool ends with the
+    call, so no idle workers outlive it or are inherited by a forked
+    child.
 
     The series has its own anonymous memory map, returned to the system
     when its last view goes.  A malloc'd series freed on a worker thread
@@ -365,13 +382,25 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
         raise MemoryError(f"cannot map {n_total} samples for the detector series") from exc
     (l00, _), (l10, l11) = plan.factor
     zi = [np.zeros(den.size - 1) for _, den in plan.filters]
+    omega, dt = config.signal.frequency, config.dt
+    driven = config.signal.amplitude != 0.0
+    if driven:
+        phase = omega * (np.arange(_BLOCK) * dt)
+        scale = plan.signal_scale * config.signal.amplitude
+        table_cos, table_sin = scale * np.cos(phase), scale * np.sin(phase)
     with ThreadPoolExecutor(max_workers=min(len(gens), os.cpu_count() or 1)) as pool:
+
+        def draw(i0):
+            z = [np.empty(min(_CHUNK, n_total - i0)) for _ in gens]
+            return z, [pool.submit(gen.standard_normal, out=row) for gen, row in zip(gens, z)]
+
+        pending = draw(0)
         for i0 in range(0, n_total, _CHUNK):
-            i1 = min(i0 + _CHUNK, n_total)
-            z = [np.empty(i1 - i0) for _ in gens]
-            jobs = [pool.submit(gen.standard_normal, out=row) for gen, row in zip(gens, z)]
+            z, jobs = pending
             for job in jobs:
                 job.result()
+            i1 = i0 + z[0].size
+            pending = draw(i1) if i1 < n_total else None
             draws = dict(zip(streams, z))
             # The pair through its factor, in place: the direct term
             # l10 z0 + l11 z1 in the chunk's output slice, f_s = l00 z0
@@ -382,16 +411,23 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
             if STREAM_DIRECT in draws:
                 d += np.multiply(draws[STREAM_DIRECT], l11, out=draws[STREAM_DIRECT])
             inputs = [np.multiply(z0, l00, out=z0)]
-            if config.signal.amplitude != 0.0:
-                t = (np.arange(i0, i1) - n_burn) * config.dt
-                inputs[0] += plan.signal_scale * config.signal.evaluate(t)
+            if driven:
+                # Block by block of the retained index m = n - n_burn.
+                m0, m1 = i0 - n_burn, i1 - n_burn
+                for q in range(m0 // _BLOCK, (m1 - 1) // _BLOCK + 1):
+                    base = q * _BLOCK
+                    lo, hi = max(base, m0), min(base + _BLOCK, m1)
+                    a_q = omega * (base * dt)
+                    seg = z0[lo - m0:hi - m0]
+                    seg += math.sin(a_q) * table_cos[lo - base:hi - base]
+                    seg += math.cos(a_q) * table_sin[lo - base:hi - base]
             if STREAM_COSINE in draws:
                 inputs.append(np.multiply(draws[STREAM_COSINE], plan.cosine,
                                           out=draws[STREAM_COSINE]))
             for j, ((num, den), x) in enumerate(zip(plan.filters, inputs)):
                 y, zi[j] = _scipy_signal.lfilter(num, den, x, zi=zi[j])
                 d += y
-            # Free this chunk's arrays before the next chunk is drawn.
+            # Free this chunk's arrays; the next chunk's are being drawn.
             del z, draws, z0, inputs, x, y
     return out[n_burn:]
 

@@ -253,6 +253,19 @@ class TestValidateCommand:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "kappa_prime = 1e-200" in err
 
+    def test_spectrum_below_float_range_names_its_parameters(self, tmp_path, capsys):
+        # Gate 1's signal-referred squeezed noise, |t_a_s|^2 S_as / |gain|^2,
+        # is about 6e-462 here: it underflows to 0, and the error names the
+        # two parameters that put it there.  Any warning fails the test.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(SQUARES_UNDERFLOW_FILE | {"r_squeeze": 300}))
+        rc = main(["validate", "--params", str(pfile), "--budget", "20",
+                   "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "kappa_prime = 1e-200" in err and "r_squeeze = 300" in err
+
     def test_mutation_negative_control(self, params_file, tmp_path):
         report_path = tmp_path / "mutated.json"
         rc = main(["validate", "--params", str(params_file), "--budget", "50",
@@ -290,7 +303,7 @@ class TestValidateCommand:
 #: 800 and seed 12345, for the pinned numpy and scipy versions.  They fix
 #: the realizations of one tool version: a change that moves them changes
 #: realizations, and must bump the version with them.
-PINNED_REALIZATION = ("0.3.0", {
+PINNED_REALIZATION = ("0.3.1", {
     "no_squeeze": 0.03288648051570464,
     "input_squeeze": 0.03314113362298651,
     "double_squeeze_optimal": 0.0317513209000293,

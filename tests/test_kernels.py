@@ -17,6 +17,7 @@ from sqz_sensor import (
     SimulationConfig,
     drift_matrix,
     input_noise_psds,
+    relaxation_rates,
     simulate,
 )
 from sqz_sensor.stochastic import STREAM_COSINE, STREAM_DIRECT, STREAM_DRIVE
@@ -68,16 +69,20 @@ def pair_covariance(params, dt, method):
 
 def reference_run(params, config):
     """Detector series from the per-step loops, fed the (drive, direct)
-    pair drawn serially from its streams; ``config`` must have no burn-in.
+    pair drawn serially from its streams; ``config`` must set ``burn_in``.
 
-    The pair comes from its own Cholesky factor of
+    The loops run the ``ceil(burn_in / dt)`` burn-in steps first, with
+    the waveform at ``dt * (step - n_burn)``, and the retained steps are
+    returned.  The pair comes from its own Cholesky factor of
     :func:`pair_covariance`, and enters the loops as ``v_s`` with
     ``c_v = 1`` and as ``u_s`` with ``q_us = 1``, with ``a_s = 0``.  The
     Euler loop always gets a cosine drive (as ``v_c``), also when the
     self-phase-modulation coupling is cancelled and the package leaves
     it out.
     """
-    n, dt, seed = int(config.duration / config.dt), config.dt, config.seed
+    dt, seed = config.dt, config.seed
+    n_burn = math.ceil(config.burn_in / dt)
+    n = n_burn + int(config.duration / dt)
     psds = input_noise_psds(params)
     drift = drift_matrix(params)
     c_a, c_v, p_bs, _, _ = coefficients(params)
@@ -85,14 +90,14 @@ def reference_run(params, config):
     z0, z1 = serial_stream(seed, STREAM_DRIVE, n), serial_stream(seed, STREAM_DIRECT, n)
     drive, direct = l00 * z0, l10 * z0 + l11 * z1
     zero = np.zeros(n)
-    signal = config.signal.evaluate(dt * np.arange(n))
+    signal = config.signal.evaluate(dt * (np.arange(n) - n_burn))
     d = np.empty(n)
     if config.method == "exact":
         lam = drift.matrix[1, 1]
         decay = math.exp(-lam * dt)
         w_drive = drive + drift.signal_coupling * (1.0 - decay) / lam * signal
         exact_relax_loop(0.0, decay, zero, w_drive, direct, p_bs, 0.0, 1.0, d)
-        return d
+        return d[n_burn:]
     cosine = (math.sqrt((c_a ** 2 * psds["a_c"] + c_v ** 2 * psds["v_c"]) / dt)
               * serial_stream(seed, STREAM_COSINE, n))
     m = drift.matrix
@@ -100,7 +105,7 @@ def reference_run(params, config):
                         zero, zero, cosine, drive, direct,
                         drift.signal_coupling * signal,
                         p_bs, 0.0, 1.0, c_a, 1.0, d)
-    return d
+    return d[n_burn:]
 
 
 CASES = {
@@ -113,6 +118,13 @@ CASES = {
     "exact": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE), {"method": "exact"}),
     "exact_sinusoid": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE),
                        {"method": "exact", "signal": SignalWaveform.sinusoid(1.0, 0.7)}),
+    # 6173 burn-in steps, not a multiple of the phasor table's block: the
+    # burn-in's waveform comes from blocks of negative index.
+    "euler_sinusoid_burn_in": (SensorParams(**BASE),
+                               {"signal": SignalWaveform.sinusoid(1.0, 0.7), "burn_in": 123.45}),
+    "exact_sinusoid_burn_in": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE),
+                               {"method": "exact", "signal": SignalWaveform.sinusoid(1.0, 0.7),
+                                "burn_in": 123.45}),
 }
 
 
@@ -131,7 +143,7 @@ class TestReferenceParity:
     def test_filter_matches_reference_loop(self, case, monkeypatch):
         params, extra = CASES[case]
         cfg = SimulationConfig(dt=0.02, duration=1000.0, seed=13, n_segments=4,
-                               burn_in=0.0, **extra)
+                               **({"burn_in": 0.0} | extra))
         # Eight chunks, the last one partial, drawn by more workers than
         # cores with frequent thread switches.
         monkeypatch.setattr(stochastic, "_CHUNK", 7000)
@@ -164,6 +176,84 @@ class TestChunking:
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
         chunked = simulate(params, cfg)
         assert np.array_equal(reference.d_s, chunked.d_s)
+
+
+class TestDrawAhead:
+    """Each chunk's noise is drawn while the chunk before it is filtered."""
+
+    @pytest.mark.parametrize("n_total", [600, 3000, 3500],
+                             ids=["one_partial_chunk", "whole_chunks", "partial_last_chunk"])
+    def test_each_stream_draws_each_chunk_once_and_one_ahead(self, n_total, monkeypatch):
+        params, _ = CASES["euler_coupled_spm"]
+        cfg = SimulationConfig(dt=0.02, duration=(n_total + 0.5) * 0.02, seed=13,
+                               n_segments=1, burn_in=0.0)
+        monkeypatch.setattr(stochastic, "_CHUNK", 1000)
+        events, sizes = [], {}
+        stream, lfilter = stochastic._stream, scipy.signal.lfilter
+
+        def counting_stream(seed, stream_id):
+            gen, drawn = stream(seed, stream_id), sizes.setdefault(stream_id, [])
+
+            def standard_normal(out):
+                drawn.append(out.size)
+                return gen.standard_normal(out=out)
+
+            return SimpleNamespace(standard_normal=standard_normal)
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                events.append("draw")
+                return super().submit(fn, *args, **kwargs)
+
+        def recording_lfilter(num, den, x, zi):
+            events.append("filter")
+            return lfilter(num, den, x, zi=zi)
+
+        monkeypatch.setattr(stochastic, "_stream", counting_stream)
+        monkeypatch.setattr(stochastic, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(stochastic, "_scipy_signal", SimpleNamespace(lfilter=recording_lfilter))
+        simulate(params, cfg)
+        chunks = math.ceil(n_total / 1000)
+        # No draw past the end: one call per chunk and stream, n_total in all.
+        assert {sid: len(drawn) for sid, drawn in sizes.items()} == dict.fromkeys(sizes, chunks)
+        assert all(sum(drawn) == n_total for drawn in sizes.values())
+        # Chunk i + 1's draws are submitted before chunk i is filtered.
+        expected = ["draw"] * 3
+        for i in range(chunks):
+            expected += ["draw"] * 3 * (i + 1 < chunks) + ["filter"] * 2
+        assert events == expected
+
+
+class TestDriveWaveform:
+    def test_phasor_table_matches_the_sinusoid_at_gain_probe_size(self, monkeypatch):
+        # gain_probe's run size and its highest probe: 3 M retained samples
+        # at dt = 0.01 after the default burn-in, w = 2, so |w t| reaches
+        # 6e4.  Zero noise leaves the drive the filter sees as the
+        # waveform alone.
+        params = SensorParams(**BASE)
+        amplitude, omega = 1.0, 2.0
+        cfg = SimulationConfig(dt=0.01, duration=30000.0, seed=5, n_segments=4,
+                               signal=SignalWaveform.sinusoid(amplitude, omega))
+        drives = []
+
+        def recording_lfilter(num, den, x, zi):
+            drives.append(x.copy())
+            return scipy.signal.lfilter(num, den, x, zi=zi)
+
+        def silent_stream(seed, stream_id):
+            return SimpleNamespace(standard_normal=lambda out: out.fill(0.0))
+
+        monkeypatch.setattr(stochastic, "_stream", silent_stream)
+        monkeypatch.setattr(stochastic, "_scipy_signal", SimpleNamespace(lfilter=recording_lfilter))
+        run = simulate(params, cfg)
+        drive = np.concatenate(drives)
+        n_burn = math.ceil(8.0 / relaxation_rates(params)[0] / cfg.dt)
+        assert run.n_samples == 3_000_000 and drive.size == n_burn + 3_000_000
+        assert n_burn % stochastic._BLOCK
+        wt = omega * (cfg.dt * (np.arange(drive.size) - n_burn))
+        scale = stochastic._PLANS["euler"](params, cfg).signal_scale * amplitude
+        tolerance = 1e-15 * abs(scale) * (1.0 + np.max(np.abs(wt)))
+        assert np.max(np.abs(drive - scale * np.sin(wt))) <= tolerance
 
 
 class TestStreams:
