@@ -22,7 +22,6 @@ from .core import (
 from .dynamics import (
     DriftMatrix,
     FrequencyResponse,
-    SignalWaveform,
     drift_matrix,
     frequency_response,
     input_noise_psds,
@@ -59,6 +58,7 @@ from .spectra import (
     snl_curve,
 )
 from .stochastic import (
+    SignalWaveform,
     SimulationConfig,
     SimulationRun,
     estimate_psd,

@@ -13,6 +13,7 @@ allocate).
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import itertools
 import json
@@ -94,6 +95,8 @@ def _provenance(command: str, params: SensorParams, params_file=None, **fields) 
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
+    if path.is_dir():  # os.replace would fail naming the temporary file instead
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:

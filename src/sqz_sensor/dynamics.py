@@ -206,34 +206,3 @@ def psd_from_response(params: SensorParams, omegas, xi_referred: bool = True) ->
         scenario="response",
         params=params_to_dict(params),
     )
-
-
-@dataclass(frozen=True)
-class SignalWaveform:
-    """Classical eigenfrequency perturbation ``amplitude * sin(frequency t)``.
-
-    The perturbation is treated as exactly classical and noiseless.  A
-    zero amplitude is no drive: the integrator skips the waveform.
-    """
-
-    amplitude: float = 0.0
-    frequency: float = 0.0
-
-    def __post_init__(self):
-        for name in ("amplitude", "frequency"):
-            if not math.isfinite(getattr(self, name)):
-                raise RangeError(f"waveform {name} must be finite, got {getattr(self, name)}")
-        if self.frequency < 0.0:
-            raise RangeError("waveform frequency must be >= 0")
-
-    @classmethod
-    def zero(cls) -> "SignalWaveform":
-        return cls()
-
-    @classmethod
-    def sinusoid(cls, amplitude: float, frequency: float) -> "SignalWaveform":
-        return cls(amplitude=float(amplitude), frequency=float(frequency))
-
-    def evaluate(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return self.amplitude * np.sin(self.frequency * t)

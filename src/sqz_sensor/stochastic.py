@@ -19,17 +19,14 @@ point, is not drawn.  Each stream is one SFC64 generator seeded by
 ``SeedSequence([seed, stream id])``, and the integrator runs as a bank
 of linear filters (:func:`scipy.signal.lfilter`), so within one tool
 version a seed reproduces its realization bit for bit for pinned
-numpy/scipy versions, whatever the core count.  Version 0.3.0 drew the
-pair in place of the inputs, so its realizations differ from 0.2.0's;
-version 0.3.1 takes the injected sinusoid from a block-indexed phasor
-table, which changes driven runs in their last bits and leaves undriven
-ones as they were.  One chunked loop runs either plan and records the
-detector alone, on chunks small enough to stay in cache.  The streams
-are drawn concurrently, one task per stream and chunk, one chunk ahead
-of the filter bank, which leaves every sequence as a serial draw gives
-it.  Runs share no state, so callers may overlap them.  The periodogram
-is Welch's estimate as batched real FFTs; the gain is demodulated in
-one product.
+numpy/scipy versions, whatever the core count.  One chunked loop runs
+either plan and records the detector alone, on chunks small enough to
+stay in cache; it takes the injected sinusoid from a block-indexed
+phasor table.  The streams are drawn concurrently, one task per stream
+and chunk, one chunk ahead of the filter bank, which leaves every
+sequence as a serial draw gives it.  Runs share no state, so callers
+may overlap them.  The periodogram is Welch's estimate as batched real
+FFTs; the gain is demodulated in one product.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from .core import (
     params_to_dict,
 )
 from .dynamics import (
-    SignalWaveform,
     drift_matrix,
     frequency_response,
     input_noise_psds,
@@ -91,6 +87,26 @@ _DT_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
+class SignalWaveform:
+    """Classical eigenfrequency perturbation ``amplitude * sin(frequency t)``.
+
+    The perturbation is treated as exactly classical and noiseless.  A
+    zero amplitude is no drive: the integrator skips the waveform.  The
+    integrator's phasor table (:func:`_integrate`) is its only sampler.
+    """
+
+    amplitude: float = 0.0
+    frequency: float = 0.0
+
+    def __post_init__(self):
+        for name in ("amplitude", "frequency"):
+            if not math.isfinite(getattr(self, name)):
+                raise RangeError(f"waveform {name} must be finite, got {getattr(self, name)}")
+        if self.frequency < 0.0:
+            raise RangeError("waveform frequency must be >= 0")
+
+
+@dataclass(frozen=True)
 class SimulationConfig:
     """Integration settings for one stochastic run.
 
@@ -106,7 +122,7 @@ class SimulationConfig:
     duration: float
     seed: int
     n_segments: int = 200
-    signal: SignalWaveform = field(default_factory=SignalWaveform.zero)
+    signal: SignalWaveform = field(default_factory=SignalWaveform)
     burn_in: float | None = None
     method: str = METHOD_EULER
 
@@ -255,12 +271,14 @@ def _pair_factor(f_shared: float, f_own: tuple, direct_shared: float,
     return np.array([[l00, 0.0], [l10, l11]])
 
 
-def _output_coefficients(params: SensorParams) -> tuple[float, float, float]:
+def _couplings(params: SensorParams) -> tuple[float, float, float, float, float]:
+    """Input couplings ``c_a``, ``c_v`` of the coupling and loss channels,
+    and the detector's output coefficients ``p_bs`` (intracavity state),
+    ``q_as`` (input, direct) and ``q_us`` (detection vacuum)."""
     sqrt_eta = math.sqrt(params.eta)
-    p_bs = sqrt_eta * math.sqrt(2.0 * params.kappa_prime)
-    q_as = -sqrt_eta
-    q_us = math.sqrt(1.0 - params.eta)
-    return p_bs, q_as, q_us
+    c_a = math.sqrt(2.0 * params.kappa_prime)
+    c_v = math.sqrt(2.0 * params.kappa_double_prime)
+    return c_a, c_v, sqrt_eta * c_a, -sqrt_eta, math.sqrt(1.0 - params.eta)
 
 
 def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
@@ -279,9 +297,7 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     a = np.eye(2) - dt * drift.matrix
     a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
     sig = {name: math.sqrt(psd / dt) for name, psd in input_noise_psds(params).items()}
-    c_a = math.sqrt(2.0 * params.kappa_prime)
-    c_v = math.sqrt(2.0 * params.kappa_double_prime)
-    p_bs, q_as, q_us = _output_coefficients(params)
+    c_a, c_v, p_bs, q_as, q_us = _couplings(params)
     h = 0.5 * dt * p_bs
     factor = _pair_factor(c_a * sig["a_s"], (c_v * sig["v_s"],), q_as * sig["a_s"], q_us * sig["u_s"])
     if a10 == 0.0:
@@ -326,9 +342,7 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     cov01 = s_as * (1.0 - decay) / lam
     resid = math.sqrt(max(var1 - cov01 * cov01 / var0, 0.0))
     sig_i1v = math.sqrt(psds["v_s"] * (1.0 - decay * decay) / (2.0 * lam))
-    c_a = math.sqrt(2.0 * params.kappa_prime)
-    c_v = math.sqrt(2.0 * params.kappa_double_prime)
-    p_bs, q_as, q_us = _output_coefficients(params)
+    c_a, c_v, p_bs, q_as, q_us = _couplings(params)
     sig_as = math.sqrt(s_as / dt)
     factor = _pair_factor(c_a * cov01 / math.sqrt(var0), (c_a * resid, c_v * sig_i1v),
                           q_as * sig_as, q_us * math.sqrt(psds["u_s"] / dt))
@@ -510,7 +524,7 @@ def measure_gain(
         raise RangeError(f"probe_omega must be in (0, pi/dt = {nyquist}), got {probe_omega}")
     if not 0.0 < probe_amplitude < math.inf:
         raise RangeError(f"probe_amplitude must be a positive finite number, got {probe_amplitude}")
-    cfg = replace(config, signal=SignalWaveform.sinusoid(probe_amplitude, probe_omega))
+    cfg = replace(config, signal=SignalWaveform(probe_amplitude, probe_omega))
     run = simulate(params, cfg)
 
     n = run.n_samples

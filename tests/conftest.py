@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sqz_sensor import SensorParams
+from sqz_sensor.cli import reference_params
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -17,15 +18,8 @@ def pytest_sessionfinish(session, exitstatus):
 
 @pytest.fixture
 def fig2_params() -> SensorParams:
-    """Reference operating point: coupling ten times the intrinsic loss,
-    70% efficiency, squeezing power factor 30, one photon."""
-    return SensorParams(
-        kappa_prime=1.0,
-        kappa_double_prime=0.1,
-        eta=0.7,
-        n_photons=1.0,
-        r_squeeze=0.5 * math.log(30.0),
-    )
+    """The CLI's reference operating point (``cli.reference_params``)."""
+    return reference_params()
 
 
 @pytest.fixture

@@ -302,7 +302,8 @@ class TestValidateCommand:
 #: The stochastic gate's three rms values at the reference point, budget
 #: 800 and seed 12345, for the pinned numpy and scipy versions.  They fix
 #: the realizations of one tool version: a change that moves them changes
-#: realizations, and must bump the version with them.
+#: realizations, and must bump the version with them.  The version here
+#: is a copy on purpose: it is what the values are pinned to.
 PINNED_REALIZATION = ("0.3.1", {
     "no_squeeze": 0.03288648051570464,
     "input_squeeze": 0.03314113362298651,
@@ -630,6 +631,23 @@ class TestExitCodes:
             "error: parameters out of floating-point range: math range error\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, args", [
+        ("spectrum", ["--scenario", "no-squeeze"]),
+        ("validate", ["--budget", "20"]),
+        ("optimize", ["--target", "kc"]),
+    ])
+    def test_directory_as_out_is_input_error(self, command, args, params_file, tmp_path, capsys):
+        out_dir = tmp_path / "outdir"
+        out_dir.mkdir()
+        before = sorted(tmp_path.iterdir())
+        rc = main([command, "--params", str(params_file), *args, "--out", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out_dir) in err and ".tmp" not in err
+        assert sorted(tmp_path.iterdir()) == before
+        assert not any(out_dir.iterdir())
+
     def test_directory_as_params_is_input_error(self, tmp_path, capsys):
         rc = main(["validate", "--params", str(tmp_path), "--out", str(tmp_path / "r.json")])
         assert rc == 2
@@ -789,8 +807,12 @@ class TestProvenance:
 
     def test_package_version_is_the_project_version(self):
         # Manifests record tool_version, and seeds reproduce realizations
-        # only within one version.  A regex, not tomllib: Python 3.10 is
-        # supported.
+        # only within one version, so the project reads its version from
+        # the package and writes no copy of it.  A regex, not tomllib:
+        # Python 3.10 is supported.
         text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-        versions = re.findall(r'^version\s*=\s*"([^"]*)"', text, flags=re.MULTILINE)
-        assert versions == [sq.__version__]
+        assert re.search(r'^dynamic\s*=\s*\[\s*"version"\s*\]', text, flags=re.MULTILINE)
+        assert re.search(r'^\[tool\.setuptools\.dynamic\]\nversion\s*=\s*'
+                         r'\{\s*attr\s*=\s*"sqz_sensor\.__version__"\s*\}',
+                         text, flags=re.MULTILINE)
+        assert not re.search(r'^version\s*=\s*"', text, flags=re.MULTILINE)

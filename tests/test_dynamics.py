@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sqz_sensor as sq
-from sqz_sensor import InstabilityError, SensorParams, SignalWaveform
+from sqz_sensor import InstabilityError, SensorParams
 
 from conftest import random_cancelled_params
 
@@ -168,35 +168,3 @@ class TestPsdFromResponse:
     def test_grid_must_be_1d(self, fig2_params):
         with pytest.raises(sq.GridError):
             sq.psd_from_response(fig2_params, np.ones((2, 2)))
-
-
-class TestSignalWaveform:
-    def test_zero(self):
-        t = np.linspace(0.0, 1.0, 5)
-        assert np.all(SignalWaveform.zero().evaluate(t) == 0.0)
-
-    def test_sinusoid(self):
-        wf = SignalWaveform.sinusoid(2.0, 3.0)
-        t = np.linspace(0.0, 1.0, 5)
-        assert wf.evaluate(t) == pytest.approx(2.0 * np.sin(3.0 * t), rel=1e-15)
-
-    def test_zero_amplitude_drive_matches_zero_waveform(self, fig2_params):
-        cfg = sq.SimulationConfig(dt=0.02, duration=50.0, seed=9, n_segments=2,
-                                  signal=SignalWaveform.zero())
-        run = sq.simulate(fig2_params, cfg)
-        assert run.n_samples == 2500
-        silent = replace(cfg, signal=SignalWaveform.sinusoid(0.0, 0.5))
-        assert np.array_equal(sq.simulate(fig2_params, silent).d_s, run.d_s)
-
-    def test_negative_frequency_rejected(self):
-        with pytest.raises(sq.RangeError, match=">= 0"):
-            SignalWaveform(frequency=-1.0)
-        with pytest.raises(sq.RangeError, match=">= 0"):
-            SignalWaveform.sinusoid(1.0, -1.0)
-
-    @pytest.mark.parametrize("args", [(math.nan, 1.0), (math.inf, 1.0),
-                                      (1.0, math.nan), (1.0, math.inf),
-                                      (-math.inf, 1.0), (1.0, -math.inf)])
-    def test_non_finite_sinusoid_rejected(self, args):
-        with pytest.raises(sq.RangeError, match="finite"):
-            SignalWaveform.sinusoid(*args)

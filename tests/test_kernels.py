@@ -90,7 +90,8 @@ def reference_run(params, config):
     z0, z1 = serial_stream(seed, STREAM_DRIVE, n), serial_stream(seed, STREAM_DIRECT, n)
     drive, direct = l00 * z0, l10 * z0 + l11 * z1
     zero = np.zeros(n)
-    signal = config.signal.evaluate(dt * (np.arange(n) - n_burn))
+    wave = config.signal
+    signal = wave.amplitude * np.sin(wave.frequency * (dt * (np.arange(n) - n_burn)))
     d = np.empty(n)
     if config.method == "exact":
         lam = drift.matrix[1, 1]
@@ -114,16 +115,16 @@ CASES = {
     "euler_coupled_spm": (SensorParams(gamma_spm=0.1, k_s=0.5, **BASE), {}),
     "euler_cancelled_spm": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE), {}),
     "euler_sinusoid": (SensorParams(**BASE),
-                       {"signal": SignalWaveform.sinusoid(1.0, 0.7)}),
+                       {"signal": SignalWaveform(1.0, 0.7)}),
     "exact": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE), {"method": "exact"}),
     "exact_sinusoid": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE),
-                       {"method": "exact", "signal": SignalWaveform.sinusoid(1.0, 0.7)}),
+                       {"method": "exact", "signal": SignalWaveform(1.0, 0.7)}),
     # 6173 burn-in steps, not a multiple of the phasor table's block: the
     # burn-in's waveform comes from blocks of negative index.
     "euler_sinusoid_burn_in": (SensorParams(**BASE),
-                               {"signal": SignalWaveform.sinusoid(1.0, 0.7), "burn_in": 123.45}),
+                               {"signal": SignalWaveform(1.0, 0.7), "burn_in": 123.45}),
     "exact_sinusoid_burn_in": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE),
-                               {"method": "exact", "signal": SignalWaveform.sinusoid(1.0, 0.7),
+                               {"method": "exact", "signal": SignalWaveform(1.0, 0.7),
                                 "burn_in": 123.45}),
 }
 
@@ -171,7 +172,7 @@ class TestChunking:
     def test_chunk_size_does_not_change_exact_realization(self, monkeypatch):
         params = SensorParams(**BASE)
         cfg = SimulationConfig(dt=0.02, duration=400.0, seed=13, n_segments=4,
-                               method="exact", signal=SignalWaveform.sinusoid(1.0, 0.7))
+                               method="exact", signal=SignalWaveform(1.0, 0.7))
         reference = simulate(params, cfg)
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
         chunked = simulate(params, cfg)
@@ -233,7 +234,7 @@ class TestDriveWaveform:
         params = SensorParams(**BASE)
         amplitude, omega = 1.0, 2.0
         cfg = SimulationConfig(dt=0.01, duration=30000.0, seed=5, n_segments=4,
-                               signal=SignalWaveform.sinusoid(amplitude, omega))
+                               signal=SignalWaveform(amplitude, omega))
         drives = []
 
         def recording_lfilter(num, den, x, zi):

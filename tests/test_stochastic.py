@@ -12,6 +12,7 @@ from sqz_sensor import (
     RangeError,
     Scenario,
     SensorParams,
+    SignalWaveform,
     SimulationConfig,
     SnrError,
 )
@@ -136,6 +137,29 @@ class TestSimulate:
         for bad in (math.nan, math.inf, 0.5):
             with pytest.raises(ConfigError, match="n_segments"):
                 SimulationConfig(dt=0.1, duration=1.0, seed=0, n_segments=bad)
+
+
+class TestSignalWaveform:
+    def test_zero_amplitude_drive_matches_zero_waveform(self, fig2_params):
+        cfg = SimulationConfig(dt=0.02, duration=50.0, seed=9, n_segments=2,
+                               signal=SignalWaveform())
+        run = sq.simulate(fig2_params, cfg)
+        assert run.n_samples == 2500
+        silent = replace(cfg, signal=SignalWaveform(0.0, 0.5))
+        assert np.array_equal(sq.simulate(fig2_params, silent).d_s, run.d_s)
+
+    def test_negative_frequency_rejected(self):
+        with pytest.raises(RangeError, match=">= 0"):
+            SignalWaveform(frequency=-1.0)
+        with pytest.raises(RangeError, match=">= 0"):
+            SignalWaveform(1.0, -1.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (math.inf, 1.0),
+                                      (1.0, math.nan), (1.0, math.inf),
+                                      (-math.inf, 1.0), (1.0, -math.inf)])
+    def test_non_finite_sinusoid_rejected(self, args):
+        with pytest.raises(RangeError, match="finite"):
+            SignalWaveform(*args)
 
 
 class TestEstimatePsd:
@@ -333,7 +357,7 @@ class TestMeasureGain:
         else:
             cfg = SimulationConfig(dt=dt, duration=2000.0, seed=46, n_segments=10,
                                    method=case.split("_")[0],
-                                   signal=sq.SignalWaveform.sinusoid(1.0, omega))
+                                   signal=SignalWaveform(1.0, omega))
             d = sq.simulate(fig2_params, cfg).d_s
         z_probe, offsets = demodulate_loop(d, dt, omega)
         d_omega = 2.0 * math.pi / (d.size * dt)
