@@ -67,7 +67,7 @@ from .stochastic import (
     spectral_comparison_config,
 )
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 __all__ = [
     "PSD_CONVENTION",

@@ -39,13 +39,15 @@ class DriftMatrix:
     signal_coupling: float
 
     def eigenvalues(self) -> np.ndarray:
-        m = self.matrix
+        # Solved at 2^e just above the trace 2 kappa, so that squared rates
+        # neither overflow nor underflow; a power-of-two scaling is exact.
+        e = math.frexp(self.matrix[0, 0] + self.matrix[1, 1])[1]
+        m = np.ldexp(self.matrix, -e)
         center = 0.5 * (m[0, 0] + m[1, 1])
         disc = (0.5 * (m[0, 0] - m[1, 1])) ** 2 + m[0, 1] * m[1, 0]
+        center, root = np.ldexp(center, e), np.ldexp(math.sqrt(abs(disc)), e)
         if disc >= 0.0:
-            root = math.sqrt(disc)
             return np.array([center - root, center + root], dtype=complex)
-        root = math.sqrt(-disc)
         return np.array([center - 1j * root, center + 1j * root])
 
 

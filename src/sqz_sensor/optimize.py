@@ -51,8 +51,8 @@ def _minimize(f, lo: float, hi: float, h: float):
     equals ``f`` at both ends (a constant objective has no unique
     optimum), and :class:`ConvergenceError` when Brent's method fails.
     """
-    # Brent's absolute tolerance, about sqrt(eps) of the problem scale
-    # h * 1e5, keeps its stop well inside the polish spacing.
+    # Brent's absolute tolerance, a thousandth of the polish spacing,
+    # keeps its stop well inside that spacing.
     res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-3 * h})
     if not res.success:
         raise ConvergenceError(f"bounded Brent search on [{lo!r}, {hi!r}] failed: {res.message}")
@@ -107,22 +107,23 @@ def numeric_min_kc(params: SensorParams, omega_probe: float = 0.0) -> Optimizati
     """Numeric minimization of the sensitivity spectrum over k_c.
 
     Independent check of :func:`optimal_kc`: a bounded Brent search of
-    the spectrum over the stable range ``|k_c| < kappa`` (less 1e-9 kappa
-    at each end), polished with spacing ``1e-5 kappa``; ``boundary`` flags
-    an optimum within that spacing of an end.  The argmin does not depend
+    the spectrum over ``x = k_c / kappa`` on the stable range ``|x| < 1``
+    (less 1e-9 at each end), polished with spacing ``1e-5``; ``boundary``
+    flags an optimum within that spacing of an end.  In units of kappa,
+    Brent's products of steps and objective differences scale as the
+    spectrum, not its cube.  The argmin does not depend
     on ``omega_probe`` because the k_c-dependent part of the objective
     carries no frequency term.  Raises :class:`RangeError` when the
     spectrum does not depend on k_c (``eta = 1`` with ``exp(-2r)``
     underflowed).
     """
     kappa = params.kappa
-    delta = 1e-9 * kappa
 
-    def objective(kc: float) -> float:
-        return spectra.measurement_psd_raw(replace(params, k_c=kc), omega_probe)
+    def objective(x: float) -> float:
+        return spectra.measurement_psd_raw(replace(params, k_c=kappa * x), omega_probe)
 
-    x, y, boundary = _minimize(objective, -kappa + delta, kappa - delta, h=1e-5 * kappa)
-    return OptimizationResult(argmin=x, value=y, boundary=boundary)
+    x, y, boundary = _minimize(objective, -1.0 + 1e-9, 1.0 - 1e-9, h=1e-5)
+    return OptimizationResult(argmin=kappa * x, value=y, boundary=boundary)
 
 
 def _check_omega(omega: float) -> float:
@@ -154,32 +155,33 @@ def numeric_min_kappa(omega: float, n_photons: float = 1.0) -> OptimizationResul
 
     Minimizes the lossless no-squeezing spectrum over ``u = ln kappa`` by
     a bounded Brent search on ``ln|omega| -+ ln 1e3``, polished with
-    spacing ``1e-5`` in ``u``; ``boundary`` flags an optimum within that
+    spacing ``1e-3`` in ``u``; ``boundary`` flags an optimum within that
     spacing of an end.  In ``u`` the spectrum is
     ``(|omega|/4N) cosh(u - ln|omega|)``, symmetric about its minimum, so
-    the parabolic polish leaves no first-order bias.  Raises
-    :class:`RangeError` for a zero or non-finite omega, when ``8 kappa N``
-    leaves the normal floating-point range at an end of the search, and
-    when the spectrum does not depend on the bandwidth because ``omega^2``
-    and ``kappa^2`` overflow.
+    the parabolic polish leaves no first-order bias, and the wide spacing
+    keeps the rounding of the objective from moving the vertex.  Raises
+    :class:`RangeError` for a zero or non-finite omega, and when the
+    bandwidth or the spectrum scale ``kappa / 8N`` leaves the normal
+    floating-point range at an end of the search.
     """
     w = _check_omega(omega)
-    if not sys.float_info.min <= 8.0 * (w / 1e3) * n_photons <= 8.0 * 1e3 * w * n_photons < math.inf:
+    lo, hi = w / 1e3, w * 1e3
+    if not (n_photons > 0.0 and sys.float_info.min <= lo / 8.0 / n_photons
+            and max(hi, hi / 8.0 / n_photons) < math.inf):
         raise RangeError(
-            f"n_photons = {n_photons!r} and omega = {omega!r}: the spectrum scale "
-            "8 kappa N is beyond floating-point range over the bandwidth search "
-            "|omega| 1e-3 .. |omega| 1e3"
+            f"n_photons = {n_photons!r} and omega = {omega!r}: the bandwidth or the "
+            "spectrum scale kappa / 8N is beyond floating-point range over the "
+            "bandwidth search |omega| 1e-3 .. |omega| 1e3"
         )
 
     def objective(u: float) -> float:
-        # np.exp keeps kappa a numpy float, so an overflowing kappa**2
-        # gives inf rather than a Python OverflowError.
+        # np.exp gives inf, which SensorParams rejects, where exp(u) rounds
+        # past the largest float at the top of the search.
         p = SensorParams(kappa_prime=np.exp(u), kappa_double_prime=0.0,
                          eta=1.0, n_photons=n_photons)
         return spectra.measurement_psd_raw(p, w)
 
-    u_w, span = math.log(w), math.log(1e3)
-    u, y, boundary = _minimize(objective, u_w - span, u_w + span, h=1e-5)
+    u, y, boundary = _minimize(objective, math.log(lo), math.log(hi), h=1e-3)
     return OptimizationResult(argmin=float(np.exp(u)), value=y, boundary=boundary)
 
 
@@ -217,39 +219,39 @@ def snl_crossings(
 ) -> SnlBand:
     """The band where the scenario spectrum dips below the SNL.
 
-    The band edges are the roots of ``N c2 w^2 - w/4 + N c0``: the
-    scenario's quadratic from :func:`spectra.quadratic_coefficients`
-    minus the limit, times the photon number ``N``, which leaves
-    coefficients that do not depend on ``N`` and cannot overflow or
-    underflow with it.  The edges are clipped to ``search_interval``.  A
-    spectrum that only touches the limit, within 1e-9 of the spectrum
-    plus the limit at the vertex, gives a zero-width band there; if the
-    spectrum stays above the limit on the interval, :class:`NoBandError`
-    is raised.  Zero frequency is never
-    inside a band because the spectrum is positive there while the limit
-    vanishes.
+    In units of kappa, ``y = omega / kappa``, the scenario's quadratic
+    ``scale (a y^2 + c)`` from :func:`spectra.quadratic_coefficients`
+    meets the limit ``scale 2 b |y|``, ``b = kappa' / kappa``, at the roots
+    of ``a y^2 - 2 b y + c``, whose coefficients do not depend on the
+    photon number or the size of the rates; the band edges are kappa
+    times those roots, clipped to ``search_interval``.  A spectrum that
+    only touches the limit, within 1e-9 of the spectrum plus the limit at
+    the vertex, gives a zero-width band there; if the spectrum stays above
+    the limit on the interval, :class:`NoBandError` is raised.  Zero
+    frequency is never inside a band because the spectrum is positive
+    there while the limit vanishes.
     """
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not (hi > lo >= 0.0):
         raise RangeError(f"need 0 <= lo < hi, got ({lo}, {hi})")
     params_m = scenario.materialize(params)
-    c2, c0 = spectra.quadratic_coefficients(params_m)
-    c2, c0, b = params_m.n_photons * c2, params_m.n_photons * c0, 0.25
-    disc = b * b - 4.0 * c2 * c0
-    # At the vertex b / (2 c2), (spectrum - limit) is -disc / (4 c2) and
-    # (spectrum + limit) is (3 b^2 + 4 c2 c0) / (4 c2); the test compares
-    # the two with the common factor taken out, so c2 = 0 needs no case.
-    # An overflowing 4 c2 c0 leaves disc = -inf: no root and no tangency.
-    if math.isfinite(disc) and abs(disc) <= 1e-9 * (3.0 * b * b + 4.0 * c2 * c0):
-        lower = upper = b / (2.0 * c2)
+    _, a, c = spectra.quadratic_coefficients(params_m)
+    kappa, b = params_m.kappa, params_m.kappa_prime / params_m.kappa
+    disc = b * b - a * c
+    # At the vertex b / a, (spectrum - limit) is -disc / a and (spectrum
+    # + limit) is (3 b^2 + a c) / a, both times scale; the test compares
+    # the two with the common factor taken out, so a = 0 needs no case.
+    # An overflowing a c leaves disc = -inf: no root and no tangency.
+    if math.isfinite(disc) and abs(disc) <= 1e-9 * (3.0 * b * b + a * c):
+        lower = upper = kappa * (b / a)
     elif disc < 0.0:
         raise NoBandError("spectrum stays above the shot-noise limit")
     else:
         # Cancellation-free roots: b > 0, so b + sqrt(disc) loses nothing.
-        # c2 = 0 (eta = 1 with exp(-2r) underflowed) leaves the constant
-        # spectrum c0 below the limit from its one crossing upward.
-        q = 0.5 * (b + math.sqrt(disc))
-        lower, upper = c0 / q, (q / c2 if c2 > 0.0 else hi)
+        # a = 0 (eta = 1 with exp(-2r) underflowed) leaves the constant
+        # spectrum below the limit from its one crossing upward.
+        q = b + math.sqrt(disc)
+        lower, upper = kappa * (c / q), (kappa * (q / a) if a > 0.0 else hi)
     lower, upper = max(lower, lo), min(upper, hi)
     if upper < lower:
         raise NoBandError(f"no sub-shot-noise frequency in ({lo}, {hi})")

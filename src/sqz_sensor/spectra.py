@@ -8,7 +8,8 @@ the general solver in :mod:`sqz_sensor.dynamics` covers everything else,
 the un-referred detected noise included.
 
 All closed-form scenarios share one model, the quadratic
-``S(omega) = c2 omega^2 + c0(k_c)`` of :func:`quadratic_coefficients`: a
+``S = scale (a y^2 + c(k_c))`` in ``y = omega / kappa`` of
+:func:`quadratic_coefficients`, whose coefficients are ratios of rates: a
 scenario is nothing but a choice of the cosine gain ``k_c`` (zero, or
 the loss-optimal value, with ``r = 0`` for the coherent probe) applied by
 :meth:`Scenario.materialize` alone, so every entry point accepts any
@@ -19,7 +20,6 @@ cases are this quadratic at ``kappa_double_prime = 0``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -43,43 +43,32 @@ def _shape_match(omega, values):
     return values
 
 
-def quadratic_coefficients(params: SensorParams) -> tuple[float, float]:
-    """Coefficients ``(c2, c0)`` of the sensitivity spectrum ``c2 w^2 + c0``.
+def quadratic_coefficients(params: SensorParams) -> tuple[float, float, float]:
+    """``(scale, a, c)`` of the spectrum ``scale (a y^2 + c)``, ``y = omega / kappa``.
 
-    Every closed-form scenario is this one quadratic in omega; the
-    scenarios differ only in the cosine gain ``k_c`` carried by
-    ``params``, which enters the frequency-independent floor ``c0``
-    alone.  Stability, ``|k_c| < kappa``, is checked when ``params`` is built.
-    Raises :class:`RangeError` when the scale ``8 kappa_prime N`` underflows
-    to 0 or overflows, when the loss factor ``(1 - eta) / eta`` or ``c2``
-    overflows, or when a squared rate overflows.
+    The scenarios differ only in the cosine gain ``k_c`` carried by
+    ``params``, which enters the floor ``c`` alone.  With
+    ``d = (kappa' - kappa'' - k_c) / kappa`` and ``s = (kappa + k_c) / kappa``,
+    ``scale = (kappa / 8N) (kappa / kappa')``, ``a = exp(-2r) + eps^2`` and
+    ``c = d^2 exp(-2r) + 4 kappa' kappa'' / kappa^2 + eps^2 s^2``: only
+    ``scale`` carries the size of the answer.  Stability, ``|k_c| < kappa``,
+    is checked when ``params`` is built.  Raises :class:`RangeError` when
+    ``scale`` underflows to 0 or overflows, or ``eps^2 = (1 - eta) / eta`` does.
     """
-    kp, kpp, kc = params.kappa_prime, params.kappa_double_prime, params.k_c
+    kappa, kp, kpp = params.kappa, params.kappa_prime, params.kappa_double_prime
     em2r = math.exp(-2.0 * params.r_squeeze)
     eps2 = params.epsilon_sq
-    scale = 8.0 * kp * params.n_photons
-    c2 = (em2r + eps2) / scale if scale > 0.0 else math.inf
-    if not (c2 < math.inf and scale < math.inf):
+    scale = kappa / (8.0 * params.n_photons) * (kappa / kp)
+    a = em2r + eps2
+    if not (0.0 < scale < math.inf and a < math.inf):
         raise RangeError(
-            f"kappa_prime = {kp!r}, n_photons = {params.n_photons!r} and eta = {params.eta!r}: "
-            "the spectrum scale 8 kappa_prime n_photons, the loss factor "
-            "(1 - eta) / eta or their ratio is beyond floating-point range"
+            f"kappa_prime = {kp!r}, kappa_double_prime = {kpp!r}, n_photons = {params.n_photons!r} "
+            f"and eta = {params.eta!r}: the spectrum scale (kappa / 8 n_photons) (kappa / "
+            "kappa_prime) underflows to 0 or overflows, or the loss factor (1 - eta) / eta overflows"
         )
-    d, s = kp - kpp - kc, params.kappa + kc
-    try:
-        d2, s2 = d ** 2, s ** 2
-    except OverflowError:
-        raise RangeError(
-            f"kappa_prime = {kp!r}, kappa_double_prime = {kpp!r} and k_c = {kc!r}: "
-            "their squares overflow the spectrum floor"
-        ) from None
-    c0 = (d2 * em2r + 4.0 * kp * kpp + eps2 * s2) / scale
-    if c0 == 0.0 or 0.0 < d2 < sys.float_info.min or 0.0 < s2 < sys.float_info.min:
-        # A square is subnormal, or every term underflows: divide
-        # kappa_prime out of the squares and the scale.  As d + s =
-        # 2 kappa_prime, neither ratio can overflow where a square is small.
-        c0 = (d * (d / kp) * em2r + 4.0 * kpp + eps2 * s * (s / kp)) / (8.0 * params.n_photons)
-    return c2, c0
+    d, s = (kp - kpp - params.k_c) / kappa, (kappa + params.k_c) / kappa
+    c = d * d * em2r + 4.0 * (kp / kappa) * (kpp / kappa) + eps2 * s * s
+    return scale, a, c
 
 
 def measurement_psd_raw(params: SensorParams, omega):
@@ -89,10 +78,8 @@ def measurement_psd_raw(params: SensorParams, omega):
     cavity response cancels out of the ratio, leaving the quadratic of
     :func:`quadratic_coefficients`.
     """
-    c2, c0 = quadratic_coefficients(params)
-    w = np.asarray(omega, dtype=float)
-    # Where the terms meet at a subnormal omega^2, (c2 omega) omega keeps its digits.
-    values = (c2 * w * w if c0 < c2 * sys.float_info.min else c2 * np.square(w)) + c0
+    scale, a, c = quadratic_coefficients(params)
+    values = scale * (a * np.square(np.asarray(omega, dtype=float) / params.kappa) + c)
     return _shape_match(omega, values)
 
 

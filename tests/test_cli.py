@@ -4,6 +4,7 @@ import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +44,11 @@ README_FILE = {
 # (omega^2 / kappa_prime + kappa_prime) / 8, touching the limit at 1e-200.
 SQUARES_UNDERFLOW_FILE = {"kappa_prime": 1e-200, "kappa_double_prime": 0.0, "eta": 1.0,
                           "n_photons": 1.0}
+
+
+def rates_divided(data: dict, scale: float) -> dict:
+    """Parameter-file contents with both rates divided by ``scale``."""
+    return data | {key: data[key] / scale for key in ("kappa_prime", "kappa_double_prime")}
 
 
 @pytest.fixture
@@ -239,6 +245,29 @@ class TestValidateCommand:
             "stochastic_simulator_vs_closed_forms",
         }
 
+    def test_si_rates_pass(self, tmp_path):
+        # Gate 2 compares k_c in units of kappa: read in rad/s, a relative
+        # disagreement of 1e-15 at kappa = 1.1e8 was 1e-7, beyond the gate.
+        pfile = tmp_path / "si.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"kappa_prime": 1e8, "kappa_double_prime": 1e7,
+                                                 "r_squeeze": 1.7, "units": "si"}))
+        report_path = tmp_path / "report.json"
+        rc = main(["validate", "--params", str(pfile), "--out", str(report_path)])
+        assert rc == 0
+        assert json.loads(report_path.read_text())["passed"]
+
+    def test_report_does_not_depend_on_the_units_of_the_rates(self):
+        def measured(report):
+            return [(c["measured"], c.get("details")) for c in report["checks"]]
+
+        params = reference_params()
+        expected = measured(run_validation(params, budget=20, seed=3))
+        for k in (-20, 6, 12, 20):
+            scale = 4.0 ** k
+            scaled = replace(params, kappa_prime=params.kappa_prime * scale,
+                             kappa_double_prime=params.kappa_double_prime * scale)
+            assert measured(run_validation(scaled, budget=20, seed=3)) == expected
+
     def test_rates_whose_squares_underflow(self, tmp_path, capsys):
         # The drift determinant is of order kappa^2 = 1e-400: solved in
         # units of kappa it neither underflows nor warns, and any warning
@@ -304,10 +333,10 @@ class TestValidateCommand:
 #: the realizations of one tool version: a change that moves them changes
 #: realizations, and must bump the version with them.  The version here
 #: is a copy on purpose: it is what the values are pinned to.
-PINNED_REALIZATION = ("0.3.1", {
-    "no_squeeze": 0.03288648051570464,
-    "input_squeeze": 0.03314113362298651,
-    "double_squeeze_optimal": 0.0317513209000293,
+PINNED_REALIZATION = ("0.3.2", {
+    "no_squeeze": 0.032886480515704655,
+    "input_squeeze": 0.033141133622986485,
+    "double_squeeze_optimal": 0.031751320900029356,
 })
 
 
@@ -464,13 +493,33 @@ class TestOptimizeCommand:
         assert "kappa_double_prime = 1e+160" in err and "stability range" in err
         assert not out.exists()
 
-    def test_kc_target_when_the_objective_overflows_inside_the_range(self, tmp_path, capsys):
+    def test_kc_target_at_rates_whose_squares_overflow(self, tmp_path):
+        # kappa^2 overflows, but the spectrum is solved in units of kappa:
+        # the result is that of the same file and probe frequency with
+        # every rate divided by 4^265.
+        big = FIG2_FILE | {"kappa_prime": 1e160}
+        scale = 4.0 ** 265
+        results = []
+        for name, data in (("big", big), ("small", rates_divided(big, scale))):
+            pfile = tmp_path / f"{name}.json"
+            pfile.write_text(json.dumps(data))
+            out = tmp_path / f"{name}_kc.json"
+            rc = main(["optimize", "--params", str(pfile), "--target", "kc",
+                       "--omega", repr(data["kappa_prime"]), "--out", str(out)])
+            assert rc == 0
+            results.append(load_strict_json(out.read_text()))
+        at_big, at_small = results
+        for key in ("closed_form", "numeric", "objective_at_numeric"):
+            assert at_big[key] == at_small[key] * scale
+        assert at_big["closed_form"] == pytest.approx(-8.5567e159, rel=1e-4)
+
+    def test_kc_target_when_the_objective_overflows_inside_the_range(self, params_file,
+                                                                     tmp_path, capsys):
         # The closed-form optimum is inside the stability range, but
-        # kappa^2 overflows at every k_c: the minimum found is infinite.
-        pfile = tmp_path / "params.json"
-        pfile.write_text(json.dumps(FIG2_FILE | {"kappa_prime": 1e160}))
+        # (omega / kappa)^2 overflows at every k_c: the minimum found is infinite.
         out = tmp_path / "kc.json"
-        rc = main(["optimize", "--params", str(pfile), "--target", "kc", "--out", str(out)])
+        rc = main(["optimize", "--params", str(params_file), "--target", "kc",
+                   "--omega", "1e300", "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -583,8 +632,9 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("scenario", ["no-squeeze", "input-squeeze"])
     def test_band_absent_when_the_quadratic_overflows(self, scenario, tmp_path):
-        # 4 c2 c0 overflows: the spectrum is far above the limit, which a
-        # tangency test reading inf <= inf took for a zero-width band.
+        # The spectrum is far above the limit, where a tangency test on
+        # raw rates, whose 4 c2 c0 overflows, read inf <= inf as a
+        # zero-width band.
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps({"kappa_prime": 1e-200, "kappa_double_prime": 0.1,
                                      "eta": 0.7, "n_photons": 1.0, "r_squeeze": 1.7}))
@@ -648,6 +698,18 @@ class TestExitCodes:
         assert sorted(tmp_path.iterdir()) == before
         assert not any(out_dir.iterdir())
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_directory_as_manifest_writes_no_curve(self, fmt, params_file, tmp_path, capsys):
+        out = tmp_path / f"s.{fmt}"
+        (tmp_path / f"s.{fmt}.manifest.json").mkdir()
+        rc = main(["spectrum", "--params", str(params_file), "--scenario", "no-squeeze",
+                   "--format", fmt, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "manifest.json" in err
+        assert not out.exists()
+
     def test_directory_as_params_is_input_error(self, tmp_path, capsys):
         rc = main(["validate", "--params", str(tmp_path), "--out", str(tmp_path / "r.json")])
         assert rc == 2
@@ -694,9 +756,7 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert next(iter(override)) in err
 
-    @pytest.mark.parametrize("override", [{"kappa_prime": 10 ** 400},
-                                          {"kappa_double_prime": 1.5e154},
-                                          {"kappa_prime": 1e160}])
+    @pytest.mark.parametrize("override", [{"kappa_prime": 10 ** 400}])
     def test_values_beyond_float_range_are_input_errors(self, override, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(FIG2_FILE | override))
@@ -706,6 +766,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert next(iter(override)) in err
+
+    @pytest.mark.parametrize("override, k", [({"kappa_double_prime": 1.5e154}, 128),
+                                             ({"kappa_prime": 1e160}, 265)])
+    def test_rates_whose_squares_overflow_scale_exactly(self, override, k, tmp_path):
+        # The spectrum is solved in units of kappa, so squared rates never
+        # form: it is that of the same file with every rate divided by 4^k.
+        big = FIG2_FILE | override
+        scale = 4.0 ** k
+        curves = []
+        for name, data in (("big", big), ("small", rates_divided(big, scale))):
+            pfile = tmp_path / f"{name}.json"
+            pfile.write_text(json.dumps(data))
+            out = tmp_path / f"{name}.csv"
+            rc = main(["spectrum", "--params", str(pfile), "--scenario", "no-squeeze",
+                       "--points", "9", "--out", str(out)])
+            assert rc == 0
+            curves.append(read_curve_csv(out)[:2])
+        (w_big, s_big), (w_small, s_small) = curves
+        assert np.array_equal(w_big, w_small * scale)
+        assert np.array_equal(s_big, s_small * scale)
+        assert np.all(np.isfinite(s_big))
 
     def test_anti_squeezing_beyond_float_range_names_r_squeeze(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -746,15 +827,33 @@ class TestExitCodes:
         assert err.value.code == 2
         assert f"argument {flag}: must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("omega", ["1e300", "1e-310"])
+    @pytest.mark.parametrize("omega", ["1e-310"])
     def test_snl_kappa_beyond_float_range_is_input_error(self, omega, params_file, capsys):
-        # The bandwidth search spans 1e3 either side of omega, where
-        # omega^2 and kappa^2 overflow or 8 kappa N leaves the normal range.
+        # The bandwidth search spans 1e3 either side of omega, where the
+        # spectrum scale kappa / 8N leaves the normal range.
         rc = main(["optimize", "--params", str(params_file), "--target", "snl_kappa",
                    "--omega", omega])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_snl_kappa_at_a_frequency_whose_square_overflows(self, params_file, tmp_path):
+        # omega^2 and kappa^2 overflow, but the spectrum is solved in units
+        # of kappa: the result is that of omega / 4^500, exactly for the
+        # closed form and to the numeric search's precision in ln kappa.
+        scale = 4.0 ** 500
+        results = []
+        for omega in (1e300, 1e300 / scale):
+            out = tmp_path / "kappa.json"
+            rc = main(["optimize", "--params", str(params_file), "--target", "snl_kappa",
+                       "--omega", repr(omega), "--out", str(out)])
+            assert rc == 0
+            results.append(load_strict_json(out.read_text()))
+        at_big, at_small = results
+        assert at_big["closed_form"] == {"kappa": 1e300, "value": 2.5e299}
+        assert at_small["closed_form"] == {"kappa": 1e300 / scale, "value": 2.5e299 / scale}
+        for name, value in at_small["numeric"].items():
+            assert at_big["numeric"][name] == pytest.approx(value * scale, rel=1e-10)
 
     def test_snl_kappa_search_beyond_float_range_names_its_inputs(self, tmp_path, capsys):
         # 8 kappa N overflows at the top of the bandwidth search.

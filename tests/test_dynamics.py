@@ -57,6 +57,21 @@ class TestDriftMatrix:
             dense = np.sort_complex(np.linalg.eigvals(drift.matrix))
             assert ours == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [-300, 300])
+    def test_eigenvalues_at_rates_whose_squares_leave_float_range(self, k):
+        # The entries are squared at a power of two near the trace, so the
+        # eigenvalues scale exactly with the rates: here 4^k (0.8, 1.4),
+        # where kappa^2 leaves floating-point range.
+        scale = 4.0 ** k
+        p = SensorParams(kappa_prime=1.0 * scale, kappa_double_prime=0.1 * scale, eta=0.7,
+                         n_photons=1.0, k_c=-0.3 * scale)
+        eigs = sq.drift_matrix(p).eigenvalues()
+        at_one = sq.drift_matrix(SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7,
+                                              n_photons=1.0, k_c=-0.3)).eigenvalues()
+        assert np.array_equal(eigs, at_one * scale)
+        assert sq.relaxation_rates(p) == (at_one[0].real * scale, at_one[1].real * scale)
+        assert at_one.real == pytest.approx([0.8, 1.4], rel=1e-15)
+
     def test_signal_enters_sine_row(self):
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=4.0)
         assert sq.drift_matrix(p).signal_coupling == pytest.approx(-math.sqrt(2.0) * 2.0, rel=1e-15)

@@ -118,10 +118,11 @@ class TestNumericMinKc:
         assert abs(res.argmin - sq.optimal_kc(p)) <= 1e-8
 
     def test_overflowed_minimum_rejected(self):
-        # kappa^2 overflows across the whole stable range of k_c.
+        # The spectrum scale (kappa / 8N) (kappa / kappa') is about 1.25e319
+        # across the whole stable range of k_c: the spectrum overflows.
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=1e160, eta=0.7,
                          n_photons=1.0, r_squeeze=1.7)
-        with pytest.raises(RangeError, match="not finite"):
+        with pytest.raises(RangeError, match="spectrum scale"):
             sq.numeric_min_kc(p)
 
     def test_objective_independent_of_kc_rejected(self):
@@ -173,17 +174,25 @@ class TestSnlOptimalKappa:
         res = sq.numeric_min_kappa(omega, n_photons)
         assert abs(res.argmin / abs(omega) - 1.0) <= 3e-11
 
-    @pytest.mark.parametrize("omega", [1e300, 1e-310])
+    @pytest.mark.parametrize("omega", [1e-310])
     def test_frequency_beyond_float_range_raises_package_error(self, omega):
         with pytest.raises((sq.ConvergenceError, RangeError)):
             sq.numeric_min_kappa(omega, 1.0)
 
+    def test_frequency_whose_square_overflows_finds_the_optimum(self):
+        # The spectrum is solved in units of kappa, so omega^2 never forms:
+        # the optimum is that at omega / 4^500, to the search's precision.
+        scale = 4.0 ** 500
+        res, res_small = sq.numeric_min_kappa(1e300, 1.0), sq.numeric_min_kappa(1e300 / scale, 1.0)
+        assert not res.boundary
+        assert res.argmin == pytest.approx(res_small.argmin * scale, rel=1e-10)
+        assert res.value == pytest.approx(res_small.value * scale, rel=1e-10)
+        assert res.argmin == pytest.approx(1e300, rel=1e-10)
+
     @pytest.mark.parametrize("omega, rel", [(1e-155, 1e-9), (1e-160, 1e-13), (1e-300, 1e-12)])
     def test_tiny_frequency_finds_the_optimum(self, omega, rel):
-        # kappa^2 and omega^2 are subnormal or zero over much of the search.
-        # Wherever kappa^2 is subnormal or 0, the floor kappa / 8N is
-        # recomputed with kappa divided out; near 1e-160 a subnormal
-        # kappa^2 kept only about 4 digits of it.
+        # kappa^2 and omega^2 would be subnormal or zero over much of the
+        # search; in units of kappa neither forms.
         res = sq.numeric_min_kappa(omega, 1.0)
         assert res.argmin == pytest.approx(omega, rel=rel, abs=0.0)
         assert res.value == pytest.approx(omega / 4.0, rel=rel, abs=0.0)
@@ -233,8 +242,8 @@ class TestSnlCrossings:
     @pytest.mark.parametrize("kappa_prime", [2.0, 1e-150, 1e150])
     def test_lossless_no_squeeze_tangency(self, kappa_prime):
         # With no squeezing the lossless spectrum touches the limit at
-        # exactly the half-bandwidth and never dips below, also where
-        # N c2 and N c0 are far from 1 (their product stays 1/64).
+        # exactly the half-bandwidth and never dips below, also far from
+        # unit rates: in units of kappa the quadratic is y^2 - 2y + 1.
         p = SensorParams(kappa_prime=kappa_prime, kappa_double_prime=0.0, eta=1.0,
                          n_photons=1.0)
         band = sq.snl_crossings(Scenario.no_squeeze(), p, (0.0, 10.0 * kappa_prime))
@@ -243,16 +252,26 @@ class TestSnlCrossings:
 
     @pytest.mark.parametrize("scenario", [Scenario.no_squeeze(), Scenario.input_squeeze()])
     def test_no_band_when_the_quadratic_overflows(self, scenario):
-        # N c2 and N c0 are both about 1e199, so 4 c2 c0 overflows: the
-        # spectrum is far above the limit, not touching it.
+        # In raw rates 4 c2 c0 overflows here; in units of kappa the limit's
+        # slope 2 kappa' / kappa is 2e-201: the spectrum is far above the
+        # limit, not touching it.
         p = SensorParams(kappa_prime=1e-200, kappa_double_prime=0.1, eta=0.7,
                          n_photons=1.0, r_squeeze=1.7)
         with pytest.raises(NoBandError):
             sq.snl_crossings(scenario, p, (0.0, 8e-200))
 
+    @pytest.mark.parametrize("scenario", [Scenario.no_squeeze(), Scenario.input_squeeze()])
+    def test_no_band_when_the_loss_factor_squared_overflows(self, scenario, fig2_params):
+        # (1 - eta) / eta is about 1e160, so a c overflows and the
+        # discriminant is -inf: no root, and not a tangency (inf <= inf).
+        p = replace(fig2_params, eta=1e-160)
+        with pytest.raises(NoBandError, match="stays above"):
+            sq.snl_crossings(scenario, p, (0.0, 8.0))
+
     def test_band_when_squeezing_underflows(self, fig2_params):
-        # eta = 1 with exp(-2r) underflowed: c2 = 0, the spectrum is the
-        # constant c0 = kpp / (2 N) and stays below the limit from 4 N c0.
+        # eta = 1 with exp(-2r) underflowed: a = 0, the spectrum is the
+        # constant scale c = kpp / (2 N) and stays below the limit from 4 N
+        # times that.
         p = replace(fig2_params, eta=1.0, r_squeeze=400.0)
         for scenario in (Scenario.input_squeeze(), Scenario.double_squeeze_optimal()):
             band = sq.snl_crossings(scenario, p, (0.0, 8.0))

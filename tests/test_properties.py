@@ -160,6 +160,89 @@ def test_spectrum_curves_keep_their_invariants(params, scenario, omegas):
             sq.normalize_curve(curve, params)
 
 
+@st.composite
+def power_of_four_exponents(draw, lowest: int = -500) -> tuple[int, int]:
+    """Exponents ``(k, j)`` of an exact rescaling of a parameter set.
+
+    Rates are multiplied by ``4^k``, the photon number by ``4^j`` and
+    ``gamma_spm``, a rate per photon, by ``4^(k - j)``, with k and j in
+    [-500, 500].  Spectra then scale by ``4^(k - j)``, kept in
+    [``lowest``, 500] so that every spectrum is a normal float.
+    """
+    k = draw(st.integers(-500, 500))
+    return k, draw(st.integers(max(-500, k - 500), min(500, k - lowest)))
+
+
+def rescaled(params: SensorParams, k: int, j: int) -> SensorParams:
+    """``params`` rescaled as :func:`power_of_four_exponents` describes."""
+    rates = {name: math.ldexp(getattr(params, name), 2 * k)
+             for name in ("kappa_prime", "kappa_double_prime", "k_c", "k_s")}
+    return replace(params, **rates, n_photons=math.ldexp(params.n_photons, 2 * j),
+                   gamma_spm=math.ldexp(params.gamma_spm, 2 * (k - j)))
+
+
+def assert_scales_exactly(call, rescaled_call, exponent: int):
+    """``rescaled_call()`` is ``call()`` times ``2^exponent`` bit for bit,
+    or both raise the same package error."""
+    try:
+        expected = np.ldexp(np.asarray(call(), dtype=float), exponent)
+    except sq.SqzSensorError as exc:
+        with pytest.raises(type(exc)):
+            rescaled_call()
+        return
+    assert np.array_equal(np.asarray(rescaled_call(), dtype=float), expected)
+
+
+def band_edges(scenario: Scenario, params: SensorParams, hi: float) -> tuple[float, float]:
+    band = sq.snl_crossings(scenario, params, (0.0, hi))
+    return band.lower, band.upper
+
+
+@PROPERTY_SETTINGS
+@given(params=cancelled_params(), kc_fraction=st.floats(-0.9, 0.9),
+       exponents=power_of_four_exponents(),
+       omegas=st.lists(st.floats(1e-3, 20.0), max_size=8, unique=True).map(sorted))
+def test_outputs_scale_exactly_with_the_rates(params, kc_fraction, exponents, omegas):
+    # Closed forms, band edges, the loss-optimal gain and the solver are
+    # written in units of kappa, so no squared rate or photon number can
+    # leave floating-point range where the answer itself does not.  The
+    # grid starts at DC and stays clear of frequencies that would rescale
+    # to subnormals.
+    k, j = exponents
+    params = replace(params, k_c=kc_fraction * params.kappa)
+    big = rescaled(params, k, j)
+    w = np.array([0.0, *omegas])
+    w_big = np.ldexp(w, 2 * k)
+    for scenario in (*SCENARIOS, Scenario.custom()):
+        assert_scales_exactly(lambda: sq.closed_form_psd(scenario, params, w),
+                              lambda: sq.closed_form_psd(scenario, big, w_big), 2 * (k - j))
+        assert_scales_exactly(lambda: band_edges(scenario, params, 8.0),
+                              lambda: band_edges(scenario, big, math.ldexp(8.0, 2 * k)), 2 * k)
+    assert_scales_exactly(lambda: sq.optimal_kc(params), lambda: sq.optimal_kc(big), 2 * k)
+    for xi_referred, exponent in ((True, 2 * (k - j)), (False, 0)):
+        assert_scales_exactly(lambda: sq.psd_from_response(params, w, xi_referred).values,
+                              lambda: sq.psd_from_response(big, w_big, xi_referred).values,
+                              exponent)
+
+
+# Below spectra of about 2^-900, Brent's products of a step and an
+# objective difference become subnormal and the search path changes.
+@PROPERTY_SETTINGS
+@given(params=cancelled_params(), exponents=power_of_four_exponents(lowest=-400),
+       omega=st.floats(0.0, 4.0))
+def test_numeric_kc_optimum_scales_exactly_with_the_rates(params, exponents, omega):
+    k, j = exponents
+    big = rescaled(params, k, j)
+
+    def optimum(p, w):
+        res = sq.numeric_min_kc(p, w)
+        return res.argmin, res.value, res.boundary
+
+    at_one, at_big = optimum(params, omega), optimum(big, math.ldexp(omega, 2 * k))
+    assert at_big == (math.ldexp(at_one[0], 2 * k), math.ldexp(at_one[1], 2 * (k - j)),
+                      at_one[2])
+
+
 VALID_FILE = {
     "kappa_prime": 1.0,
     "kappa_double_prime": 0.1,
@@ -228,14 +311,14 @@ def test_parameter_file_fuzz_exits_cleanly(dropped, overrides, extremes, command
     assert_exits_cleanly(data, command)
 
 
-#: Files that put the spectrum scale 8 kappa_prime N, the loss factor
-#: (1 - eta) / eta, their ratio, the loss-optimal gain or the cancelling
-#: gain 2 gamma N beyond floating-point range (or the optimum onto the
-#: stability edge).
+#: Files that put the spectrum scale (kappa / 8N) (kappa / kappa_prime),
+#: the loss factor (1 - eta) / eta, the loss-optimal gain or the
+#: cancelling gain 2 gamma N beyond floating-point range (or the optimum
+#: onto the stability edge).
 OUT_OF_RANGE_FILES = (
     {"kappa_prime": 1e-200, "n_photons": 1e-200},
     {"kappa_prime": 1e-30, "n_photons": 1e-300},
-    {"kappa_prime": 1e100, "n_photons": 1e300},
+    {"kappa_prime": 1e-200, "kappa_double_prime": 1e-200, "n_photons": 1e200},
     {"eta": 5e-324},
     {"kappa_prime": 1e-300},
     {"kappa_prime": 1e-320},

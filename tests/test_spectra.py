@@ -110,9 +110,10 @@ class TestMeasurementPsd:
 
     def test_rates_whose_squares_underflow(self):
         # Lossless, no squeezing: S = (omega^2 / kappa' + kappa') / 8N,
-        # though kappa'^2 and omega^2 underflow to 0 at kappa' = 1e-200.
+        # though kappa'^2 and omega^2 underflow to 0 at kappa' = 1e-200:
+        # in units of kappa = kappa' it is (kappa' / 8N) (y^2 + 1).
         p = SensorParams(kappa_prime=1e-200, kappa_double_prime=0.0, eta=1.0, n_photons=1.0)
-        assert sq.spectra.quadratic_coefficients(p) == pytest.approx((1.25e199, 1.25e-201),
+        assert sq.spectra.quadratic_coefficients(p) == pytest.approx((1.25e-201, 1.0, 1.0),
                                                                      rel=1e-15, abs=0.0)
         w = np.array([0.0, 1e-200, 4e-200])
         assert sq.measurement_psd_raw(p, w) == pytest.approx(
