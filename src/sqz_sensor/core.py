@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -33,6 +34,10 @@ UNITS_SI = "si"
 
 NORMALIZATION_RAW = "raw"
 NORMALIZATION_KP_OVER_N = "kappa_prime_over_n"
+
+#: Largest squeeze factor: ``0.5 ln(max double)``, about 354.89, where
+#: ``exp(2r)`` is still finite and ``exp(-2r)``, about 5.6e-309, still > 0.
+R_SQUEEZE_MAX = 0.5 * math.log(sys.float_info.max)
 
 
 def r_from_db(squeeze_db: float) -> float:
@@ -97,14 +102,16 @@ class SensorParams:
     kappa_double_prime:
         Intrinsic-loss half-bandwidth, rad/s.
     eta:
-        Output-path quantum efficiency, in (0, 1].
+        Output-path quantum efficiency, in (0, 1] where the loss factor
+        ``(1 - eta) / eta`` is finite: eta >= about 5.6e-309.
     n_photons:
         Mean intracavity photon number, > 0.
     gamma_spm:
         Self-phase-modulation factor, rad/s per photon.
     r_squeeze:
-        Input squeeze factor r >= 0; the measured input quadrature has
-        spectral density exp(-2r)/2.
+        Input squeeze factor r in [0, R_SQUEEZE_MAX], about 354.89, where
+        exp(2r) is finite; the measured input quadrature has spectral
+        density exp(-2r)/2.
     k_c, k_s:
         Cosine and sine quadrature gains of the intracavity parametric
         drive, rad/s.
@@ -130,12 +137,15 @@ class SensorParams:
             raise RangeError(f"kappa_double_prime must be >= 0, got {self.kappa_double_prime}")
         if not 0.0 < self.eta <= 1.0:
             raise RangeError(f"eta must be in (0, 1], got {self.eta}")
+        if not self.epsilon_sq < math.inf:
+            raise RangeError(f"eta = {self.eta!r}: the loss factor (1 - eta) / eta overflows")
         if not self.n_photons > 0.0:
             raise RangeError(f"n_photons must be > 0, got {self.n_photons}")
         if self.gamma_spm < 0.0:
             raise RangeError(f"gamma_spm must be >= 0, got {self.gamma_spm}")
-        if self.r_squeeze < 0.0:
-            raise RangeError(f"r_squeeze must be >= 0, got {self.r_squeeze}")
+        if not 0.0 <= self.r_squeeze <= R_SQUEEZE_MAX:
+            raise RangeError(f"r_squeeze = {self.r_squeeze!r} must be in [0, {R_SQUEEZE_MAX!r}], "
+                             "where exp(2 r_squeeze) is finite")
         if abs(self.k_c) >= self.kappa:
             raise RangeError(
                 f"|k_c| = {abs(self.k_c)} must be < kappa = {self.kappa} "

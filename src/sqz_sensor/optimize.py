@@ -87,13 +87,7 @@ def optimal_kc(params: SensorParams) -> float:
     kp, kpp = params.kappa_prime, params.kappa_double_prime
     em2r = math.exp(-2.0 * params.r_squeeze)
     eps2 = params.epsilon_sq
-    den = em2r + eps2
-    if den == 0.0:
-        # eta = 1 and exp(-2r) underflows: the eta = 1 optimum holds for
-        # any squeezing.
-        kc = kp - kpp
-    else:
-        kc = ((kp - kpp) * em2r - eps2 * params.kappa) / den
+    kc = ((kp - kpp) * em2r - eps2 * params.kappa) / (em2r + eps2)
     if not abs(kc) < params.kappa:
         raise RangeError(
             f"kappa_prime = {kp!r}, kappa_double_prime = {kpp!r}, eta = {params.eta!r} and "
@@ -114,8 +108,8 @@ def numeric_min_kc(params: SensorParams, omega_probe: float = 0.0) -> Optimizati
     spectrum, not its cube.  The argmin does not depend
     on ``omega_probe`` because the k_c-dependent part of the objective
     carries no frequency term.  Raises :class:`RangeError` when the
-    spectrum does not depend on k_c (``eta = 1`` with ``exp(-2r)``
-    underflowed).
+    spectrum does not depend on k_c: at ``eta = 1`` with ``exp(-2r)``
+    below rounding against the rest of the spectrum, as at ``r = 350``.
     """
     kappa = params.kappa
 
@@ -240,18 +234,17 @@ def snl_crossings(
     disc = b * b - a * c
     # At the vertex b / a, (spectrum - limit) is -disc / a and (spectrum
     # + limit) is (3 b^2 + a c) / a, both times scale; the test compares
-    # the two with the common factor taken out, so a = 0 needs no case.
-    # An overflowing a c leaves disc = -inf: no root and no tangency.
+    # the two with the common factor taken out.  An overflowing a c
+    # leaves disc = -inf: no root and no tangency.
     if math.isfinite(disc) and abs(disc) <= 1e-9 * (3.0 * b * b + a * c):
         lower = upper = kappa * (b / a)
     elif disc < 0.0:
         raise NoBandError("spectrum stays above the shot-noise limit")
     else:
-        # Cancellation-free roots: b > 0, so b + sqrt(disc) loses nothing.
-        # a = 0 (eta = 1 with exp(-2r) underflowed) leaves the constant
-        # spectrum below the limit from its one crossing upward.
+        # Cancellation-free roots: b > 0, so b + sqrt(disc) loses nothing;
+        # a q / a that overflows is inf, which the clip below takes to hi.
         q = b + math.sqrt(disc)
-        lower, upper = kappa * (c / q), (kappa * (q / a) if a > 0.0 else hi)
+        lower, upper = kappa * (c / q), kappa * (q / a)
     lower, upper = max(lower, lo), min(upper, hi)
     if upper < lower:
         raise NoBandError(f"no sub-shot-noise frequency in ({lo}, {hi})")

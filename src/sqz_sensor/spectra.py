@@ -53,18 +53,18 @@ def quadratic_coefficients(params: SensorParams) -> tuple[float, float, float]:
     ``c = d^2 exp(-2r) + 4 kappa' kappa'' / kappa^2 + eps^2 s^2``: only
     ``scale`` carries the size of the answer.  Stability, ``|k_c| < kappa``,
     is checked when ``params`` is built.  Raises :class:`RangeError` when
-    ``scale`` underflows to 0 or overflows, or ``eps^2 = (1 - eta) / eta`` does.
+    ``scale`` underflows to 0 or overflows.
     """
     kappa, kp, kpp = params.kappa, params.kappa_prime, params.kappa_double_prime
     em2r = math.exp(-2.0 * params.r_squeeze)
     eps2 = params.epsilon_sq
     scale = kappa / (8.0 * params.n_photons) * (kappa / kp)
     a = em2r + eps2
-    if not (0.0 < scale < math.inf and a < math.inf):
+    if not 0.0 < scale < math.inf:
         raise RangeError(
-            f"kappa_prime = {kp!r}, kappa_double_prime = {kpp!r}, n_photons = {params.n_photons!r} "
-            f"and eta = {params.eta!r}: the spectrum scale (kappa / 8 n_photons) (kappa / "
-            "kappa_prime) underflows to 0 or overflows, or the loss factor (1 - eta) / eta overflows"
+            f"kappa_prime = {kp!r}, kappa_double_prime = {kpp!r} and n_photons = "
+            f"{params.n_photons!r}: the spectrum scale (kappa / 8 n_photons) (kappa / "
+            "kappa_prime) underflows to 0 or overflows"
         )
     d, s = (kp - kpp - params.k_c) / kappa, (kappa + params.k_c) / kappa
     c = d * d * em2r + 4.0 * (kp / kappa) * (kpp / kappa) + eps2 * s * s

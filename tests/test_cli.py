@@ -468,10 +468,10 @@ class TestOptimizeCommand:
         assert result["agreement"] < 1e-8
 
     def test_kc_target_when_squeezing_underflows(self, tmp_path, capsys):
-        # eta = 1 with exp(-2r) underflowed to 0: the spectrum no longer
-        # depends on k_c, so there is no numeric optimum to compare with.
+        # eta = 1 with exp(-2r), about 1e-304, below rounding: the spectrum
+        # no longer depends on k_c, so there is no numeric optimum to compare with.
         pfile = tmp_path / "params.json"
-        pfile.write_text(json.dumps(FIG2_FILE | {"eta": 1.0, "r_squeeze": 400.0}))
+        pfile.write_text(json.dumps(FIG2_FILE | {"eta": 1.0, "r_squeeze": 350.0}))
         out = tmp_path / "kc.json"
         rc = main(["optimize", "--params", str(pfile), "--target", "kc", "--out", str(out)])
         assert rc == 2
@@ -528,10 +528,11 @@ class TestOptimizeCommand:
 
     @pytest.mark.parametrize("scenario", ["input-squeeze", "double-squeeze-optimal"])
     def test_band_target_when_squeezing_underflows(self, tmp_path, scenario):
-        # The spectrum is the constant kpp / (2 N) = 0.05, below the limit
-        # from 4 N * 0.05 to the top of the default interval.
+        # The spectrum is the constant kpp / (2 N) = 0.05 up to a term in
+        # exp(-2r), about 1e-304: below the limit from 4 N * 0.05 to the
+        # top of the default interval.
         pfile = tmp_path / "params.json"
-        pfile.write_text(json.dumps(FIG2_FILE | {"eta": 1.0, "r_squeeze": 400.0}))
+        pfile.write_text(json.dumps(FIG2_FILE | {"eta": 1.0, "r_squeeze": 350.0}))
         out = tmp_path / "band.json"
         rc = main(["optimize", "--params", str(pfile), "--target", "band",
                    "--scenario", scenario, "--out", str(out)])

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -62,6 +63,24 @@ class TestSensorParams:
         with pytest.raises(RangeError, match="kappa = kappa_prime"):
             SensorParams(kappa_prime=1e308, kappa_double_prime=1e308, eta=0.7,
                          n_photons=1.0)
+
+    def test_squeeze_factor_up_to_where_exp_2r_is_finite(self):
+        r_max = 0.5 * math.log(sys.float_info.max)
+        base = dict(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0)
+        p = SensorParams(**base, r_squeeze=r_max)
+        assert math.exp(2.0 * p.r_squeeze) < math.inf and math.exp(-2.0 * p.r_squeeze) > 0.0
+        above = math.nextafter(r_max, math.inf)
+        with pytest.raises(RangeError, match=f"r_squeeze = {above!r}"):
+            SensorParams(**base, r_squeeze=above)
+
+    @pytest.mark.parametrize("eta, accepted", [(1e-308, True), (5e-324, False)])
+    def test_efficiency_where_the_loss_factor_is_finite(self, eta, accepted):
+        base = dict(kappa_prime=1.0, kappa_double_prime=0.1, n_photons=1.0)
+        if accepted:
+            assert SensorParams(**base, eta=eta).epsilon_sq < math.inf
+        else:
+            with pytest.raises(RangeError, match=f"eta = {eta!r}"):
+                SensorParams(**base, eta=eta)
 
     def test_bad_units_rejected(self):
         with pytest.raises(RangeError, match="units"):

@@ -52,11 +52,10 @@ class TestOptimalKc:
         assert sq.optimal_kc(p) == pytest.approx(0.9, rel=1e-14)
 
     def test_lossless_limit_when_squeezing_underflows(self):
-        # exp(-2r) underflows to 0 beyond r of about 372, and eta = 1 has
-        # no loss term: the optimum stays the eta = 1 value kp - kpp.
+        # exp(-2r) is about 1e-304 here, and eta = 1 has no loss term:
+        # the optimum stays the eta = 1 value kp - kpp.
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=1.0,
-                         n_photons=1.0, r_squeeze=400.0)
-        assert math.exp(-2.0 * p.r_squeeze) + p.epsilon_sq == 0.0
+                         n_photons=1.0, r_squeeze=350.0)
         assert sq.optimal_kc(p) == pytest.approx(0.9, rel=1e-14)
         scenario = sq.Scenario.double_squeeze_optimal()
         assert math.isfinite(sq.closed_form_psd(scenario, scenario.materialize(p), 1.0))
@@ -126,10 +125,10 @@ class TestNumericMinKc:
             sq.numeric_min_kc(p)
 
     def test_objective_independent_of_kc_rejected(self):
-        # eta = 1 and exp(-2r) underflowed: every stable k_c gives the
-        # same spectrum, so there is no unique optimum.
+        # eta = 1 and exp(-2r), about 1e-304, below rounding: every stable
+        # k_c gives the same spectrum, so there is no unique optimum.
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=1.0,
-                         n_photons=1.0, r_squeeze=400.0)
+                         n_photons=1.0, r_squeeze=350.0)
         with pytest.raises(RangeError, match="no unique optimum"):
             sq.numeric_min_kc(p, omega_probe=0.0)
 
@@ -269,10 +268,10 @@ class TestSnlCrossings:
             sq.snl_crossings(scenario, p, (0.0, 8.0))
 
     def test_band_when_squeezing_underflows(self, fig2_params):
-        # eta = 1 with exp(-2r) underflowed: a = 0, the spectrum is the
-        # constant scale c = kpp / (2 N) and stays below the limit from 4 N
-        # times that.
-        p = replace(fig2_params, eta=1.0, r_squeeze=400.0)
+        # eta = 1 with exp(-2r) about 1e-304: a is that small, the spectrum
+        # is the constant scale c = kpp / (2 N) over the interval and stays
+        # below the limit from 4 N times that.
+        p = replace(fig2_params, eta=1.0, r_squeeze=350.0)
         for scenario in (Scenario.input_squeeze(), Scenario.double_squeeze_optimal()):
             band = sq.snl_crossings(scenario, p, (0.0, 8.0))
             assert band.lower == pytest.approx(0.2, rel=1e-15)

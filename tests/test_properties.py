@@ -335,6 +335,19 @@ def test_out_of_range_files_name_their_keys(command, overrides):
         assert "float division by zero" not in error
 
 
+#: Files whose squeeze factor or efficiency ``SensorParams`` rejects:
+#: ``exp(2r)`` or the loss factor ``(1 - eta) / eta`` overflows.
+REJECTED_FILES = ({"r_squeeze": 400.0}, {"eta": 5e-324})
+
+
+@pytest.mark.parametrize("command", COMMANDS + (["validate", "--budget", "4"],), ids=" ".join)
+@pytest.mark.parametrize("overrides", REJECTED_FILES, ids=json.dumps)
+def test_rejected_files_exit_2_naming_their_key(command, overrides):
+    error = assert_exits_cleanly(VALID_FILE | overrides, command)
+    (key, value), = overrides.items()
+    assert error.startswith(f"error: {key} = {value!r}")
+
+
 @pytest.mark.parametrize("magnitude", EXTREME_MAGNITUDES)
 @pytest.mark.parametrize("key", EXTREME_KEYS)
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
