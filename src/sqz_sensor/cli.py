@@ -283,8 +283,8 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
     )
     worst = 0.0
     for p, omegas in points:
-        closed = spectra.measurement_psd_raw(p, omegas) * corrupt
         oracle = psd_from_response(p, omegas).values
+        closed = spectra.scenario_curve(Scenario.custom(), p, omegas).values * corrupt
         worst = max(worst, float(np.max(np.abs(oracle - closed) / closed)))
     checks.append(_gate("frequency_domain_solver_vs_closed_forms", "max relative deviation",
                         1e-12, worst, t0, params=params_to_dict(params_c)))

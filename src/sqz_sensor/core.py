@@ -343,8 +343,10 @@ class SpectrumCurve:
     """Sampled double-sided spectral density S(omega).
 
     Frequencies must be strictly increasing; values must be finite and
-    positive (the shot-noise-limit curve may touch zero).  Arrays are
-    frozen after construction so curves can be shared freely.
+    positive (the shot-noise-limit curve may touch zero), or
+    :class:`RangeError` names ``params`` and the first frequency where
+    one is not.  Arrays are frozen after construction so curves can be
+    shared freely.
     """
 
     omegas: np.ndarray
@@ -361,13 +363,15 @@ class SpectrumCurve:
         if values.shape != omegas.shape:
             raise GridError(f"values of shape {values.shape} do not match "
                             f"the {omegas.size}-point frequency grid")
-        if not np.all(np.isfinite(values)):
-            raise RangeError("spectral values must be finite")
-        if self.scenario in _CURVE_LABELS_ALLOWING_ZERO:
-            if np.any(values < 0.0):
-                raise RangeError("spectral values must be >= 0")
-        elif np.any(values <= 0.0):
-            raise RangeError("spectral values must be strictly positive")
+        allow_zero = self.scenario in _CURVE_LABELS_ALLOWING_ZERO
+        valid = np.isfinite(values) & ((values >= 0.0) if allow_zero else (values > 0.0))
+        if not np.all(valid):
+            first = np.argmin(valid)
+            named = ", ".join(f"{key} = {value!r}" for key, value in self.params.items()
+                              if key != "units")
+            raise RangeError(f"spectral values must be finite and {'>=' if allow_zero else '>'} 0, "
+                             f"got {float(values[first])!r} first at omega = "
+                             f"{float(omegas[first])!r} (params: {named or 'none'})")
         if self.normalization not in (NORMALIZATION_RAW, NORMALIZATION_KP_OVER_N):
             raise RangeError(f"unknown normalization {self.normalization!r}")
         omegas.setflags(write=False)

@@ -38,9 +38,15 @@ class DriftMatrix:
     matrix: np.ndarray
     signal_coupling: float
 
+    @np.errstate(over="ignore")
     def eigenvalues(self) -> np.ndarray:
-        # Solved at 2^e just above the trace 2 kappa, so that squared rates
-        # neither overflow nor underflow; a power-of-two scaling is exact.
+        """The two eigenvalues, real ones in increasing order.
+
+        Solved at 2^e just above the trace 2 kappa, so that squared rates
+        neither overflow nor underflow; a power-of-two scaling is exact.
+        An off-diagonal product beyond floating-point range gives
+        eigenvalues ``center -+ inf`` (real) or ``center -+ i inf``.
+        """
         e = math.frexp(self.matrix[0, 0] + self.matrix[1, 1])[1]
         m = np.ldexp(self.matrix, -e)
         center = 0.5 * (m[0, 0] + m[1, 1])
@@ -48,7 +54,7 @@ class DriftMatrix:
         center, root = np.ldexp(center, e), np.ldexp(math.sqrt(abs(disc)), e)
         if disc >= 0.0:
             return np.array([center - root, center + root], dtype=complex)
-        return np.array([center - 1j * root, center + 1j * root])
+        return np.array([complex(center, -root), complex(center, root)])
 
 
 def drift_matrix(params: SensorParams) -> DriftMatrix:
@@ -107,12 +113,19 @@ def input_noise_psds(params: SensorParams) -> dict[str, float]:
 
 
 def _require_stable(params: SensorParams) -> tuple[DriftMatrix, np.ndarray]:
-    """Drift matrix and its eigenvalues, which must have positive real parts."""
+    """Drift matrix and its eigenvalues, which must have positive real parts
+    and finite imaginary parts."""
     drift = drift_matrix(params)
     eigs = drift.eigenvalues()
     if not np.all(eigs.real > 0.0):
         raise InstabilityError(
             f"drift eigenvalues {eigs} must have positive real parts"
+        )
+    if not np.all(np.isfinite(eigs.imag)):
+        raise RangeError(
+            f"k_s = {params.k_s!r}, gamma_spm = {params.gamma_spm!r} and n_photons = "
+            f"{params.n_photons!r}: the coupling k_s (k_s - 2 gamma_spm n_photons) "
+            "overflows, so the drift eigenvalues are beyond floating-point range"
         )
     return drift, eigs
 
@@ -170,6 +183,7 @@ def frequency_response(params: SensorParams, omega) -> FrequencyResponse:
     )
 
 
+@np.errstate(all="ignore")
 def psd_from_response(params: SensorParams, omegas, xi_referred: bool = True) -> SpectrumCurve:
     """Assemble the noise spectral density from the frequency response.
 
@@ -177,7 +191,9 @@ def psd_from_response(params: SensorParams, omegas, xi_referred: bool = True) ->
     gain magnitude, expressing it in units of the eigenfrequency
     perturbation being sensed.  ``omegas`` must pass
     :func:`~sqz_sensor.core.frequency_grid`.  Raises :class:`RangeError`
-    when the spectrum underflows to 0.
+    when the spectrum underflows to 0 or is not finite, the latter by
+    :class:`~sqz_sensor.core.SpectrumCurve`, which names the parameters
+    and the frequency.
     """
     w = frequency_grid(omegas)
     resp = frequency_response(params, w)

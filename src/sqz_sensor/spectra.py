@@ -117,6 +117,9 @@ def normalize_curve(curve: SpectrumCurve, params: SensorParams) -> SpectrumCurve
     )
 
 
+# In the curve builders a value beyond floating-point range is left
+# non-finite, for SpectrumCurve to report by parameter and frequency.
+@np.errstate(all="ignore")
 def scenario_curve(scenario: Scenario, params: SensorParams, omegas) -> SpectrumCurve:
     """Sample a scenario's closed form on a frequency grid."""
     params_m = scenario.materialize(params)
@@ -130,6 +133,7 @@ def scenario_curve(scenario: Scenario, params: SensorParams, omegas) -> Spectrum
     )
 
 
+@np.errstate(all="ignore")
 def snl_curve(params: SensorParams, omegas) -> SpectrumCurve:
     """Sample the shot-noise-limit envelope on a frequency grid."""
     w = np.asarray(omegas, dtype=float)

@@ -174,13 +174,14 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
 def spectral_comparison_config(params: SensorParams, n_segments: int, seed: int) -> SimulationConfig:
     """Simulation settings sized for a PSD comparison at ``n_segments``.
 
-    The step resolves the fastest relaxation rate with a wide margin and
-    the segment length is long enough to resolve both the slowest rate
-    (the narrowest spectral feature) and the sensing band itself, keeping
-    windowing bias well below the statistical scatter.
+    The step resolves the largest drift eigenvalue magnitude, relaxation
+    and oscillation alike, with a wide margin, and the segment length is
+    long enough to resolve both the slowest rate (the narrowest spectral
+    feature) and the sensing band itself, keeping windowing bias well
+    below the statistical scatter.
     """
-    rate_min, rate_fast = relaxation_rates(params)
-    dt = 0.04 / rate_fast
+    rate_min, _ = relaxation_rates(params)
+    dt = 0.04 / float(np.abs(drift_matrix(params).eigenvalues()).max())
     t_segment = max(12.0 / rate_min, 80.0 / params.kappa_prime)
     nper = 1 << max(int(math.ceil(math.log2(t_segment / dt))), 4)
     # Half a step of slack: simulate keeps int(duration / dt) samples,
@@ -199,6 +200,9 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     ``method="exact"`` instead uses the exact one-step relaxation of the
     decoupled measured quadrature (valid only when the self-phase-
     modulation coupling is cancelled) as a discretization-bias check.
+    Raises :class:`ConfigError` when ``dt`` is too coarse: it must be
+    below a tenth of the fastest relaxation time, and an Euler step must
+    not grow any mode, ``|1 - dt lambda| < 1`` for each drift eigenvalue.
     """
     rate_min, rate_max = relaxation_rates(params)
     if config.dt * rate_max >= _DT_MARGIN:
@@ -294,6 +298,13 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     # average of variance PSD/dt.
     dt = config.dt
     drift = drift_matrix(params)
+    eigs = drift.eigenvalues()
+    growth = float(np.abs(1.0 - dt * eigs).max())
+    if growth >= 1.0:
+        raise ConfigError(
+            f"dt = {dt!r} lets an Euler step grow a mode of the drift eigenvalues {eigs}: "
+            f"|1 - dt lambda| = {growth!r} must be < 1"
+        )
     a = np.eye(2) - dt * drift.matrix
     a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
     sig = {name: math.sqrt(psd / dt) for name, psd in input_noise_psds(params).items()}

@@ -132,6 +132,24 @@ class TestSpectrumCommand:
         kp = SQUARES_UNDERFLOW_FILE["kappa_prime"]
         assert values == pytest.approx((omegas / kp * omegas + kp) / 8.0, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("scenario, n_photons, first", [
+        ("input-squeeze", 1.0, "4.25e+307"),  # (omega / kappa)^2 overflows
+        ("snl", 0.1, "8.5e+307"),  # omega / 4N overflows
+    ])
+    def test_grid_where_the_spectrum_overflows(self, tmp_path, capsys, scenario, n_photons,
+                                               first):
+        # Any warning fails the test.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"n_photons": n_photons}))
+        out = tmp_path / "curve.csv"
+        rc = main(["spectrum", "--params", str(pfile), "--scenario", scenario,
+                   "--omega-max", "1.7e308", "--points", "5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at omega = {first}" in err and f"n_photons = {n_photons}" in err
+        assert not out.exists()
+
     def test_json_format(self, params_file, tmp_path):
         out = tmp_path / "curve.json"
         main(["spectrum", "--params", str(params_file), "--scenario", "snl",

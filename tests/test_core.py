@@ -332,8 +332,9 @@ class TestSpectrumCurve:
             SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.ones(2), normalization="db")
 
     def test_values_finite(self):
-        with pytest.raises(RangeError):
-            SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.array([1.0, math.inf]))
+        with pytest.raises(RangeError, match=r"got inf first at omega = 1\.0 \(params: x = 2\)"):
+            SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.array([1.0, math.inf]),
+                          params={"x": 2})
 
     def test_arrays_frozen(self):
         curve = SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.array([1.0, 2.0]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sqz_sensor as sq
-from sqz_sensor import InstabilityError, SensorParams
+from sqz_sensor import InstabilityError, RangeError, SensorParams
 
 from conftest import random_cancelled_params
 
@@ -71,6 +71,21 @@ class TestDriftMatrix:
         assert np.array_equal(eigs, at_one * scale)
         assert sq.relaxation_rates(p) == (at_one[0].real * scale, at_one[1].real * scale)
         assert at_one.real == pytest.approx([0.8, 1.4], rel=1e-15)
+
+    @pytest.mark.parametrize("gamma_spm, error, match", [
+        # k_s^2 overflows: real eigenvalues 1.1 -+ 1e160, one negative.
+        (0.0, InstabilityError, "positive real parts"),
+        # k_s (k_s - 2 gamma N) = -1e320 overflows: eigenvalues 1.1 -+ 1e160 i.
+        (1e160, RangeError, "k_s = 1e[+]160"),
+    ])
+    @pytest.mark.parametrize("solve", [
+        sq.relaxation_rates, lambda p: sq.psd_from_response(p, np.linspace(0.0, 4.0, 5)),
+    ], ids=["relaxation_rates", "psd_from_response"])
+    def test_off_diagonal_product_beyond_float_range(self, solve, gamma_spm, error, match):
+        p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0,
+                         gamma_spm=gamma_spm, k_s=1e160)
+        with pytest.raises(error, match=match):
+            solve(p)
 
     def test_signal_enters_sine_row(self):
         p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=4.0)

@@ -320,6 +320,7 @@ OUT_OF_RANGE_FILES = (
     {"kappa_prime": 1e-30, "n_photons": 1e-300},
     {"kappa_prime": 1e-200, "kappa_double_prime": 1e-200, "n_photons": 1e200},
     {"eta": 5e-324},
+    {"eta": 1e-308},
     {"kappa_prime": 1e-300},
     {"kappa_prime": 1e-320},
     {"gamma_spm": 1e200, "n_photons": 1e200, "auto_spm_cancel": True},

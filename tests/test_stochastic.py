@@ -104,6 +104,14 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="dt"):
             sq.simulate(fig2_params, SimulationConfig(dt=0.2, duration=10.0, seed=0, n_segments=1))
 
+    def test_step_that_grows_an_oscillating_mode_rejected(self):
+        # Eigenvalues 1.1 -+ 50i: dt = 0.01 keeps dt Re(lambda) = 0.011
+        # far below the margin, but |1 - dt lambda| is about 1.108.
+        p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7,
+                         n_photons=1.0, gamma_spm=50.0, k_s=50.0)
+        with pytest.raises(ConfigError, match=r"dt = 0\.01 .*\[1\.1-50\.j 1\.1\+50\.j\]"):
+            sq.simulate(p, SimulationConfig(dt=0.01, duration=100.0, seed=0, n_segments=4))
+
     def test_duration_shorter_than_one_step(self, fig2_params):
         with pytest.raises(ConfigError, match="duration shorter than one step"):
             sq.simulate(fig2_params, SimulationConfig(dt=0.01, duration=0.005, seed=0))
@@ -233,6 +241,19 @@ class TestEstimatePsd:
         est = sq.estimate_psd(run, BAND, xi_referred=True).values
         oracle = sq.psd_from_response(p, BAND).values
         assert rms_rel(est, oracle) < 0.05
+
+    def test_oracle_agreement_with_oscillating_modes(self):
+        # Residual coupling k_s (k_s - 2 gamma N) = -100 gives eigenvalues
+        # 1.1 -+ 10i: the step is sized from |lambda|, not Re(lambda), so
+        # the run stays finite.  The bound is about twice the Welch scatter
+        # at 200 segments.
+        p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7,
+                         n_photons=1.0, gamma_spm=10.0, k_s=10.0)
+        cfg = spectral_comparison_config(p, 200, seed=7)
+        assert cfg.dt * abs(complex(1.1, 10.0)) == pytest.approx(0.04, rel=1e-12)
+        run = sq.simulate(p, cfg)
+        est = sq.estimate_psd(run, BAND, xi_referred=True).values
+        assert rms_rel(est, sq.psd_from_response(p, BAND).values) < 0.15
 
     def test_si_scale_invariance(self):
         # Same physics at laboratory rates: the whole pipeline must work
