@@ -31,7 +31,6 @@ from .dynamics import (
 from .errors import (
     ConfigError,
     ConvergenceError,
-    DoubleNormalizationError,
     GridError,
     InstabilityError,
     NoBandError,
@@ -52,7 +51,6 @@ from .optimize import (
 from .spectra import (
     closed_form_psd,
     measurement_psd_raw,
-    normalize_curve,
     scenario_curve,
     snl,
     snl_curve,
@@ -67,7 +65,7 @@ from .stochastic import (
     spectral_comparison_config,
 )
 
-__version__ = "0.3.2"
+__version__ = "0.3.3"
 
 __all__ = [
     "PSD_CONVENTION",
@@ -85,7 +83,6 @@ __all__ = [
     "RangeError",
     "InstabilityError",
     "ScenarioMismatchError",
-    "DoubleNormalizationError",
     "ConvergenceError",
     "NoBandError",
     "ConfigError",
@@ -105,7 +102,6 @@ __all__ = [
     "measurement_psd_raw",
     "closed_form_psd",
     "snl",
-    "normalize_curve",
     "scenario_curve",
     "snl_curve",
     "optimal_kc",

@@ -31,8 +31,6 @@ import scipy
 
 from . import __version__, optimize, spectra, stochastic
 from .core import (
-    NORMALIZATION_KP_OVER_N,
-    NORMALIZATION_RAW,
     PSD_CONVENTION,
     SCENARIO_SNL,
     SCENARIO_TAGS,
@@ -50,6 +48,11 @@ from .errors import NoBandError, SqzSensorError
 _SCENARIO_NAMES = tuple(tag.replace("_", "-") for tag in SCENARIO_TAGS)
 
 _FIG2_SQUEEZE_POWER = 30.0  # exp(2r) of the reference operating point
+
+#: Output labels: spectra as computed, or at the sensor's unit point
+#: (S in units of kappa_prime / N, omega in units of kappa_prime).
+NORMALIZATION_RAW = "raw"
+NORMALIZATION_KP_OVER_N = "kappa_prime_over_n"
 
 
 def reference_params() -> SensorParams:
@@ -124,7 +127,7 @@ def _curve_csv(curve: SpectrumCurve, manifest: dict) -> str:
         f"# tool_version: {manifest['tool_version']}",
         f"# psd_convention: {manifest['psd_convention']}",
         f"# scenario: {curve.scenario}",
-        f"# normalization: {curve.normalization}",
+        f"# normalization: {manifest['normalization']}",
         f"# params: {json.dumps(curve.params, sort_keys=True)}",
         "omega,S",
     ]
@@ -136,7 +139,7 @@ def _curve_json(curve: SpectrumCurve, manifest: dict) -> dict:
     return {
         "manifest": manifest,
         "scenario": curve.scenario,
-        "normalization": curve.normalization,
+        "normalization": manifest["normalization"],
         "params": curve.params,
         "omega": curve.omegas.tolist(),
         "S": curve.values.tolist(),
@@ -164,11 +167,12 @@ def cmd_spectrum(args) -> int:
     params = load_params(args.params)
     omega_max = args.omega_max if args.omega_max is not None else 4.0 * params.kappa_prime
     grid = np.linspace(args.omega_min, omega_max, args.points)
-    curve = _make_curve(args.scenario, params, grid)
-    normalization = NORMALIZATION_RAW
     if args.normalize:
-        curve = spectra.normalize_curve(curve, params)
+        curve = _make_curve(args.scenario, params.unit_point(), grid / params.kappa_prime)
         normalization = NORMALIZATION_KP_OVER_N
+    else:
+        curve = _make_curve(args.scenario, params, grid)
+        normalization = NORMALIZATION_RAW
     out = Path(args.out)
     manifest = _provenance(
         "spectrum", params, args.params,
@@ -184,7 +188,8 @@ def cmd_spectrum(args) -> int:
 def cmd_fig2(args) -> int:
     params = reference_params()
     grid = np.linspace(0.0, 4.0 * params.kappa_prime, args.points)
-    curves = {name: _make_curve(name, params, grid)
+    unit, omegas = params.unit_point(), grid / params.kappa_prime
+    curves = {name: _make_curve(name, unit, omegas)
               for name in ("no_squeeze", "input_squeeze", "double_squeeze_optimal", "snl")}
 
     s_no = curves["no_squeeze"].values
@@ -194,7 +199,7 @@ def cmd_fig2(args) -> int:
         i = int(np.argmax(~((s_db <= s_in) & (s_in <= s_no))))
         print(
             "ordering check failed at omega = "
-            f"{grid[i]}: double={s_db[i]} input={s_in[i]} none={s_no[i]}",
+            f"{omegas[i]}: double={s_db[i]} input={s_in[i]} none={s_no[i]}",
             file=sys.stderr,
         )
         return 1
@@ -207,10 +212,9 @@ def cmd_fig2(args) -> int:
         grid={"omega_min": 0.0, "omega_max": 4.0 * params.kappa_prime, "points": args.points},
     )
     for name, curve in curves.items():
-        normalized = spectra.normalize_curve(curve, params)
         path = out_dir / f"{name}.{ext}"
         file_manifest = dict(manifest, scenario=name, outputs=[path.name])
-        write_curve(path, normalized, file_manifest, args.format)
+        write_curve(path, curve, file_manifest, args.format)
         outputs.append(path.name)
     manifest["outputs"] = outputs
     _write_json(out_dir / "manifest.json", manifest)
@@ -308,7 +312,7 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
         params_m = scenario.materialize(params_c)
         jobs.append((scenario.tag, params_m,
                      stochastic.spectral_comparison_config(params_m, budget, seed + i)))
-        closed[scenario.tag] = spectra.closed_form_psd(scenario, params_m, band)
+        closed[scenario.tag] = spectra.measurement_psd_raw(params_m, band)
     runs = {tag: {"params": params_to_dict(params_m), "seed": config.seed}
             for tag, params_m, config in jobs}
     longest_first = sorted(jobs, key=lambda job: job[2].duration / job[2].dt, reverse=True)

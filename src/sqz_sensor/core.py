@@ -32,9 +32,6 @@ PSD_CONVENTION = "double-sided; vacuum quadrature spectral density = 1/2"
 UNITS_KAPPA_PRIME = "kappa_prime"
 UNITS_SI = "si"
 
-NORMALIZATION_RAW = "raw"
-NORMALIZATION_KP_OVER_N = "kappa_prime_over_n"
-
 #: Largest squeeze factor: ``0.5 ln(max double)``, about 354.89, where
 #: ``exp(2r)`` is still finite and ``exp(-2r)``, about 5.6e-309, still > 0.
 R_SQUEEZE_MAX = 0.5 * math.log(sys.float_info.max)
@@ -185,6 +182,25 @@ class SensorParams:
         ks_target = spm_cancelling_ks(self.gamma_spm, self.n_photons)
         scale = max(abs(self.k_s), abs(ks_target), self.kappa)
         return abs(self.k_s - ks_target) <= 1e-12 * scale
+
+    def unit_point(self) -> "SensorParams":
+        """The same sensor in units of kappa_prime and per photon.
+
+        ``kappa_prime = n_photons = 1``; the other rates are divided by
+        ``kappa_prime`` and ``gamma_spm`` becomes ``gamma_spm N / kappa_prime``,
+        so a spectrum here is the one at ``self`` in units of kappa_prime / N
+        with frequencies in kappa_prime.  Idempotent.  Raises
+        :class:`RangeError` naming a rate that leaves floating-point range.
+        """
+        kp, n = self.kappa_prime, self.n_photons
+        rates = {"kappa_double_prime": self.kappa_double_prime / kp, "k_c": self.k_c / kp,
+                 "k_s": self.k_s / kp, "gamma_spm": self.gamma_spm * n / kp}
+        for name, value in rates.items():
+            if not math.isfinite(value):
+                raise RangeError(f"{name} = {getattr(self, name)!r} with kappa_prime = {kp!r} "
+                                 f"and n_photons = {n!r} is beyond floating-point range "
+                                 "in units of kappa_prime")
+        return replace(self, kappa_prime=1.0, n_photons=1.0, units=UNITS_KAPPA_PRIME, **rates)
 
 
 #: The parameter schema, read off the fields: every field but the string
@@ -351,7 +367,6 @@ class SpectrumCurve:
 
     omegas: np.ndarray
     values: np.ndarray
-    normalization: str = NORMALIZATION_RAW
     scenario: str = SCENARIO_CUSTOM
     params: dict = field(default_factory=dict)
 
@@ -372,8 +387,6 @@ class SpectrumCurve:
             raise RangeError(f"spectral values must be finite and {'>=' if allow_zero else '>'} 0, "
                              f"got {float(values[first])!r} first at omega = "
                              f"{float(omegas[first])!r} (params: {named or 'none'})")
-        if self.normalization not in (NORMALIZATION_RAW, NORMALIZATION_KP_OVER_N):
-            raise RangeError(f"unknown normalization {self.normalization!r}")
         omegas.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "omegas", omegas)

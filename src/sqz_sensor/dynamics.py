@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NORMALIZATION_RAW,
     SensorParams,
     SpectrumCurve,
     frequency_grid,
@@ -215,7 +214,6 @@ def psd_from_response(params: SensorParams, omegas, xi_referred: bool = True) ->
     return SpectrumCurve(
         omegas=w,
         values=total,
-        normalization=NORMALIZATION_RAW,
         scenario="response",
         params=params_to_dict(params),
     )

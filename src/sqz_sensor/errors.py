@@ -18,10 +18,6 @@ class ScenarioMismatchError(SqzSensorError, ValueError):
     """A squeezing scenario tag is unknown."""
 
 
-class DoubleNormalizationError(SqzSensorError, ValueError):
-    """Attempted to normalize an already-normalized spectrum."""
-
-
 class ConvergenceError(SqzSensorError, RuntimeError):
     """An iterative numerical routine stopped without a valid result: it
     reached its evaluation cap or met a NaN objective."""

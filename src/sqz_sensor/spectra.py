@@ -20,20 +20,17 @@ cases are this quadratic at ``kappa_double_prime = 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .core import (
-    NORMALIZATION_KP_OVER_N,
-    NORMALIZATION_RAW,
     SCENARIO_SNL,
     Scenario,
     SensorParams,
     SpectrumCurve,
     params_to_dict,
 )
-from .errors import DoubleNormalizationError, RangeError
+from .errors import RangeError
 
 
 def _shape_match(omega, values):
@@ -102,21 +99,6 @@ def closed_form_psd(scenario: Scenario, params: SensorParams, omega):
     return measurement_psd_raw(scenario.materialize(params), omega)
 
 
-def normalize_curve(curve: SpectrumCurve, params: SensorParams) -> SpectrumCurve:
-    """Express a raw curve in units of kappa' / N with frequencies in kappa'.
-
-    Values are multiplied by N / kappa', frequencies divided by kappa'.
-    """
-    if curve.normalization != NORMALIZATION_RAW:
-        raise DoubleNormalizationError("curve is already normalized")
-    return replace(
-        curve,
-        omegas=curve.omegas / params.kappa_prime,
-        values=curve.values * (params.n_photons / params.kappa_prime),
-        normalization=NORMALIZATION_KP_OVER_N,
-    )
-
-
 # In the curve builders a value beyond floating-point range is left
 # non-finite, for SpectrumCurve to report by parameter and frequency.
 @np.errstate(all="ignore")
@@ -127,7 +109,6 @@ def scenario_curve(scenario: Scenario, params: SensorParams, omegas) -> Spectrum
     return SpectrumCurve(
         omegas=w,
         values=measurement_psd_raw(params_m, w),
-        normalization=NORMALIZATION_RAW,
         scenario=scenario.tag,
         params=params_to_dict(params_m),
     )
@@ -140,7 +121,6 @@ def snl_curve(params: SensorParams, omegas) -> SpectrumCurve:
     return SpectrumCurve(
         omegas=w,
         values=snl(params, w),
-        normalization=NORMALIZATION_RAW,
         scenario=SCENARIO_SNL,
         params=params_to_dict(params),
     )

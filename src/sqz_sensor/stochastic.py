@@ -42,7 +42,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as _scipy_signal
 
 from .core import (
-    NORMALIZATION_RAW,
     SensorParams,
     SpectrumCurve,
     frequency_grid,
@@ -508,7 +507,6 @@ def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> S
     return SpectrumCurve(
         omegas=grid,
         values=values,
-        normalization=NORMALIZATION_RAW,
         scenario="simulated",
         params=params_to_dict(run.params),
     )

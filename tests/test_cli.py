@@ -158,12 +158,46 @@ class TestSpectrumCommand:
         assert payload["S"][0] == 0.0
         assert payload["manifest"]["psd_convention"] == sq.PSD_CONVENTION
 
-    def test_normalize_flag(self, params_file, tmp_path):
+    def test_normalize_flag(self, tmp_path):
+        # The curve is the closed form at the unit point its header names;
+        # the manifest keeps the parameter file's own values.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(FIG2_FILE | {"kappa_prime": 2.5, "n_photons": 3.0}))
         out = tmp_path / "norm.csv"
-        main(["spectrum", "--params", str(params_file), "--scenario", "no-squeeze",
-              "--points", "5", "--normalize", "--out", str(out)])
+        rc = main(["spectrum", "--params", str(pfile), "--scenario", "input-squeeze",
+                   "--points", "5", "--normalize", "--out", str(out)])
+        assert rc == 0
+        omegas, values, header = read_curve_csv(out)
         manifest = json.loads((tmp_path / "norm.csv.manifest.json").read_text())
         assert manifest["normalization"] == "kappa_prime_over_n"
+        assert "# normalization: kappa_prime_over_n" in header
+        assert manifest["params"] == sq.params_to_dict(sq.load_params(pfile))
+        unit = sq.params_from_dict(json.loads(header[-1].removeprefix("# params: ")))
+        assert unit == sq.load_params(pfile).unit_point()
+        assert np.array_equal(omegas, np.linspace(0.0, 10.0, 5) / 2.5)
+        assert np.array_equal(values, sq.closed_form_psd(sq.Scenario.input_squeeze(), unit, omegas))
+
+    @pytest.mark.parametrize("data", [
+        {"kappa_prime": 1e-10, "kappa_double_prime": 0.0, "eta": 0.7, "n_photons": 1e300},
+        {"kappa_prime": 1e-300, "kappa_double_prime": 0.0, "eta": 0.7, "n_photons": 1e10},
+    ])
+    @pytest.mark.parametrize("scenario", ["no-squeeze", "input-squeeze", "double-squeeze-optimal",
+                                          "snl"])
+    def test_normalize_where_n_over_kappa_prime_overflows(self, tmp_path, capsys, data, scenario):
+        # Raw spectra of order kappa_prime / N are far below the smallest
+        # double; normalized they are of order one.  Any warning fails the test.
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(data))
+        out = tmp_path / "norm.csv"
+        rc = main(["spectrum", "--params", str(pfile), "--scenario", scenario,
+                   "--points", "5", "--normalize", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        omegas, values, _ = read_curve_csv(out)
+        assert np.array_equal(omegas, np.linspace(0.0, 4.0, 5))
+        assert np.all(np.isfinite(values))
+        if scenario == "no-squeeze":
+            assert values[0] == pytest.approx(5.0 / 28.0, rel=1e-15)
 
     def test_unknown_scenario_is_usage_error(self, params_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -351,7 +385,7 @@ class TestValidateCommand:
 #: the realizations of one tool version: a change that moves them changes
 #: realizations, and must bump the version with them.  The version here
 #: is a copy on purpose: it is what the values are pinned to.
-PINNED_REALIZATION = ("0.3.2", {
+PINNED_REALIZATION = ("0.3.3", {
     "no_squeeze": 0.032886480515704655,
     "input_squeeze": 0.033141133622986485,
     "double_squeeze_optimal": 0.031751320900029356,

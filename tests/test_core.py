@@ -111,6 +111,23 @@ class TestSensorParams:
         with pytest.raises(AttributeError):
             fig2_params.eta = 0.5
 
+    def test_unit_point(self):
+        p = SensorParams(kappa_prime=2.0, kappa_double_prime=0.5, eta=0.7, n_photons=8.0,
+                         gamma_spm=0.25, r_squeeze=1.0, k_c=-1.0, k_s=3.0, units="si")
+        assert p.unit_point() == SensorParams(
+            kappa_prime=1.0, kappa_double_prime=0.25, eta=0.7, n_photons=1.0, gamma_spm=1.0,
+            r_squeeze=1.0, k_c=-0.5, k_s=1.5, units="kappa_prime")
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("kappa_double_prime", dict(kappa_prime=1e-300, kappa_double_prime=1e10)),
+        ("gamma_spm", dict(gamma_spm=1e300, n_photons=1e10)),
+    ])
+    def test_unit_point_beyond_float_range(self, field, kwargs):
+        p = SensorParams(**(dict(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7,
+                                 n_photons=1.0) | kwargs))
+        with pytest.raises(RangeError, match=f"^{field} = .* beyond floating-point range"):
+            p.unit_point()
+
 
 class TestRateHelpers:
     def test_quality_factor_conversion(self):
@@ -326,10 +343,6 @@ class TestSpectrumCurve:
         with pytest.raises(RangeError, match=">= 0"):
             SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.array([-0.1, 0.25]),
                           scenario="snl")
-
-    def test_unknown_normalization(self):
-        with pytest.raises(RangeError, match="unknown normalization"):
-            SpectrumCurve(omegas=np.array([0.0, 1.0]), values=np.ones(2), normalization="db")
 
     def test_values_finite(self):
         with pytest.raises(RangeError, match=r"got inf first at omega = 1\.0 \(params: x = 2\)"):

@@ -142,7 +142,9 @@ def test_spectrum_curves_keep_their_invariants(params, scenario, omegas):
     grid = base[:len(omegas)]
     raw = [sq.scenario_curve(scenario, params, grid), sq.snl_curve(params, grid),
            sq.psd_from_response(scenario.materialize(params), grid)]
-    normalized = [sq.normalize_curve(curve, params) for curve in raw]
+    unit, unit_grid = params.unit_point(), grid / params.kappa_prime
+    normalized = [sq.scenario_curve(scenario, unit, unit_grid), sq.snl_curve(unit, unit_grid),
+                  sq.psd_from_response(scenario.materialize(unit), unit_grid)]
     # The curves neither freeze the caller's grid nor share memory with it.
     assert grid.flags.writeable
     base[:] = -1.0
@@ -155,9 +157,6 @@ def test_spectrum_curves_keep_their_invariants(params, scenario, omegas):
             assert np.all(curve.values >= 0.0)
         else:
             assert np.all(curve.values > 0.0)
-    for curve in normalized:
-        with pytest.raises(sq.DoubleNormalizationError):
-            sq.normalize_curve(curve, params)
 
 
 @st.composite
@@ -223,6 +222,29 @@ def test_outputs_scale_exactly_with_the_rates(params, kc_fraction, exponents, om
         assert_scales_exactly(lambda: sq.psd_from_response(params, w, xi_referred).values,
                               lambda: sq.psd_from_response(big, w_big, xi_referred).values,
                               exponent)
+
+
+@PROPERTY_SETTINGS
+@given(params=cancelled_params(), kc_fraction=st.floats(-0.9, 0.9),
+       exponents=power_of_four_exponents(),
+       omegas=st.lists(st.floats(1e-3, 20.0), max_size=8, unique=True).map(sorted))
+def test_unit_point_curves_are_the_raw_curves_times_n_over_kappa_prime(params, kc_fraction,
+                                                                        exponents, omegas):
+    # At kappa' = 4^k and N = 4^j, N / kappa' is a power of two, so the
+    # normalized spectrum is the raw one rescaled bit for bit.
+    k, j = exponents
+    big = rescaled(replace(params, n_photons=1.0, k_c=kc_fraction * params.kappa), k, j)
+    unit = big.unit_point()
+    assert unit.unit_point() == unit
+    assert (unit.kappa_prime, unit.n_photons, unit.units) == (1.0, 1.0, "kappa_prime")
+    w_big = np.ldexp(np.array([0.0, *omegas]), 2 * k)
+    unit_grid = w_big / big.kappa_prime
+    pairs = [(sq.snl_curve(big, w_big), sq.snl_curve(unit, unit_grid))]
+    pairs += [(sq.scenario_curve(scenario, big, w_big), sq.scenario_curve(scenario, unit, unit_grid))
+              for scenario in (*SCENARIOS, Scenario.custom())]
+    for raw, normalized in pairs:
+        assert np.array_equal(normalized.omegas, np.ldexp(raw.omegas, -2 * k))
+        assert np.array_equal(normalized.values, np.ldexp(raw.values, 2 * (j - k)))
 
 
 # Below spectra of about 2^-900, Brent's products of a step and an

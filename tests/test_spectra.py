@@ -7,7 +7,6 @@ import pytest
 
 import sqz_sensor as sq
 from sqz_sensor import (
-    DoubleNormalizationError,
     RangeError,
     Scenario,
     SensorParams,
@@ -318,21 +317,19 @@ class TestLossFactor:
 
 
 class TestNormalization:
+    """Normalized spectra are the closed forms at the unit point."""
+
     def test_identity_at_unit_scales(self, fig2_params):
-        curve = sq.scenario_curve(Scenario.input_squeeze(), fig2_params, np.linspace(0.0, 4.0, 5))
-        normalized = sq.normalize_curve(curve, fig2_params)
+        grid = np.linspace(0.0, 4.0, 5)
+        curve = sq.scenario_curve(Scenario.input_squeeze(), fig2_params, grid)
+        normalized = sq.scenario_curve(Scenario.input_squeeze(), fig2_params.unit_point(), grid)
         assert normalized.values == pytest.approx(curve.values, rel=1e-15)
         assert normalized.values[0] == pytest.approx(S_INPUT_0, rel=1e-13)
 
     def test_roundtrip(self):
         p = SensorParams(kappa_prime=2.5, kappa_double_prime=0.25, eta=0.8, n_photons=3.0)
-        curve = sq.scenario_curve(Scenario.no_squeeze(), p, np.linspace(0.0, 10.0, 11))
-        normalized = sq.normalize_curve(curve, p)
+        grid = np.linspace(0.0, 10.0, 11)
+        curve = sq.scenario_curve(Scenario.no_squeeze(), p, grid)
+        normalized = sq.scenario_curve(Scenario.no_squeeze(), p.unit_point(), grid / 2.5)
         assert normalized.omegas == pytest.approx(curve.omegas / 2.5, rel=1e-15)
         assert normalized.values == pytest.approx(curve.values * 3.0 / 2.5, rel=1e-15)
-
-    def test_double_normalization_rejected(self, fig2_params):
-        curve = sq.scenario_curve(Scenario.no_squeeze(), fig2_params, np.linspace(0.0, 4.0, 5))
-        normalized = sq.normalize_curve(curve, fig2_params)
-        with pytest.raises(DoubleNormalizationError):
-            sq.normalize_curve(normalized, fig2_params)
