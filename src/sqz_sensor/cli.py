@@ -74,12 +74,6 @@ def reference_params() -> SensorParams:
     )
 
 
-def _sha256(path: str | Path | None) -> str | None:
-    if path is None:
-        return None
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _provenance(command: str, params: SensorParams, params_file=None, **fields) -> dict:
     """Every manifest and report: what produced it, from what, then ``fields``."""
     return {
@@ -91,7 +85,8 @@ def _provenance(command: str, params: SensorParams, params_file=None, **fields) 
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "psd_convention": PSD_CONVENTION,
         "params_file": str(params_file) if params_file else None,
-        "params_sha256": _sha256(params_file),
+        "params_sha256": (hashlib.sha256(Path(params_file).read_bytes()).hexdigest()
+                          if params_file else None),
         "params": params_to_dict(params),
         **fields,
     }
@@ -195,8 +190,9 @@ def cmd_fig2(args) -> int:
     s_no = curves["no_squeeze"].values
     s_in = curves["input_squeeze"].values
     s_db = curves["double_squeeze_optimal"].values
-    if not (np.all(s_db <= s_in) and np.all(s_in <= s_no)):
-        i = int(np.argmax(~((s_db <= s_in) & (s_in <= s_no))))
+    ordered = (s_db <= s_in) & (s_in <= s_no)
+    if not np.all(ordered):
+        i = int(np.argmin(ordered))
         print(
             "ordering check failed at omega = "
             f"{omegas[i]}: double={s_db[i]} input={s_in[i]} none={s_no[i]}",
@@ -256,7 +252,8 @@ def _band_estimate(params: SensorParams, config: stochastic.SimulationConfig,
     return stochastic.estimate_psd(run, band, xi_referred=True).values
 
 
-def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = False) -> dict:
+def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = False,
+                   params_file=None) -> dict:
     """Run the dual-oracle validation gates and return a report dict.
 
     The gates run with the self-phase-modulation coupling cancelled, so
@@ -266,23 +263,22 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
     longest first, and are read in scenario order, so the report does
     not depend on the core count.  ``mutate`` perturbs the closed-form
     reference by one part per million as a negative control; the gates
-    must then fail.
+    must then fail.  ``params_file``, the file ``params`` was read from,
+    is named and hashed in the report.
     """
     checks = []
     params_c = params.with_spm_cancelled()
     corrupt = 1.0 + 1e-6 if mutate else 1.0
-    scenarios = [
-        Scenario.no_squeeze(),
-        Scenario.input_squeeze(),
-        Scenario.double_squeeze_optimal(),
-    ]
+    materialized = {scenario.tag: scenario.materialize(params_c) for scenario in
+                    (Scenario.no_squeeze(), Scenario.input_squeeze(),
+                     Scenario.double_squeeze_optimal())}
 
     # Gate 1: frequency-domain solver against the closed forms.
     t0 = time.perf_counter()
     grid, probes = np.linspace(0.0, 4.0 * params_c.kappa, 65), np.linspace(0.0, 4.0, 17)
     rng = np.random.default_rng(seed)
     points = itertools.chain(
-        ((scenario.materialize(params_c), grid) for scenario in scenarios),
+        ((p, grid) for p in materialized.values()),
         ((_random_cancelled_params(rng), probes) for _ in range(20)),
     )
     worst = 0.0
@@ -307,14 +303,12 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
     # is sized, and its closed form evaluated, before any starts.
     t0 = time.perf_counter()
     band = np.linspace(0.2 * params_c.kappa_prime, 3.0 * params_c.kappa_prime, 36)
-    jobs, closed = [], {}
-    for i, scenario in enumerate(scenarios):
-        params_m = scenario.materialize(params_c)
-        jobs.append((scenario.tag, params_m,
-                     stochastic.spectral_comparison_config(params_m, budget, seed + i)))
-        closed[scenario.tag] = spectra.measurement_psd_raw(params_m, band)
-    runs = {tag: {"params": params_to_dict(params_m), "seed": config.seed}
-            for tag, params_m, config in jobs}
+    jobs, closed, runs = [], {}, {}
+    for i, (tag, params_m) in enumerate(materialized.items()):
+        config = stochastic.spectral_comparison_config(params_m, budget, seed + i)
+        jobs.append((tag, params_m, config))
+        closed[tag] = spectra.measurement_psd_raw(params_m, band)
+        runs[tag] = {"params": params_to_dict(params_m), "seed": config.seed}
     longest_first = sorted(jobs, key=lambda job: job[2].duration / job[2].dt, reverse=True)
     with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
         futures = {tag: pool.submit(_band_estimate, params_m, config, band)
@@ -326,15 +320,15 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
                         "max rms relative deviation over [0.2, 3] kappa_prime",
                         0.05, max(details.values()), t0, details=details, runs=runs))
 
-    return _provenance("validate", params, budget=budget, seed=seed, mutate=mutate,
+    return _provenance("validate", params, params_file, budget=budget, seed=seed, mutate=mutate,
                        checks=checks, passed=all(c["passed"] for c in checks))
 
 
 def cmd_validate(args) -> int:
     params = load_params(args.params)
-    report = run_validation(params, budget=args.budget, seed=args.seed, mutate=args.mutate)
+    report = run_validation(params, budget=args.budget, seed=args.seed, mutate=args.mutate,
+                            params_file=args.params)
     out = Path(args.out)
-    report.update(params_file=str(args.params), params_sha256=_sha256(args.params))
     _write_json(out, report)
     for check in report["checks"]:
         verdict = "PASS" if check["passed"] else "FAIL"

@@ -193,8 +193,15 @@ class SensorParams:
         :class:`RangeError` naming a rate that leaves floating-point range.
         """
         kp, n = self.kappa_prime, self.n_photons
+        # gamma_spm N / kappa_prime from the mantissas, so that the product
+        # gamma_spm N need not be finite where the quotient is.
+        (m_g, e_g), (m_n, e_n), (m_k, e_k) = map(math.frexp, (self.gamma_spm, n, kp))
+        try:
+            gamma = math.ldexp(m_g * m_n / m_k, e_g + e_n - e_k)
+        except OverflowError:
+            gamma = math.inf
         rates = {"kappa_double_prime": self.kappa_double_prime / kp, "k_c": self.k_c / kp,
-                 "k_s": self.k_s / kp, "gamma_spm": self.gamma_spm * n / kp}
+                 "k_s": self.k_s / kp, "gamma_spm": gamma}
         for name, value in rates.items():
             if not math.isfinite(value):
                 raise RangeError(f"{name} = {getattr(self, name)!r} with kappa_prime = {kp!r} "

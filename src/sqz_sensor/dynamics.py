@@ -189,10 +189,10 @@ def psd_from_response(params: SensorParams, omegas, xi_referred: bool = True) ->
     With ``xi_referred=True`` the sum noise is divided by the squared
     gain magnitude, expressing it in units of the eigenfrequency
     perturbation being sensed.  ``omegas`` must pass
-    :func:`~sqz_sensor.core.frequency_grid`.  Raises :class:`RangeError`
-    when the spectrum underflows to 0 or is not finite, the latter by
-    :class:`~sqz_sensor.core.SpectrumCurve`, which names the parameters
-    and the frequency.
+    :func:`~sqz_sensor.core.frequency_grid`.  The returned
+    :class:`~sqz_sensor.core.SpectrumCurve` raises :class:`RangeError`,
+    naming the parameters and the first such frequency, when the spectrum
+    underflows to 0 or is not finite.
     """
     w = frequency_grid(omegas)
     resp = frequency_response(params, w)
@@ -206,11 +206,6 @@ def psd_from_response(params: SensorParams, omegas, xi_referred: bool = True) ->
     )
     if xi_referred:
         total = total / np.abs(resp.gain) ** 2
-    if np.any(total <= 0.0):
-        raise RangeError(
-            f"kappa_prime = {params.kappa_prime!r} and r_squeeze = {params.r_squeeze!r}: "
-            "the noise spectral density underflows to 0"
-        )
     return SpectrumCurve(
         omegas=w,
         values=total,

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -44,6 +45,12 @@ README_FILE = {
 # (omega^2 / kappa_prime + kappa_prime) / 8, touching the limit at 1e-200.
 SQUARES_UNDERFLOW_FILE = {"kappa_prime": 1e-200, "kappa_double_prime": 0.0, "eta": 1.0,
                           "n_photons": 1.0}
+
+
+# gamma_spm N overflows; gamma_spm N / kappa_prime, the unit point's
+# gamma_spm, is 1e200.
+SPM_PRODUCT_OVERFLOWS_FILE = {"kappa_prime": 1e200, "kappa_double_prime": 0.0, "eta": 0.7,
+                              "n_photons": 1e200, "gamma_spm": 1e200}
 
 
 def rates_divided(data: dict, scale: float) -> dict:
@@ -198,6 +205,21 @@ class TestSpectrumCommand:
         assert np.all(np.isfinite(values))
         if scenario == "no-squeeze":
             assert values[0] == pytest.approx(5.0 / 28.0, rel=1e-15)
+
+    @pytest.mark.parametrize("scenario", ["no-squeeze", "input-squeeze", "double-squeeze-optimal",
+                                          "snl"])
+    def test_normalize_where_gamma_n_overflows(self, tmp_path, capsys, scenario):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(SPM_PRODUCT_OVERFLOWS_FILE))
+        out = tmp_path / "norm.csv"
+        rc = main(["spectrum", "--params", str(pfile), "--scenario", scenario,
+                   "--points", "5", "--normalize", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        _, values, header = read_curve_csv(out)
+        unit = json.loads(header[-1].removeprefix("# params: "))
+        assert unit["gamma_spm"] == pytest.approx(1e200, rel=1e-15)
+        assert np.all(np.isfinite(values))
 
     def test_unknown_scenario_is_usage_error(self, params_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -750,6 +772,20 @@ class TestExitCodes:
         assert str(out_dir) in err and ".tmp" not in err
         assert sorted(tmp_path.iterdir()) == before
         assert not any(out_dir.iterdir())
+
+    def test_failed_replace_leaves_no_temporary_file(self, params_file, tmp_path, monkeypatch,
+                                                     capsys):
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        rc = main(["spectrum", "--params", str(params_file), "--scenario", "no-squeeze",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.strerror(errno.ENOSPC) in err
+        assert sorted(tmp_path.iterdir()) == [params_file]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_directory_as_manifest_writes_no_curve(self, fmt, params_file, tmp_path, capsys):

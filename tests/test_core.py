@@ -118,6 +118,13 @@ class TestSensorParams:
             kappa_prime=1.0, kappa_double_prime=0.25, eta=0.7, n_photons=1.0, gamma_spm=1.0,
             r_squeeze=1.0, k_c=-0.5, k_s=1.5, units="kappa_prime")
 
+    def test_unit_point_where_gamma_n_overflows(self):
+        # gamma_spm N is 1e400, beyond floating-point range, but the rate
+        # gamma_spm N / kappa_prime at the unit point is 1e200.
+        p = SensorParams(kappa_prime=1e200, kappa_double_prime=0.0, eta=0.7, n_photons=1e200,
+                         gamma_spm=1e200)
+        assert p.unit_point().gamma_spm == pytest.approx(1e200, rel=1e-15)
+
     @pytest.mark.parametrize("field, kwargs", [
         ("kappa_double_prime", dict(kappa_prime=1e-300, kappa_double_prime=1e10)),
         ("gamma_spm", dict(gamma_spm=1e300, n_photons=1e10)),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sqz_sensor as sq
+import sqz_sensor.optimize as optimize
 from sqz_sensor import (
     NoBandError,
     RangeError,
@@ -131,6 +132,12 @@ class TestNumericMinKc:
                          n_photons=1.0, r_squeeze=350.0)
         with pytest.raises(RangeError, match="no unique optimum"):
             sq.numeric_min_kc(p, omega_probe=0.0)
+
+    def test_failed_search_is_a_convergence_error(self):
+        # Scipy's bounded Brent search stops on a NaN objective and reports
+        # failure; the search reports it as a package error.
+        with pytest.raises(sq.ConvergenceError, match="NaN result encountered"):
+            optimize._minimize(lambda x: math.nan, 0.0, 1.0, 1e-3)
 
 
 class TestSnlOptimalKappa:
