@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import spectra
 from .core import Scenario, SensorParams
@@ -51,6 +50,9 @@ def _minimize(f, lo: float, hi: float, h: float):
     equals ``f`` at both ends (a constant objective has no unique
     optimum), and :class:`ConvergenceError` when Brent's method fails.
     """
+    # Loaded by the first search, not by the package import.
+    from scipy.optimize import minimize_scalar
+
     # Brent's absolute tolerance, a thousandth of the polish spacing,
     # keeps its stop well inside that spacing.
     res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-3 * h})

@@ -37,9 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as _scipy_signal
 
 from .core import (
     SensorParams,
@@ -396,7 +394,10 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
     overlap, as the validation gate's do, would keep up to one such
     series per arena.
     """
-    import mmap  # loaded by the first run, not by the package import
+    # Loaded by the first run, not by the package import.
+    import mmap
+
+    from scipy.signal import lfilter
 
     streams = plan.streams
     gens = [_stream(config.seed, stream_id) for stream_id in streams]
@@ -449,7 +450,7 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
                 inputs.append(np.multiply(draws[STREAM_COSINE], plan.cosine,
                                           out=draws[STREAM_COSINE]))
             for j, ((num, den), x) in enumerate(zip(plan.filters, inputs)):
-                y, zi[j] = _scipy_signal.lfilter(num, den, x, zi=zi[j])
+                y, zi[j] = lfilter(num, den, x, zi=zi[j])
                 d += y
             # Free this chunk's arrays; the next chunk's are being drawn.
             del z, draws, z0, inputs, x, y
@@ -466,6 +467,10 @@ def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> S
     :func:`~sqz_sensor.core.frequency_grid`, start at or above 0 and end
     at or below the Nyquist frequency.
     """
+    # Loaded by the first estimate, not by the package import.
+    import scipy.fft
+    from scipy.signal import get_window
+
     grid = frequency_grid(omega_grid)
     if grid[0] < 0.0:
         raise GridError("omega_grid must be non-negative")
@@ -490,7 +495,7 @@ def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> S
     # need no folding.
     half = nperseg // 2
     segments = sliding_window_view(run.d_s, nperseg)[::half]
-    window = _scipy_signal.get_window("hann", nperseg)
+    window = get_window("hann", nperseg)
     power = np.zeros(nperseg + 2)
     for s0 in range(0, len(segments), _SEGMENT_BATCH):
         fx = scipy.fft.rfft(segments[s0:s0 + _SEGMENT_BATCH] * window)

@@ -1,0 +1,90 @@
+"""What a fresh process loads, and a first simulation that loads on threads.
+
+scipy's subpackages load where they are called: ``scipy.signal`` (which
+brings ``scipy.stats`` and ``scipy.optimize``) on the first simulation
+and ``scipy.optimize`` on the first numeric optimizer call.  The closed
+forms load neither, so the commands built on them do not pay for them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sqz_sensor
+
+from test_cli import FIG2_FILE
+
+#: The directory the package was imported from, for the child processes.
+PACKAGE_ROOT = str(Path(sqz_sensor.__file__).resolve().parents[1])
+
+DEFERRED = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.fft")
+
+
+def run_fresh(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this package."""
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
+def modules_after_main(argv: list[str], cwd) -> set[str]:
+    """The modules loaded by one CLI call in a fresh process, which must exit 0."""
+    code = ("import json, sys\n"
+            "from sqz_sensor.cli import main\n"
+            f"rc = main({argv!r})\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))\n")
+    proc = run_fresh(code, cwd)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    return set(modules)
+
+
+@pytest.fixture
+def params_path(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(FIG2_FILE))
+    return str(path)
+
+
+def test_package_import_loads_no_deferred_scipy_subpackage(tmp_path):
+    proc = run_fresh("import json, sys, sqz_sensor; print(json.dumps(sorted(sys.modules)))",
+                     tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert not set(DEFERRED) & set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--params", "{params}", "--scenario", "input-squeeze", "--out", "s.csv"],
+    ["fig2", "--out-dir", "fig2"],
+], ids=["spectrum", "fig2"])
+def test_closed_form_commands_load_neither_signal_nor_optimize(argv, params_path, tmp_path):
+    modules = modules_after_main([a.format(params=params_path) for a in argv], tmp_path)
+    assert not {"scipy.signal", "scipy.optimize"} & modules
+
+
+def test_numeric_optimizer_loads_optimize_but_not_signal(params_path, tmp_path):
+    modules = modules_after_main(["optimize", "--params", params_path, "--target", "kc",
+                                  "--out", "kc.json"], tmp_path)
+    assert "scipy.optimize" in modules
+    assert "scipy.signal" not in modules
+
+
+def test_first_simulations_on_worker_threads_keep_the_reference_values(params_path, tmp_path):
+    # Gate 3's runs overlap on a thread pool, so in a fresh process they
+    # are the first to import scipy.signal, concurrently.  The measured
+    # values are those pinned at seed 12345 (see test_cli), bit for bit.
+    proc = run_fresh(
+        "import sys\n"
+        "from sqz_sensor.cli import main\n"
+        f"sys.exit(main(['validate', '--params', {params_path!r}, '--seed', '12345', "
+        "'--out', 'report.json']))\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [check["measured"] for check in report["checks"]] == [
+        1.2671623327080871e-15, 7.065055611250996e-16, 0.033141133622986485]

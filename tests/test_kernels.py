@@ -212,7 +212,7 @@ class TestDrawAhead:
 
         monkeypatch.setattr(stochastic, "_stream", counting_stream)
         monkeypatch.setattr(stochastic, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(stochastic, "_scipy_signal", SimpleNamespace(lfilter=recording_lfilter))
+        monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
         simulate(params, cfg)
         chunks = math.ceil(n_total / 1000)
         # No draw past the end: one call per chunk and stream, n_total in all.
@@ -235,17 +235,17 @@ class TestDriveWaveform:
         amplitude, omega = 1.0, 2.0
         cfg = SimulationConfig(dt=0.01, duration=30000.0, seed=5, n_segments=4,
                                signal=SignalWaveform(amplitude, omega))
-        drives = []
+        drives, lfilter = [], scipy.signal.lfilter
 
         def recording_lfilter(num, den, x, zi):
             drives.append(x.copy())
-            return scipy.signal.lfilter(num, den, x, zi=zi)
+            return lfilter(num, den, x, zi=zi)
 
         def silent_stream(seed, stream_id):
             return SimpleNamespace(standard_normal=lambda out: out.fill(0.0))
 
         monkeypatch.setattr(stochastic, "_stream", silent_stream)
-        monkeypatch.setattr(stochastic, "_scipy_signal", SimpleNamespace(lfilter=recording_lfilter))
+        monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
         run = simulate(params, cfg)
         drive = np.concatenate(drives)
         n_burn = math.ceil(8.0 / relaxation_rates(params)[0] / cfg.dt)
@@ -336,16 +336,15 @@ class TestPairFactor:
         params = SensorParams(**BASE)
         cfg = SimulationConfig(dt=0.02, duration=4000.0, seed=17, n_segments=4,
                                burn_in=0.0, method=method)
-        drives, outputs = [], []
+        drives, outputs, lfilter = [], [], scipy.signal.lfilter
 
         def recording_lfilter(num, den, x, zi):
-            y, zf = scipy.signal.lfilter(num, den, x, zi=zi)
+            y, zf = lfilter(num, den, x, zi=zi)
             drives.append(x.copy())
             outputs.append(y)
             return y, zf
 
-        monkeypatch.setattr(stochastic, "_scipy_signal",
-                            SimpleNamespace(lfilter=recording_lfilter))
+        monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
         run = simulate(params, cfg)
         drive = np.concatenate(drives)
         direct = run.d_s - np.concatenate(outputs)

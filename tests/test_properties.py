@@ -265,6 +265,31 @@ def test_numeric_kc_optimum_scales_exactly_with_the_rates(params, exponents, ome
                       at_one[2])
 
 
+@settings(PROPERTY_SETTINGS, max_examples=25)
+@given(params=cancelled_params(), k=st.integers(-5, 30),
+       method=st.sampled_from(("euler", "exact")), seed=st.integers(0, 2**32 - 1),
+       omegas=st.lists(st.floats(1e-3, 4.0), max_size=8, unique=True).map(sorted))
+def test_stochastic_outputs_scale_exactly_with_the_rates(params, k, method, seed, omegas):
+    # Rates times 4^k with dt, the duration and the probe divided or
+    # multiplied to match: the same normals drive the same filters, the
+    # detector scales by 2^k, and the signal-referred estimate by 4^k.
+    # The gain, a detector amplitude per probe amplitude, scales by 2^-k.
+    big = rescaled(params, k, 0)
+    cfg = sq.SimulationConfig(dt=0.05, duration=40.0, seed=seed, n_segments=4, method=method)
+    big_cfg = replace(cfg, dt=math.ldexp(cfg.dt, -2 * k), duration=math.ldexp(cfg.duration, -2 * k))
+    w = np.array([0.0, *omegas])
+    estimate = sq.estimate_psd(sq.simulate(params, cfg), w, xi_referred=True).values
+    big_estimate = sq.estimate_psd(sq.simulate(big, big_cfg), np.ldexp(w, 2 * k),
+                                   xi_referred=True).values
+    assert np.array_equal(big_estimate, np.ldexp(estimate, 2 * k))
+    # A probe of 8 kappa' puts every draw's gain well above the SNR floor.
+    gain_cfg = replace(cfg, duration=200.0)
+    big_gain_cfg = replace(big_cfg, duration=math.ldexp(gain_cfg.duration, -2 * k))
+    gain = sq.measure_gain(params, 1.0, 8.0, gain_cfg)
+    big_gain = sq.measure_gain(big, math.ldexp(1.0, 2 * k), math.ldexp(8.0, 2 * k), big_gain_cfg)
+    assert big_gain == math.ldexp(gain, -k)
+
+
 VALID_FILE = {
     "kappa_prime": 1.0,
     "kappa_double_prime": 0.1,
