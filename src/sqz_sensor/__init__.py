@@ -12,7 +12,6 @@ from .core import (
     Scenario,
     SensorParams,
     SpectrumCurve,
-    load_params,
     params_from_dict,
     params_to_dict,
     r_from_db,
@@ -91,7 +90,6 @@ __all__ = [
     "r_from_db",
     "spm_cancelling_ks",
     "rates_from_quality",
-    "load_params",
     "params_from_dict",
     "params_to_dict",
     "drift_matrix",

@@ -1,9 +1,9 @@
 """Command-line surface: spectra, reference-figure data, validation, optimization.
 
-Every output file is written atomically and accompanied by a JSON
-manifest carrying the resolved parameters, the spectral-density
-convention, the tool version, and a hash of the input parameter file, so
-that any result can be recomputed bit for bit from its manifest.
+All the package's file I/O is here.  Each output is written atomically
+with a JSON manifest (resolved parameters, spectral-density convention,
+tool version, SHA-256 of the bytes the parameters were parsed from, read
+once so a pipe works as ``--params``) that recomputes it bit for bit.
 
 Exit codes: 0 success, 1 validation-gate failure, 2 usage or input error
 (bad flags, unreadable or malformed parameter files, sizes too large to
@@ -37,7 +37,7 @@ from .core import (
     Scenario,
     SensorParams,
     SpectrumCurve,
-    load_params,
+    params_from_dict,
     params_to_dict,
     spm_cancelling_ks,
 )
@@ -48,6 +48,10 @@ from .errors import NoBandError, SqzSensorError
 _SCENARIO_NAMES = tuple(tag.replace("_", "-") for tag in SCENARIO_TAGS)
 
 _FIG2_SQUEEZE_POWER = 30.0  # exp(2r) of the reference operating point
+
+#: Most ``--points``: 4 EiB of float64 still fails as MemoryError, while
+#: numpy rejects shapes from 2**60 outright (ValueError, IndexError).
+_MAX_POINTS = 2 ** 59
 
 #: Output labels: spectra as computed, or at the sensor's unit point
 #: (S in units of kappa_prime / N, omega in units of kappa_prime).
@@ -74,8 +78,16 @@ def reference_params() -> SensorParams:
     )
 
 
-def _provenance(command: str, params: SensorParams, params_file=None, **fields) -> dict:
-    """Every manifest and report: what produced it, from what, then ``fields``."""
+def _read_params(path: str) -> tuple[SensorParams, tuple[str, str]]:
+    """A JSON parameter file's parameters and ``(name, SHA-256)``, from one read."""
+    data = Path(path).read_bytes()
+    return (params_from_dict(json.loads(data.decode("utf-8"))),
+            (path, hashlib.sha256(data).hexdigest()))
+
+
+def _provenance(command: str, params: SensorParams, source=None, **fields) -> dict:
+    """Every manifest and report: what produced it, from which ``source``, then ``fields``."""
+    params_file, params_sha256 = source or (None, None)
     return {
         "command": command,
         "tool_version": __version__,
@@ -84,9 +96,8 @@ def _provenance(command: str, params: SensorParams, params_file=None, **fields) 
         "library_versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "psd_convention": PSD_CONVENTION,
-        "params_file": str(params_file) if params_file else None,
-        "params_sha256": (hashlib.sha256(Path(params_file).read_bytes()).hexdigest()
-                          if params_file else None),
+        "params_file": params_file,
+        "params_sha256": params_sha256,
         "params": params_to_dict(params),
         **fields,
     }
@@ -159,7 +170,7 @@ def _make_curve(scenario_name: str, params: SensorParams, grid: np.ndarray) -> S
 
 
 def cmd_spectrum(args) -> int:
-    params = load_params(args.params)
+    params, source = _read_params(args.params)
     omega_max = args.omega_max if args.omega_max is not None else 4.0 * params.kappa_prime
     grid = np.linspace(args.omega_min, omega_max, args.points)
     if args.normalize:
@@ -170,7 +181,7 @@ def cmd_spectrum(args) -> int:
         normalization = NORMALIZATION_RAW
     out = Path(args.out)
     manifest = _provenance(
-        "spectrum", params, args.params,
+        "spectrum", params, source,
         scenario=curve.scenario, normalization=normalization,
         grid={"omega_min": args.omega_min, "omega_max": omega_max, "points": args.points},
         outputs=[out.name],
@@ -201,14 +212,13 @@ def cmd_fig2(args) -> int:
         return 1
 
     out_dir = Path(args.out_dir)
-    ext = "csv" if args.format == "csv" else "json"
     outputs = []
     manifest = _provenance(
         "fig2", params, scenario="all", normalization=NORMALIZATION_KP_OVER_N,
         grid={"omega_min": 0.0, "omega_max": 4.0 * params.kappa_prime, "points": args.points},
     )
     for name, curve in curves.items():
-        path = out_dir / f"{name}.{ext}"
+        path = out_dir / f"{name}.{args.format}"
         file_manifest = dict(manifest, scenario=name, outputs=[path.name])
         write_curve(path, curve, file_manifest, args.format)
         outputs.append(path.name)
@@ -253,7 +263,7 @@ def _band_estimate(params: SensorParams, config: stochastic.SimulationConfig,
 
 
 def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = False,
-                   params_file=None) -> dict:
+                   source=None) -> dict:
     """Run the dual-oracle validation gates and return a report dict.
 
     The gates run with the self-phase-modulation coupling cancelled, so
@@ -263,8 +273,8 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
     longest first, and are read in scenario order, so the report does
     not depend on the core count.  ``mutate`` perturbs the closed-form
     reference by one part per million as a negative control; the gates
-    must then fail.  ``params_file``, the file ``params`` was read from,
-    is named and hashed in the report.
+    must then fail.  ``source``, the parameter file's ``(name, SHA-256)``
+    from :func:`_read_params`, is recorded; this function opens no file.
     """
     checks = []
     params_c = params.with_spm_cancelled()
@@ -320,14 +330,14 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
                         "max rms relative deviation over [0.2, 3] kappa_prime",
                         0.05, max(details.values()), t0, details=details, runs=runs))
 
-    return _provenance("validate", params, params_file, budget=budget, seed=seed, mutate=mutate,
+    return _provenance("validate", params, source, budget=budget, seed=seed, mutate=mutate,
                        checks=checks, passed=all(c["passed"] for c in checks))
 
 
 def cmd_validate(args) -> int:
-    params = load_params(args.params)
+    params, source = _read_params(args.params)
     report = run_validation(params, budget=args.budget, seed=args.seed, mutate=args.mutate,
-                            params_file=args.params)
+                            source=source)
     out = Path(args.out)
     _write_json(out, report)
     for check in report["checks"]:
@@ -339,8 +349,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    params = load_params(args.params)
-    result = _provenance("optimize", params, args.params, target=args.target)
+    params, source = _read_params(args.params)
+    result = _provenance("optimize", params, source, target=args.target)
     if args.target == "kc":
         closed = optimize.optimal_kc(params)
         numeric = optimize.numeric_min_kc(params, omega_probe=args.omega)
@@ -385,18 +395,17 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_flag(low: int, high: float = math.inf):
+    """An argparse type for the integers in ``[low, high]``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+    return integer  # argparse names it in "invalid integer value"
 
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 def _finite_float(text: str) -> float:
@@ -420,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--omega-min", type=_finite_float, default=0.0)
     p_spec.add_argument("--omega-max", type=_finite_float, default=None,
                         help="default: 4 kappa_prime")
-    p_spec.add_argument("--points", type=_positive_int, default=401)
+    p_spec.add_argument("--points", type=_int_flag(1, _MAX_POINTS), default=401)
     p_spec.add_argument("--normalize", action="store_true",
                         help="report S in units of kappa_prime/N and omega in kappa_prime")
     p_spec.add_argument("--out", required=True)
@@ -429,15 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig2 = sub.add_parser("fig2", help="emit the four reference curves")
     p_fig2.add_argument("--out-dir", required=True)
-    p_fig2.add_argument("--points", type=_positive_int, default=401)
+    p_fig2.add_argument("--points", type=_int_flag(1, _MAX_POINTS), default=401)
     p_fig2.add_argument("--format", choices=("csv", "json"), default="csv")
     p_fig2.set_defaults(func=cmd_fig2)
 
     p_val = sub.add_parser("validate", help="run the dual-oracle validation gates")
     p_val.add_argument("--params", required=True)
-    p_val.add_argument("--budget", type=_positive_int, default=800,
+    p_val.add_argument("--budget", type=_int_flag(1), default=800,
                        help="spectral-averaging segments for the stochastic gate")
-    p_val.add_argument("--seed", type=_non_negative_int, default=12345)
+    p_val.add_argument("--seed", type=_int_flag(0), default=12345)
     p_val.add_argument("--out", default="validation_report.json")
     p_val.add_argument("--mutate", action="store_true",
                        help="negative control: corrupt the closed forms by 1 ppm")

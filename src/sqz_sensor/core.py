@@ -17,11 +17,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -269,12 +267,6 @@ def params_from_dict(data: dict) -> SensorParams:
         values["r_squeeze"] = r_from_db(_number(data, "squeeze_db"))
     params = SensorParams(**values, units=units)
     return params.with_spm_cancelled() if auto_spm_cancel else params
-
-
-def load_params(path: str | Path) -> SensorParams:
-    """Read a JSON parameter file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))
 
 
 SCENARIO_NO_SQUEEZE = "no_squeeze"

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import math
 import os
@@ -113,7 +114,8 @@ class TestSpectrumCommand:
         omegas, values, _ = read_curve_csv(out)
         grid = np.linspace(0.0, 4.0, 9)
         assert np.array_equal(omegas, grid)
-        assert np.array_equal(values, sq.measurement_psd_raw(sq.load_params(pfile), grid))
+        params = sq.params_from_dict(FIG2_FILE | {"k_c": -0.4})
+        assert np.array_equal(values, sq.measurement_psd_raw(params, grid))
 
     def test_single_point_lossless(self, tmp_path):
         pfile = tmp_path / "lossless.json"
@@ -169,7 +171,8 @@ class TestSpectrumCommand:
         # The curve is the closed form at the unit point its header names;
         # the manifest keeps the parameter file's own values.
         pfile = tmp_path / "params.json"
-        pfile.write_text(json.dumps(FIG2_FILE | {"kappa_prime": 2.5, "n_photons": 3.0}))
+        data = FIG2_FILE | {"kappa_prime": 2.5, "n_photons": 3.0}
+        pfile.write_text(json.dumps(data))
         out = tmp_path / "norm.csv"
         rc = main(["spectrum", "--params", str(pfile), "--scenario", "input-squeeze",
                    "--points", "5", "--normalize", "--out", str(out)])
@@ -178,9 +181,9 @@ class TestSpectrumCommand:
         manifest = json.loads((tmp_path / "norm.csv.manifest.json").read_text())
         assert manifest["normalization"] == "kappa_prime_over_n"
         assert "# normalization: kappa_prime_over_n" in header
-        assert manifest["params"] == sq.params_to_dict(sq.load_params(pfile))
+        assert manifest["params"] == sq.params_to_dict(sq.params_from_dict(data))
         unit = sq.params_from_dict(json.loads(header[-1].removeprefix("# params: ")))
-        assert unit == sq.load_params(pfile).unit_point()
+        assert unit == sq.params_from_dict(data).unit_point()
         assert np.array_equal(omegas, np.linspace(0.0, 10.0, 5) / 2.5)
         assert np.array_equal(values, sq.closed_form_psd(sq.Scenario.input_squeeze(), unit, omegas))
 
@@ -652,7 +655,7 @@ class TestOptimizeCommand:
                    "--scenario", "custom", "--out", str(out)])
         assert rc == 0
         result = json.loads(out.read_text())
-        params = sq.load_params(pfile)
+        params = sq.params_from_dict(FIG2_FILE | {"k_c": -0.4})
         expected = sq.snl_crossings(sq.Scenario.custom(), params, (0.0, 8.0))
         assert result["scenario"] == "custom"
         assert (result["band"]["lower"], result["band"]["upper"]) == (expected.lower,
@@ -811,11 +814,16 @@ class TestExitCodes:
         ("validate", "--seed", "-1"),
         ("spectrum", "--points", "0"),
         ("fig2", "--points", "-5"),
+        # Grids numpy rejects by shape, not as a failed allocation.
+        ("spectrum", "--points", str(2 ** 62)),
+        ("spectrum", "--points", str(2 ** 63)),
+        ("spectrum", "--points", str(10 ** 20)),
+        ("fig2", "--points", "99999999999999999999"),
     ])
     def test_out_of_range_integer_flags_are_usage_errors(self, command, flag, value,
                                                          params_file, tmp_path, capsys):
         required = {
-            "validate": ["--params", str(params_file)],
+            "validate": ["--params", str(params_file), "--out", str(tmp_path / "r.json")],
             "spectrum": ["--params", str(params_file), "--scenario", "snl",
                          "--out", str(tmp_path / "x.csv")],
             "fig2": ["--out-dir", str(tmp_path / "fig2")],
@@ -823,7 +831,10 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main([command, *required, flag, value])
         assert err.value.code == 2
-        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+        bound = f"must be <= {2 ** 59}" if int(value) > 0 else "must be >="
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {bound}" in err and err.count("error:") == 1
+        assert sorted(tmp_path.iterdir()) == [params_file]
 
 
     @pytest.mark.parametrize("override", [
@@ -992,6 +1003,33 @@ class TestProvenance:
         for header in (manifest, report, optimized):
             assert header["psd_convention"] == sq.PSD_CONVENTION
         assert optimized["params_sha256"] == manifest["params_sha256"]
+
+    @pytest.mark.parametrize("command, args, written", [
+        ("spectrum", ["--scenario", "snl", "--points", "3"], "out.manifest.json"),
+        ("optimize", ["--target", "kc"], "out"),
+        ("validate", ["--budget", "20"], "out"),
+    ])
+    @pytest.mark.parametrize("via_pipe", [False, True], ids=["file", "pipe"])
+    def test_recorded_hash_is_of_the_bytes_parsed(self, command, args, written, via_pipe,
+                                                  params_file, tmp_path):
+        # A pipe can be read only once: the hash must come from that read.
+        data = params_file.read_bytes()
+        path = str(params_file)
+        if via_pipe:
+            r, w = os.pipe()
+            os.write(w, data)
+            os.close(w)
+            path = f"/dev/fd/{r}"
+        try:
+            rc = main([command, "--params", path, *args, "--out", str(tmp_path / "out")])
+        finally:
+            if via_pipe:
+                os.close(r)
+        assert rc in (0, 1)  # budget 20 fails gate 3, and the report is written
+        recorded = json.loads((tmp_path / written).read_text())
+        assert recorded["params_file"] == path
+        assert recorded["params_sha256"] == hashlib.sha256(data).hexdigest()
+        assert recorded["params"] == sq.params_to_dict(sq.params_from_dict(FIG2_FILE))
 
     def test_package_version_is_the_project_version(self):
         # Manifests record tool_version, and seeds reproduce realizations

@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 from dataclasses import MISSING, fields, replace
@@ -235,56 +234,51 @@ class TestScenario:
 
 
 class TestParamsFile:
-    def _write(self, tmp_path, data):
-        path = tmp_path / "params.json"
-        path.write_text(json.dumps(data))
-        return path
-
-    def test_full_schema(self, tmp_path):
-        path = self._write(tmp_path, {
+    def test_full_schema(self):
+        data = {
             "kappa_prime": 1.0, "kappa_double_prime": 0.1, "eta": 0.7,
             "n_photons": 1.0, "gamma_spm": 0.05, "squeeze_db": 15.0,
             "k_c": 0.0, "k_s": 0.1, "units": "kappa_prime",
-        })
-        p = sq.load_params(path)
+        }
+        p = sq.params_from_dict(data)
         assert p.k_s == 0.1
         assert math.exp(2.0 * p.r_squeeze) == pytest.approx(10.0 ** 1.5, rel=1e-12)
 
-    def test_auto_spm_cancel(self, tmp_path):
-        path = self._write(tmp_path, {
+    def test_auto_spm_cancel(self):
+        data = {
             "kappa_prime": 1.0, "kappa_double_prime": 0.1, "eta": 0.7,
             "n_photons": 4.0, "gamma_spm": 0.05, "auto_spm_cancel": True,
-        })
-        assert sq.load_params(path).k_s == pytest.approx(0.4, rel=1e-15)
+        }
+        assert sq.params_from_dict(data).k_s == pytest.approx(0.4, rel=1e-15)
 
-    def test_defaults(self, tmp_path):
-        path = self._write(tmp_path, {
+    def test_defaults(self):
+        data = {
             "kappa_prime": 1.0, "kappa_double_prime": 0.1, "eta": 0.7, "n_photons": 1.0,
-        })
-        p = sq.load_params(path)
+        }
+        p = sq.params_from_dict(data)
         assert p.r_squeeze == 0.0 and p.k_c == 0.0 and p.k_s == 0.0
         assert p.units == "kappa_prime"
 
-    def test_missing_required_key(self, tmp_path):
-        path = self._write(tmp_path, {"kappa_prime": 1.0, "eta": 0.7, "n_photons": 1.0})
+    def test_missing_required_key(self):
+        data = {"kappa_prime": 1.0, "eta": 0.7, "n_photons": 1.0}
         with pytest.raises(ConfigError, match="kappa_double_prime"):
-            sq.load_params(path)
+            sq.params_from_dict(data)
 
-    def test_conflicting_ks(self, tmp_path):
-        path = self._write(tmp_path, {
+    def test_conflicting_ks(self):
+        data = {
             "kappa_prime": 1.0, "kappa_double_prime": 0.1, "eta": 0.7,
             "n_photons": 1.0, "k_s": 0.1, "auto_spm_cancel": True,
-        })
+        }
         with pytest.raises(ConfigError):
-            sq.load_params(path)
+            sq.params_from_dict(data)
 
-    def test_unknown_key(self, tmp_path):
-        path = self._write(tmp_path, {
+    def test_unknown_key(self):
+        data = {
             "kappa_prime": 1.0, "kappa_double_prime": 0.1, "eta": 0.7,
             "n_photons": 1.0, "bandwidth": 2.0,
-        })
+        }
         with pytest.raises(ConfigError, match="bandwidth"):
-            sq.load_params(path)
+            sq.params_from_dict(data)
 
     def test_roundtrip_with_every_field_set(self):
         p = SensorParams(kappa_prime=2.0, kappa_double_prime=0.3, eta=0.6, n_photons=3.0,

@@ -256,19 +256,24 @@ class TestEstimatePsd:
         assert rms_rel(est, sq.psd_from_response(p, BAND).values) < 0.15
 
     def test_si_scale_invariance(self):
-        # Same physics at laboratory rates: the whole pipeline must work
-        # with rad/s magnitudes and nanosecond steps.
-        kp, kpp = sq.rates_from_quality(2e15, 1e9, 10.0)
-        p = SensorParams(kappa_prime=kp, kappa_double_prime=kpp, eta=0.7,
-                         n_photons=1.0, r_squeeze=0.5 * math.log(30.0), units="si")
+        # Same physics at laboratory rates: every rate times 4^12 (about
+        # 1.7e7 rad/s) sizes the comparison run with dt and the duration
+        # divided by 4^12, so the same normals drive the same filters and
+        # the signal-referred estimate is the unit point's times 4^12.
         scenario = Scenario.input_squeeze()
-        params = scenario.materialize(p)
-        cfg = spectral_comparison_config(params, 200, seed=55)
-        run = sq.simulate(params, cfg)
-        band = np.linspace(0.2 * kp, 3.0 * kp, 24)
-        est = sq.estimate_psd(run, band, xi_referred=True).values
-        closed = sq.closed_form_psd(scenario, params, band)
-        assert rms_rel(est, closed) < 0.2
+        unit = scenario.materialize(SensorParams(kappa_prime=1.0, kappa_double_prime=0.1,
+                                                 eta=0.7, n_photons=1.0,
+                                                 r_squeeze=0.5 * math.log(30.0)))
+        si = replace(unit, kappa_prime=math.ldexp(1.0, 24), kappa_double_prime=math.ldexp(0.1, 24),
+                     units="si")
+        band = np.linspace(0.2, 3.0, 24)
+        estimates = [
+            sq.estimate_psd(sq.simulate(p, spectral_comparison_config(p, 200, seed=55)),
+                            w, xi_referred=True).values
+            for p, w in ((unit, band), (si, np.ldexp(band, 24)))
+        ]
+        assert np.array_equal(estimates[1], np.ldexp(estimates[0], 24))
+        assert rms_rel(estimates[0], sq.closed_form_psd(scenario, unit, band)) < 0.1
 
     def test_seed_invariance_of_spectrum(self, fig2_params):
         scenario = Scenario.input_squeeze()
