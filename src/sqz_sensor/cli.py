@@ -39,7 +39,6 @@ from .core import (
     SpectrumCurve,
     params_from_dict,
     params_to_dict,
-    spm_cancelling_ks,
 )
 from .dynamics import psd_from_response
 from .errors import NoBandError, SqzSensorError
@@ -92,7 +91,7 @@ def _provenance(command: str, params: SensorParams, source=None, **fields) -> di
         "command": command,
         "tool_version": __version__,
         # Bit-for-bit recomputation depends on numpy's noise generators
-        # and scipy's lfilter and FFT.
+        # and FFT and on scipy's lfilter.
         "library_versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "psd_convention": PSD_CONVENTION,
@@ -245,8 +244,7 @@ def _random_cancelled_params(rng: np.random.Generator) -> SensorParams:
         gamma_spm=gamma_spm,
         r_squeeze=r_squeeze,
         k_c=k_c,
-        k_s=spm_cancelling_ks(gamma_spm, n_photons),
-    )
+    ).with_spm_cancelled()
 
 
 def _gate(name: str, comparison: str, gate: float, measured: float, t0: float, **fields) -> dict:

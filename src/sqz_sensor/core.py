@@ -177,9 +177,10 @@ class SensorParams:
 
     @property
     def is_spm_cancelled(self) -> bool:
-        ks_target = spm_cancelling_ks(self.gamma_spm, self.n_photons)
-        scale = max(abs(self.k_s), abs(ks_target), self.kappa)
-        return abs(self.k_s - ks_target) <= 1e-12 * scale
+        """Whether ``k_s == 2 * gamma_spm * n_photons`` exactly, as floats, so that
+        :func:`~sqz_sensor.dynamics.drift_matrix`'s residual coupling is 0.  No
+        tolerance: :meth:`with_spm_cancelled` sets the exact value."""
+        return self.k_s == spm_cancelling_ks(self.gamma_spm, self.n_photons)
 
     def unit_point(self) -> "SensorParams":
         """The same sensor in units of kappa_prime and per photon.

@@ -25,8 +25,8 @@ stay in cache; it takes the injected sinusoid from a block-indexed
 phasor table.  The streams are drawn concurrently, one task per stream
 and chunk, one chunk ahead of the filter bank, which leaves every
 sequence as a serial draw gives it.  Runs share no state, so callers
-may overlap them.  The periodogram is Welch's estimate as batched real
-FFTs; the gain is demodulated in one product.
+may overlap them.  The periodogram is Welch's estimate as batched numpy
+real FFTs; the gain is demodulated in one product.
 """
 
 from __future__ import annotations
@@ -195,11 +195,11 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     quadrature combines the cavity output with a direct term correlated
     with its drive as the same input sample makes them.
     ``method="exact"`` instead uses the exact one-step relaxation of the
-    decoupled measured quadrature (valid only when the self-phase-
-    modulation coupling is cancelled) as a discretization-bias check.
-    Raises :class:`ConfigError` when ``dt`` is too coarse: it must be
-    below a tenth of the fastest relaxation time, and an Euler step must
-    not grow any mode, ``|1 - dt lambda| < 1`` for each drift eigenvalue.
+    measured quadrature, decoupled where ``params.is_spm_cancelled`` (both
+    methods ask it), as a discretization-bias check; elsewhere it raises
+    :class:`ConfigError`.  So does a ``dt`` too coarse: it must be below a
+    tenth of the fastest relaxation time, and an Euler step must not grow
+    any mode, ``|1 - dt lambda| < 1`` for each drift eigenvalue.
     """
     rate_min, rate_max = relaxation_rates(params)
     if config.dt * rate_max >= _DT_MARGIN:
@@ -308,9 +308,9 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     c_a, c_v, p_bs, q_as, q_us = _couplings(params)
     h = 0.5 * dt * p_bs
     factor = _pair_factor(c_a * sig["a_s"], (c_v * sig["v_s"],), q_as * sig["a_s"], q_us * sig["u_s"])
-    if a10 == 0.0:
-        # The cosine quadrature never reaches the detector (cancelled self-
-        # phase modulation): f_c is left out, and the f_s numerator
+    if params.is_spm_cancelled:
+        # a10 is 0: the cosine quadrature never reaches the detector, so
+        # f_c is left out, and the f_s numerator
         # h (1 + 1/z) (1 - a00/z) cancels the denominator's a00 pole.
         return _Plan(factor=factor, cosine=0.0,
                      filters=((h * np.array([1.0, 1.0]), np.array([1.0, -a11])),),
@@ -336,8 +336,9 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     # update).
     if not params.is_spm_cancelled:
         raise ConfigError(
-            "exact method needs the self-phase-modulation coupling cancelled "
-            "(k_s = 2 * gamma_spm * n_photons); use method='euler' otherwise"
+            "exact method needs the self-phase-modulation coupling cancelled: k_s = "
+            f"{params.k_s!r} is not exactly 2 * gamma_spm * n_photons (see "
+            "with_spm_cancelled()); use method='euler' otherwise"
         )
     dt = config.dt
     drift = drift_matrix(params)
@@ -467,10 +468,6 @@ def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> S
     :func:`~sqz_sensor.core.frequency_grid`, start at or above 0 and end
     at or below the Nyquist frequency.
     """
-    # Loaded by the first estimate, not by the package import.
-    import scipy.fft
-    from scipy.signal import get_window
-
     grid = frequency_grid(omega_grid)
     if grid[0] < 0.0:
         raise GridError("omega_grid must be non-negative")
@@ -495,10 +492,11 @@ def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> S
     # need no folding.
     half = nperseg // 2
     segments = sliding_window_view(run.d_s, nperseg)[::half]
-    window = get_window("hann", nperseg)
+    # The periodic Hann window, built as scipy.signal.get_window builds it.
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
     power = np.zeros(nperseg + 2)
     for s0 in range(0, len(segments), _SEGMENT_BATCH):
-        fx = scipy.fft.rfft(segments[s0:s0 + _SEGMENT_BATCH] * window)
+        fx = np.fft.rfft(segments[s0:s0 + _SEGMENT_BATCH] * window)
         flat = fx.view(np.float64)
         power += np.einsum("ij,ij->j", flat, flat)
     scale = dt / (len(segments) * float(np.sum(window * window)))

@@ -194,6 +194,11 @@ class TestRateHelpers:
         pc = p.with_spm_cancelled()
         assert pc.k_s == pytest.approx(0.4, rel=1e-15)
         assert pc.is_spm_cancelled
+        # The rule is exact: 2 * 0.1 * 3 is 0.6000000000000001, not 0.6.
+        near = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7,
+                            n_photons=3.0, gamma_spm=0.1, k_s=0.6)
+        assert not near.is_spm_cancelled
+        assert near.with_spm_cancelled().is_spm_cancelled
 
 
 class TestScenario:

@@ -3,7 +3,8 @@
 scipy's subpackages load where they are called: ``scipy.signal`` (which
 brings ``scipy.stats`` and ``scipy.optimize``) on the first simulation
 and ``scipy.optimize`` on the first numeric optimizer call.  The closed
-forms load neither, so the commands built on them do not pay for them.
+forms load neither, so the commands built on them do not pay for them,
+and the spectral estimate loads no scipy at all.
 """
 
 import json
@@ -73,6 +74,22 @@ def test_numeric_optimizer_loads_optimize_but_not_signal(params_path, tmp_path):
                                   "--out", "kc.json"], tmp_path)
     assert "scipy.optimize" in modules
     assert "scipy.signal" not in modules
+
+
+def test_spectral_estimate_loads_no_scipy(tmp_path):
+    proc = run_fresh(
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from sqz_sensor import SensorParams, SimulationConfig, SimulationRun, estimate_psd\n"
+        "params = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0)\n"
+        "config = SimulationConfig(dt=0.01, duration=10.24, seed=0, n_segments=4)\n"
+        "d_s = np.random.default_rng(0).standard_normal(1024)\n"
+        "run = SimulationRun(d_s=d_s, params=params, config=config, backend='lfilter')\n"
+        "curve = estimate_psd(run, np.linspace(0.0, 3.0, 7), xi_referred=True)\n"
+        "assert np.all(np.isfinite(curve.values))\n"
+        "print(json.dumps(sorted(sys.modules)))\n", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert not {"scipy.signal", "scipy.fft"} & set(json.loads(proc.stdout))
 
 
 def test_first_simulations_on_worker_threads_keep_the_reference_values(params_path, tmp_path):

@@ -143,6 +143,7 @@ def test_spectrum_curves_keep_their_invariants(params, scenario, omegas):
     raw = [sq.scenario_curve(scenario, params, grid), sq.snl_curve(params, grid),
            sq.psd_from_response(scenario.materialize(params), grid)]
     unit, unit_grid = params.unit_point(), grid / params.kappa_prime
+    assert params.is_spm_cancelled and unit.is_spm_cancelled
     normalized = [sq.scenario_curve(scenario, unit, unit_grid), sq.snl_curve(unit, unit_grid),
                   sq.psd_from_response(scenario.materialize(unit), unit_grid)]
     # The curves neither freeze the caller's grid nor share memory with it.

@@ -122,6 +122,10 @@ class TestSimulate:
         cfg = SimulationConfig(dt=0.02, duration=10.0, seed=0, n_segments=1, method="exact")
         with pytest.raises(ConfigError, match="cancelled"):
             sq.simulate(p, cfg)
+        # One rounding short of 2 gamma N = 0.6000000000000001 is not cancelled.
+        near = replace(p, n_photons=3.0, k_s=0.6)
+        with pytest.raises(ConfigError, match="cancelled"):
+            sq.simulate(near, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
