@@ -7,21 +7,21 @@ estimated with a segment-averaged periodogram.  Nothing here reuses the
 closed-form algebra of :mod:`sqz_sensor.spectra`.
 
 Each integration method (Euler-Maruyama, exact Ornstein-Uhlenbeck
-update) is one filter of unit white noise: one normal per step,
-innovations form.  The detector sees independent white inputs through
-filters with one denominator ``A``, so its spectrum is ``|C|^2 / |A|^2``
-with ``|C|^2`` the sum of their numerators' squared moduli; one normal
-per step through the minimum-phase factor ``C`` over ``A`` gives the
-same Gaussian process (Box & Jenkins 1976, ARMA models).  The normals
-come from one SFC64 generator seeded by ``SeedSequence([seed, 0])`` and
-the filter is :func:`scipy.signal.lfilter`, so within one tool version a
-seed reproduces its realization bit for bit for pinned numpy/scipy
-versions, whatever the core count.  One chunked loop runs either plan in
-cache-sized chunks, drawing each chunk's normals while the one before
-is filtered, and adds the injected sinusoid as the filter's
-steady-state response.  Runs share no state, so callers may overlap
-them.  The periodogram is Welch's estimate as batched numpy real FFTs;
-the gain is demodulated in one product.
+update) is one numerator per independent physical input, reduced to
+one filter by ``_innovations``: one normal per step, innovations form.
+The numerators share one denominator ``A``, so the detector's spectrum
+is ``|C|^2 / |A|^2`` with ``|C|^2`` the sum of their squared moduli; one
+normal per step through the minimum-phase factor ``C`` over ``A`` gives
+the same Gaussian process (Box & Jenkins 1976, ARMA models).  The
+normals come from one SFC64 generator seeded by ``SeedSequence([seed,
+0])`` and the filter is :func:`scipy.signal.lfilter`, so within one tool
+version a seed reproduces its realization bit for bit for pinned
+numpy/scipy versions, whatever the core count.  One chunked loop runs
+either plan in cache-sized chunks, drawing each chunk's normals while
+the one before is filtered, and adds the injected sinusoid as the
+filter's steady-state response.  Runs share no state, so callers may
+overlap them.  The periodogram is Welch's estimate as batched numpy
+real FFTs; the gain is demodulated in one product.
 """
 
 from __future__ import annotations
@@ -185,8 +185,9 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     ``method="exact"`` instead uses the exact one-step relaxation of the
     measured quadrature, decoupled where ``params.is_spm_cancelled``
     (both methods ask it), as a discretization-bias check; elsewhere it
-    raises :class:`ConfigError`.  Either draws one normal per step, in
-    innovations form (:class:`_Plan`).  A ``dt`` too coarse raises
+    raises :class:`ConfigError`.  Either is one numerator per independent
+    physical input, reduced to one filter by ``_innovations``: one normal
+    per step (:class:`_Plan`).  A ``dt`` too coarse raises
     :class:`ConfigError`: it must be below a tenth of the fastest
     relaxation time, and an Euler step must not grow any mode.
     """
@@ -211,10 +212,11 @@ class _Plan:
     """One integration method as one filter of unit white noise.
 
     The detector is ``noise / den`` of one standard normal per step
-    (innovations form; ``noise`` from :func:`_innovations`) plus the
-    steady-state response of ``probe / den``, the measured quadrature's
-    drive filter times the waveform's coupling into it, to the waveform.
-    Coefficients are in powers of ``1/z``, ``den[0] = 1``.
+    (innovations form: one numerator per independent physical input,
+    reduced to one filter by :func:`_innovations`) plus the steady-state
+    response of ``probe / den``, the measured quadrature's drive filter
+    times the waveform's coupling into it, to the waveform.  Coefficients
+    are in powers of ``1/z``, ``den[0] = 1``.
     """
 
     noise: np.ndarray
@@ -222,42 +224,13 @@ class _Plan:
     probe: np.ndarray
 
 
-def _pair_factor(f_shared: float, f_own: tuple, direct_shared: float,
-                 direct_own: float) -> tuple[float, float, float]:
-    """Lower-triangular factor ``(l00, l10, l11)`` of the (f_s, direct) noise covariance.
-
-    f_s is ``f_shared`` times a unit normal shared with the direct term,
-    plus independent terms of standard deviations ``f_own``; the direct
-    term is ``direct_shared`` times the shared normal plus an
-    independent one times ``direct_own``.  In standard deviations the
-    factor neither underflows with the rates nor cancels: ``l11`` is
-    exactly 0 when the direct term is a multiple of f_s.
-    """
-    l00 = math.hypot(f_shared, *f_own)
-    if l00 == 0.0:  # no drive noise: the direct term stands alone
-        return 0.0, 0.0, math.hypot(direct_shared, direct_own)
-    l10 = direct_shared * (f_shared / l00)
-    l11 = math.hypot(direct_own, direct_shared * (math.hypot(*f_own) / l00))
-    return l00, l10, l11
-
-
-def _factored_plan(den: np.ndarray, drive: np.ndarray, pair: tuple, cosine: tuple,
-                   signal_scale: float) -> _Plan:
-    """The plan of the detector ``drive / den`` of f_s plus the direct
-    term, with the pair's factor ``(l00, l10, l11)``, plus ``cosine``
-    (empty, or the numerator of the f_c noise) over ``den``."""
-    l00, l10, l11 = pair
-    noise = _innovations([l10 * den + l00 * drive, l11 * den, *cosine])
-    return _Plan(noise=noise, den=den, probe=signal_scale * drive)
-
-
 def _innovations(numerators: list) -> np.ndarray:
     """Minimum-phase ``C`` with ``|C|^2 = sum_j |N_j|^2`` on the unit circle.
 
-    The ``N_j`` (2 or 3 coefficients) carry independent unit white
-    inputs to the detector.  ``C[0] >= 0`` and every zero of ``C`` is in
-    the closed unit disk.  ``C`` is formed at a power-of-two scale, so it
-    neither underflows nor breaks an exact power-of-two scaling.
+    One numerator ``N_j`` (2 or 3 coefficients) per independent physical
+    input, reduced to one filter.  ``C[0] >= 0`` and every zero of ``C``
+    is in the closed unit disk.  ``C`` is formed at a power-of-two scale,
+    so it neither underflows nor breaks an exact power-of-two scaling.
     """
     n = np.array(numerators)
     peak = float(np.max(np.abs(n)))
@@ -335,17 +308,20 @@ def _euler_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     sig = {name: math.sqrt(psd / dt) for name, psd in input_noise_psds(params).items()}
     c_a, c_v, p_bs, q_as, q_us = _couplings(params)
     h = 0.5 * dt * p_bs
-    pair = _pair_factor(c_a * sig["a_s"], (c_v * sig["v_s"],), q_as * sig["a_s"], q_us * sig["u_s"])
     if params.is_spm_cancelled:
-        # a10 is 0: the cosine quadrature never reaches the detector, so
-        # f_c is left out, and the f_s numerator
-        # h (1 + 1/z) (1 - a00/z) cancels the denominator's a00 pole.
-        return _factored_plan(np.array([1.0, -a11]), h * np.array([1.0, 1.0]), pair, (),
-                              drift.signal_coupling)
-    cosine = math.hypot(c_a * sig["a_c"], c_v * sig["v_c"]) * h * np.array([0.0, a10, a10])
-    return _factored_plan(np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10]),
-                          h * np.array([1.0, 1.0 - a00, -a00]), pair, (cosine,),
-                          drift.signal_coupling)
+        # a10 is 0: a_c and v_c never reach the detector, and the f_s
+        # numerator h (1 + 1/z) (1 - a00/z) cancels den's a00 pole.
+        den, drive, cosine_rows = np.array([1.0, -a11]), h * np.array([1.0, 1.0]), []
+    else:
+        den = np.array([1.0, -(a00 + a11), a00 * a11 - a01 * a10])
+        drive = h * np.array([1.0, 1.0 - a00, -a00])
+        cosine = h * np.array([0.0, a10, a10])
+        cosine_rows = [c_a * sig["a_c"] * cosine, c_v * sig["v_c"] * cosine]
+    # One numerator per independent physical input, reduced to one filter
+    # by _innovations; a_s feeds the drive and the direct term.
+    rows = [sig["a_s"] * (c_a * drive + q_as * den), c_v * sig["v_s"] * drive,
+            q_us * sig["u_s"] * den, *cosine_rows]
+    return _Plan(noise=_innovations(rows), den=den, probe=drift.signal_coupling * drive)
 
 
 def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
@@ -356,7 +332,9 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     # integrals of a_s and v_s over the step.  I_a is correlated with the
     # bin average of a_s in the direct term: it is its regression on that
     # average plus an independent residual (Gillespie 1996, exact OU
-    # update).
+    # update), whose variance subtracts the slope times the O(1) covariance
+    # slope/dt, so nothing rate-scaled is squared.  One numerator per
+    # independent physical input, reduced to one filter by _innovations.
     if not params.is_spm_cancelled:
         raise ConfigError(
             "exact method needs the self-phase-modulation coupling cancelled: k_s = "
@@ -368,18 +346,15 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
     lam = drift.matrix[1, 1]
     decay = math.exp(-lam * dt)
     psds = input_noise_psds(params)
-    s_as = psds["a_s"]
-    var0 = s_as * dt
-    var1 = s_as * (1.0 - decay * decay) / (2.0 * lam)
-    cov01 = s_as * (1.0 - decay) / lam
-    resid = math.sqrt(max(var1 - cov01 * cov01 / var0, 0.0))
-    sig_i1v = math.sqrt(psds["v_s"] * (1.0 - decay * decay) / (2.0 * lam))
+    slope = (1.0 - decay) / lam
+    var_i = (1.0 - decay * decay) / (2.0 * lam)
+    sd_resid = math.sqrt(max(psds["a_s"] * (var_i - slope * (slope / dt)), 0.0))
+    sd_iv = math.sqrt(psds["v_s"] * var_i)
     c_a, c_v, p_bs, q_as, q_us = _couplings(params)
-    sig_as = math.sqrt(s_as / dt)
-    pair = _pair_factor(c_a * cov01 / math.sqrt(var0), (c_a * resid, c_v * sig_i1v),
-                        q_as * sig_as, q_us * math.sqrt(psds["u_s"] / dt))
-    return _factored_plan(np.array([1.0, -decay]), 0.5 * p_bs * np.array([1.0, 1.0]), pair, (),
-                          drift.signal_coupling * ((1.0 - decay) / lam))
+    den, drive = np.array([1.0, -decay]), 0.5 * p_bs * np.array([1.0, 1.0])
+    rows = [math.sqrt(psds["a_s"] / dt) * (c_a * slope * drive + q_as * den),
+            c_a * sd_resid * drive, c_v * sd_iv * drive, q_us * math.sqrt(psds["u_s"] / dt) * den]
+    return _Plan(noise=_innovations(rows), den=den, probe=drift.signal_coupling * slope * drive)
 
 
 _PLANS = {METHOD_EULER: _euler_plan, METHOD_EXACT: _exact_plan}

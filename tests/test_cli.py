@@ -410,8 +410,8 @@ class TestValidateCommand:
 #: the realizations of one tool version: a change that moves them changes
 #: realizations, and must bump the version with them.  The version here
 #: is a copy on purpose: it is what the values are pinned to.
-PINNED_REALIZATION = ("0.4.0", {
-    "no_squeeze": 0.038458147489748976,
+PINNED_REALIZATION = ("0.4.1", {
+    "no_squeeze": 0.03845814748974901,
     "input_squeeze": 0.03577558432663353,
     "double_squeeze_optimal": 0.04059918121196735,
 })

@@ -42,6 +42,9 @@ OSCILLATING = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7, n_p
 # Every rate at 1e-200 of the base point's, the step 1e200 times longer.
 TINY = SensorParams(**{k: v * 1e-200 if k in ("kappa_prime", "kappa_double_prime", "k_c") else v
                        for k, v in BASE.items()})
+# Every rate at 1e200 of the base point's, the step 1e200 times shorter.
+HUGE = SensorParams(**{k: v * 1e200 if k in ("kappa_prime", "kappa_double_prime", "k_c") else v
+                       for k, v in BASE.items()})
 # Lossless and coupled at kappa' = 1e-200 with r = 347: the squeezed
 # input's noise underflows, so only the anti-squeezed cosine drive
 # reaches the detector, through h a10 (1/z + 1/z^2), whose zero at
@@ -58,6 +61,9 @@ PLANS = {
     "exact_lossless": (LOSSLESS, "exact", 0.02),
     "euler_oscillating": (OSCILLATING, "euler", 0.004),
     "euler_tiny_rates": (TINY, "euler", 2e198),
+    "exact_tiny_rates": (TINY, "exact", 2e198),
+    "euler_huge_rates": (HUGE, "euler", 2e-202),
+    "exact_huge_rates": (HUGE, "exact", 2e-202),
     "euler_squeezed_out": (SQUEEZED_OUT, "euler", 4e198),
 }
 
@@ -225,8 +231,8 @@ class TestAutocovariance:
         # step.  Each lag's estimate has a batch-means standard error;
         # the two estimates are independent, so their difference stays
         # within 5 of the combined errors.  Dropping the direct term's
-        # correlation with the drive (l10) moves lag 0 by about 40% of
-        # the variance, hundreds of those errors.
+        # correlation with the drive (one a_s row feeding both) moves
+        # lag 0 by about 40% of the variance, hundreds of those errors.
         params, method, dt = PLANS[case]
         lags = [0, 1, 2, 3]
         cfg = SimulationConfig(dt=dt, duration=20000.0, seed=21, n_segments=4, method=method)
