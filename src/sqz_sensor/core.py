@@ -188,8 +188,12 @@ class SensorParams:
         ``kappa_prime = n_photons = 1``; the other rates are divided by
         ``kappa_prime`` and ``gamma_spm`` becomes ``gamma_spm N / kappa_prime``,
         so a spectrum here is the one at ``self`` in units of kappa_prime / N
-        with frequencies in kappa_prime.  Idempotent.  Raises
-        :class:`RangeError` naming a rate that leaves floating-point range.
+        with frequencies in kappa_prime.  An SPM-cancelled point
+        (:attr:`is_spm_cancelled`) maps to one: its ``k_s`` becomes ``2
+        gamma_spm`` of the unit point, even where ``2 gamma_spm N`` is
+        subnormal and kept fewer digits than the quotient.  Idempotent.
+        Raises :class:`RangeError` naming a rate that leaves floating-point
+        range.
         """
         kp, n = self.kappa_prime, self.n_photons
         # gamma_spm N / kappa_prime from the mantissas, so that the product
@@ -199,8 +203,13 @@ class SensorParams:
             gamma = math.ldexp(m_g * m_n / m_k, e_g + e_n - e_k)
         except OverflowError:
             gamma = math.inf
+        try:
+            cancelled = self.is_spm_cancelled
+        except RangeError:  # 2 gamma_spm N overflows, so no finite k_s cancels it
+            cancelled = False
+        k_s = 2.0 * gamma if cancelled else self.k_s / kp
         rates = {"kappa_double_prime": self.kappa_double_prime / kp, "k_c": self.k_c / kp,
-                 "k_s": self.k_s / kp, "gamma_spm": gamma}
+                 "k_s": k_s, "gamma_spm": gamma}
         for name, value in rates.items():
             if not math.isfinite(value):
                 raise RangeError(f"{name} = {getattr(self, name)!r} with kappa_prime = {kp!r} "

@@ -19,17 +19,24 @@ version a seed reproduces its realization bit for bit for pinned
 numpy/scipy versions, whatever the core count.  One chunked loop runs
 either plan in cache-sized chunks, drawing each chunk's normals while
 the one before is filtered, and adds the injected sinusoid as the
-filter's steady-state response.  Runs share no state, so callers may
-overlap them.  The periodogram is Welch's estimate as batched numpy
-real FFTs; the gain is demodulated in one product.
+filter's steady-state response.  A run from :func:`simulate` is that
+seeded realization, produced when something reads it: the spectral
+estimate and the gain demodulation accumulate it chunk by chunk as the
+loop yields it, and its series is written only when ``d_s`` is first
+read.  Runs share no state, so callers may overlap them.  The
+periodogram is Welch's estimate as batched numpy real FFTs; the gain is
+demodulated in blocked products.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,6 +73,11 @@ _BLOCK = 4096
 
 #: Periodogram segments transformed per batched FFT; bounds work memory.
 _SEGMENT_BATCH = 32
+
+#: Fewest samples, in whole rows, per product of the gain demodulation:
+#: blocks this large stay on BLAS's blocked path, whose rows do not
+#: depend on the blocking, and bound the buffered samples.
+_DEMOD_BLOCK = 1 << 16
 
 #: Margin against the fastest relaxation rate when validating the step.
 _DT_MARGIN = 0.1
@@ -129,19 +141,42 @@ class SimulationConfig:
             raise ConfigError("signal must be a SignalWaveform")
 
 
-@dataclass(frozen=True)
 class SimulationRun:
     """Detected-quadrature time series with its provenance.
 
     Sample ``n`` of ``d_s`` is taken at time ``n * dt``: the waveform
     clock starts at zero at the first retained sample, and the discarded
     transient has negative times.
+
+    ``SimulationRun(d_s, params, config, backend)`` holds the series
+    ``d_s``.  A run from :func:`simulate` is a seeded realization,
+    produced when read: its series is written into the run's memory map
+    the first time ``d_s`` is read, by whichever thread reads first, and
+    kept.  :func:`estimate_psd` and :func:`measure_gain` replay an unread
+    run chunk by chunk instead, write nothing, and see the same samples.
     """
 
-    d_s: np.ndarray
-    params: SensorParams
-    config: SimulationConfig
-    backend: str
+    def __init__(self, d_s: np.ndarray, params: SensorParams, config: SimulationConfig,
+                 backend: str):
+        self.params, self.config, self.backend = params, config, backend
+        self._d_s = d_s
+        # Set by simulate while d_s is unwritten: stop -> the chunks of the
+        # first stop samples, integrated from the seed.
+        self._replay = None
+        self._lock = threading.Lock()
+
+    @property
+    def d_s(self) -> np.ndarray:
+        if self._replay is not None:
+            with self._lock:
+                if self._replay is not None:
+                    i = 0
+                    with closing(self._replay(self.n_samples)) as chunks:
+                        for chunk in chunks:
+                            self._d_s[i:i + chunk.size] = chunk
+                            i += chunk.size
+                    self._replay = None
+        return self._d_s
 
     @property
     def dt(self) -> float:
@@ -149,7 +184,16 @@ class SimulationRun:
 
     @property
     def n_samples(self) -> int:
-        return int(self.d_s.size)
+        return int(self._d_s.size)
+
+    def _chunks(self, stop: int):
+        """The first ``stop`` samples of the series in order, in chunks:
+        replayed if ``d_s`` is unwritten, else sliced from it."""
+        replay = self._replay
+        if replay is None:
+            yield self._d_s[:stop]
+        else:
+            yield from replay(stop)
 
 
 def _stream(seed: int) -> np.random.Generator:
@@ -177,7 +221,7 @@ def spectral_comparison_config(params: SensorParams, n_segments: int, seed: int)
 
 
 def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
-    """Integrate the quadrature Langevin system and record the detector.
+    """Plan a run of the quadrature Langevin system, integrated when it is read.
 
     The default Euler-Maruyama method advances the full 2x2 system; the
     detected quadrature combines the cavity output, averaged over each
@@ -190,6 +234,15 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     per step (:class:`_Plan`).  A ``dt`` too coarse raises
     :class:`ConfigError`: it must be below a tenth of the fastest
     relaxation time, and an Euler step must not grow any mode.
+
+    Every :class:`ConfigError` is raised here, where the run is planned and
+    sized.  Its series gets its own anonymous memory map, returned to the
+    system when its last view goes (a malloc'd one freed on a worker
+    thread can stay resident in that thread's arena, one per overlapping
+    run), so a run too large to map raises :class:`MemoryError` here, on
+    the calling thread.  Nothing is integrated or written into the map
+    until the run is read (:class:`SimulationRun`), and untouched pages
+    of the map are not resident.
     """
     rate_min, rate_max = relaxation_rates(params)
     if config.dt * rate_max >= _DT_MARGIN:
@@ -203,8 +256,16 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     if n_out < 1:
         raise ConfigError("duration shorter than one step")
     plan = _PLANS[config.method](params, config)
-    d_s = _integrate(plan, config, n_burn, n_burn + n_out)
-    return SimulationRun(d_s=d_s, params=params, config=config, backend=BACKEND)
+    # Loaded by the first run, not by the package import.
+    import mmap
+
+    try:
+        d_s = np.frombuffer(mmap.mmap(-1, 8 * n_out), dtype=np.float64)
+    except (OSError, OverflowError) as exc:
+        raise MemoryError(f"cannot map {n_out} samples for the detector series") from exc
+    run = SimulationRun(d_s, params, config, BACKEND)
+    run._replay = partial(_integrate, plan, config, n_burn)
+    return run
 
 
 @dataclass(frozen=True)
@@ -360,16 +421,22 @@ def _exact_plan(params: SensorParams, config: SimulationConfig) -> _Plan:
 _PLANS = {METHOD_EULER: _euler_plan, METHOD_EXACT: _exact_plan}
 
 
-def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int) -> np.ndarray:
-    """Run ``plan`` for ``n_total`` steps; return the detector after burn-in.
+def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_out: int):
+    """Run ``plan`` for ``n_burn + n_out`` steps; yield the detector after burn-in.
 
-    One normal per step, innovations form: the run's one stream through
-    one ``lfilter`` call per chunk that carries the filter state on.  Each
-    chunk's normals are drawn on a one-worker pool (numpy releases the
-    GIL while it draws) while the one before is filtered, so the stream
-    yields a serial draw's sequence and nothing past ``n_total``.  The
-    pool ends with the call, so no idle worker outlives it or is
-    inherited by a forked child.
+    The one chunk loop, run each time a run from :func:`simulate` is
+    read: once into its map when ``d_s`` is first read, and once for
+    each estimate or demodulation made before that.  One normal per
+    step, innovations form: the run's one stream through one ``lfilter``
+    call per chunk that carries the filter state on.  Each chunk's
+    normals are drawn on a one-worker pool (numpy releases the GIL while
+    it draws) while the one before is filtered, so the stream yields a
+    serial draw's sequence and nothing past the last step.  The pool
+    ends with the loop, so no idle worker outlives it or is inherited by
+    a forked child; a consumer that stops early closes the generator.
+    The yielded chunks are the retained samples in order, each a new
+    array: the first is cut at the burn-in, so it need not be a whole
+    chunk.
 
     A driven run adds the steady-state response ``Im(H amplitude e^{i w
     t})``, ``H = probe / den`` at ``z = e^{i w dt}``, to the retained
@@ -377,21 +444,11 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
     index ``m = q * _BLOCK + k`` it is ``sin(a_q) C[k] + cos(a_q) S[k]``,
     ``a_q = w q _BLOCK dt`` and ``C[k] + i S[k] = H amplitude e^{i w k
     dt}``, so a sample's value depends on its index alone.
-
-    The series has its own anonymous memory map, returned to the system
-    when its last view goes: a malloc'd one freed on a worker thread can
-    stay resident in that thread's arena, one per overlapping run.
     """
-    # Loaded by the first run, not by the package import.
-    import mmap
-
     from scipy.signal import lfilter
 
     gen = _stream(config.seed)
-    try:
-        out = np.frombuffer(mmap.mmap(-1, 8 * n_total), dtype=np.float64)
-    except (OSError, OverflowError) as exc:
-        raise MemoryError(f"cannot map {n_total} samples for the detector series") from exc
+    n_total = n_burn + n_out
     zi = np.zeros(plan.den.size - 1)
     omega, dt = config.signal.frequency, config.dt
     driven = config.signal.amplitude != 0.0
@@ -412,12 +469,15 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
             job.result()
             i1 = i0 + z.size
             pending = draw(i1) if i1 < n_total else None
-            out[i0:i1], zi = lfilter(plan.noise, plan.den, z, zi=zi)
+            y, zi = lfilter(plan.noise, plan.den, z, zi=zi)
             del z  # the next chunk's normals are being drawn
-            if driven and i1 > n_burn:
-                # Block by block of the retained index m = n - n_burn.
-                m0, m1 = max(i0 - n_burn, 0), i1 - n_burn
-                d = out[n_burn + m0:n_burn + m1]
+            if i1 <= n_burn:
+                continue
+            # The retained index m = n - n_burn runs over [m0, m1).
+            m0, m1 = max(i0 - n_burn, 0), i1 - n_burn
+            d = y[max(n_burn - i0, 0):]
+            if driven:
+                # Block by block of the retained index.
                 for q in range(m0 // _BLOCK, (m1 - 1) // _BLOCK + 1):
                     base = q * _BLOCK
                     lo, hi = max(base, m0), min(base + _BLOCK, m1)
@@ -425,7 +485,7 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_total: int)
                     seg = d[lo - m0:hi - m0]
                     seg += math.sin(a_q) * table_cos[lo - base:hi - base]
                     seg += math.cos(a_q) * table_sin[lo - base:hi - base]
-    return out[n_burn:]
+            yield d
 
 
 def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> SpectrumCurve:
@@ -437,6 +497,11 @@ def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> S
     sensed frequency perturbation.  ``omega_grid`` must pass
     :func:`~sqz_sensor.core.frequency_grid`, start at or above 0 and end
     at or below the Nyquist frequency.
+
+    The estimate accumulates the series chunk by chunk
+    (:func:`_welch_power`): a run whose ``d_s`` has not been read is
+    replayed from its seed and never written, so the estimate holds no
+    series; a stored series is read as it is.  Both give the same bits.
     """
     grid = frequency_grid(omega_grid)
     if grid[0] < 0.0:
@@ -455,21 +520,17 @@ def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> S
             f"run of {n} samples cannot support {n_seg} half-overlapping segments"
         )
 
-    # Welch's estimate as batched real FFTs over a strided view of the
-    # half-overlapping segments; a tail shorter than a hop is left out.
-    # For real data |X_k|^2 is the double-sided density at +k and -k
-    # alike, so the rfft bins 0 .. nperseg/2 (DC and Nyquist included)
-    # need no folding.
+    # The half-overlapping segments that fit; a tail shorter than a hop
+    # is left out, and not integrated.  For real data |X_k|^2 is the
+    # double-sided density at +k and -k alike, so the rfft bins
+    # 0 .. nperseg/2 (DC and Nyquist included) need no folding.
     half = nperseg // 2
-    segments = sliding_window_view(run.d_s, nperseg)[::half]
+    count = (n - nperseg) // half + 1
     # The periodic Hann window, built as scipy.signal.get_window builds it.
     window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
-    power = np.zeros(nperseg + 2)
-    for s0 in range(0, len(segments), _SEGMENT_BATCH):
-        fx = np.fft.rfft(segments[s0:s0 + _SEGMENT_BATCH] * window)
-        flat = fx.view(np.float64)
-        power += np.einsum("ij,ij->j", flat, flat)
-    scale = dt / (len(segments) * float(np.sum(window * window)))
+    with closing(run._chunks((count + 1) * half)) as chunks:
+        power = _welch_power(chunks, window, count)
+    scale = dt / (count * float(np.sum(window * window)))
     psd_native = scale * (power[0::2] + power[1::2])
     omega_native = (2.0 * math.pi / (nperseg * dt)) * np.arange(half + 1)
 
@@ -485,6 +546,50 @@ def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> S
     )
 
 
+def _blocks(chunks, size: int, keep: int):
+    """Recut a series, fed in ``chunks`` of any size, into blocks of ``size``.
+
+    Each block after the first starts with the last ``keep`` samples of
+    the one before.  The last block holds what is left after the last
+    full one, ``keep`` samples or more, so a full block is never the
+    last.  Each block is a view of one buffer, valid until the next.
+    """
+    buf = np.empty(size)
+    fill = 0
+    for chunk in chunks:
+        pos = 0
+        while pos < chunk.size:
+            take = min(chunk.size - pos, size - fill)
+            buf[fill:fill + take] = chunk[pos:pos + take]
+            fill, pos = fill + take, pos + take
+            if fill == size:
+                yield buf
+                buf[:keep] = buf[size - keep:]
+                fill = keep
+    yield buf[:fill]
+
+
+def _welch_power(chunks, window: np.ndarray, n_seg: int) -> np.ndarray:
+    """Welch's sum of ``|rfft(window * segment)|^2`` over ``n_seg`` segments.
+
+    The segments overlap by half and tile the series that ``chunks``
+    yields in pieces of any size.  Whatever the pieces, they are
+    transformed ``_SEGMENT_BATCH`` at a time in series order: a batch of
+    ``k`` segments is a block of ``k + 1`` half-segments, which shares
+    its last half with the next.  Returns the sum as interleaved real and
+    imaginary parts.
+    """
+    nperseg = window.size
+    half = nperseg // 2
+    power = np.zeros(nperseg + 2)
+    for block in _blocks(chunks, (min(_SEGMENT_BATCH, n_seg) + 1) * half, half):
+        if block.size >= nperseg:
+            fx = np.fft.rfft(sliding_window_view(block, nperseg)[::half] * window)
+            flat = fx.view(np.float64)
+            power += np.einsum("ij,ij->j", flat, flat)
+    return power
+
+
 def measure_gain(
     params: SensorParams,
     probe_omega: float,
@@ -498,7 +603,9 @@ def measure_gain(
     periods, and returns the amplitude ratio.  The noise floor is read
     from nearby orthogonal demodulation bins; an amplitude-SNR below 10
     raises :class:`SnrError`.  The probe must lie below the Nyquist
-    frequency ``pi / dt``, where it would otherwise alias.
+    frequency ``pi / dt``, where it would otherwise alias.  The run is
+    demodulated chunk by chunk as it is integrated (:func:`_demodulate`),
+    up to the last whole period, and its series is never written.
     """
     # The chained comparisons also reject NaN and infinities.
     nyquist = math.pi / config.dt
@@ -523,7 +630,8 @@ def measure_gain(
     # (orthogonal over the window), skipping the two bins adjacent to the
     # probe to avoid its leakage.
     d_omega = 2.0 * math.pi / (n_demod * dt)
-    bins = _demodulate(run.d_s[:n_demod], dt, probe_omega + d_omega * np.r_[0, 3:11, -10:-2])
+    with closing(run._chunks(n_demod)) as chunks:
+        bins = _demodulate(chunks, n_demod, dt, probe_omega + d_omega * np.r_[0, 3:11, -10:-2])
     z_probe = bins[0]
     noise_floor = math.sqrt(float(np.mean(np.abs(bins[1:]) ** 2)))
     snr = abs(z_probe) / noise_floor if noise_floor > 0.0 else math.inf
@@ -535,21 +643,32 @@ def measure_gain(
     return float(abs(z_probe) / probe_amplitude)
 
 
-def _demodulate(d: np.ndarray, dt: float, omegas: np.ndarray) -> np.ndarray:
-    """``2 mean(d[m] exp(-i w m dt))`` over the samples ``m``, at each ``w`` in ``omegas``.
+def _demodulate(chunks, n: int, dt: float, omegas: np.ndarray) -> np.ndarray:
+    """``2 mean(d[m] exp(-i w m dt))`` over ``n`` samples, at each ``w`` in ``omegas``.
 
-    With ``m = r cols + c``, each bin sums the row phases ``exp(-i w r cols
-    dt)`` times the product ``(rows, cols) @ (cols, bins)`` of the series'
-    full rows, a view, and the column phases; the short last row takes
-    its own product.  The column phases enter the full rows' product as
+    ``chunks`` is the series ``d`` in order, in pieces of any size.  With
+    ``m = r cols + c``, each bin sums the row phases ``exp(-i w r cols
+    dt)`` times the product ``(rows, cols) @ (cols, bins)`` of the
+    series' full rows and the column phases; the short last row takes its
+    own product.  Whatever the pieces, the full rows are multiplied in
+    blocks of at least ``_DEMOD_BLOCK`` samples, the last of them taking
+    up to twice that.  The column phases enter those products as
     interleaved real pairs, so the series stays real.
     """
-    n = d.size
     cols = math.isqrt(n) + 1
     rows, tail = divmod(n, cols)
     wdt = dt * np.asarray(omegas)
     col_phases = np.exp(-1j * np.outer(np.arange(cols), wdt))
+    pairs = col_phases.view(np.float64)
     inner = np.empty((rows + 1, wdt.size), dtype=np.complex128)
-    inner[:rows] = (d[:rows * cols].reshape(rows, cols) @ col_phases.view(np.float64)).view(np.complex128)
-    inner[rows] = d[rows * cols:] @ col_phases[:tail]
+    block = -(-_DEMOD_BLOCK // cols)
+    # A full block holds two row blocks and multiplies the first, so the
+    # last block (never full) multiplies one row block or more, or all
+    # the rows, and ends with the short row.
+    done = 0
+    for buf in _blocks(chunks, 2 * block * cols, block * cols):
+        k = block if buf.size == 2 * block * cols else rows - done
+        inner[done:done + k] = (buf[:k * cols].reshape(k, cols) @ pairs).view(np.complex128)
+        done += k
+    inner[rows] = buf[k * cols:] @ col_phases[:tail]
     return (2.0 / n) * np.sum(inner * np.exp(-1j * np.outer(cols * np.arange(rows + 1), wdt)), axis=0)

@@ -124,6 +124,34 @@ class TestSensorParams:
                          gamma_spm=1e200)
         assert p.unit_point().gamma_spm == pytest.approx(1e200, rel=1e-15)
 
+    def test_unit_point_of_a_cancelled_point_with_subnormal_2_gamma_n(self):
+        # 2 gamma N = 2.37e-321 keeps two digits, gamma N / kappa_prime all
+        # of its subnormal ones: k_s / kappa_prime is 5e-322, 2 gamma' 5.04e-322.
+        p = SensorParams(kappa_prime=4.743, kappa_double_prime=0.1, eta=0.7, n_photons=1.261,
+                         gamma_spm=9.4e-322).with_spm_cancelled()
+        unit = p.unit_point()
+        assert p.is_spm_cancelled and unit.is_spm_cancelled
+        assert unit.k_s == 2.0 * unit.gamma_spm != p.k_s / p.kappa_prime
+        assert unit.unit_point() == unit
+
+    def test_unit_points_in_range_are_unchanged(self):
+        # Where nothing is subnormal, 2 gamma' is k_s / kappa_prime bit
+        # for bit: the reference point, the fig2 file and random draws.
+        from test_cli import FIG2_FILE
+
+        rng = np.random.default_rng(41)
+        points = [sq.cli.reference_params(), sq.params_from_dict(FIG2_FILE)]
+        for _ in range(500):
+            p, scale = random_cancelled_params(rng), math.exp(rng.uniform(-30.0, 30.0))
+            points.append(replace(p, **{name: getattr(p, name) * scale for name in (
+                "kappa_prime", "kappa_double_prime", "k_c", "gamma_spm")}).with_spm_cancelled())
+        for p in points:
+            kp = p.kappa_prime
+            assert p.unit_point() == replace(
+                p, kappa_prime=1.0, n_photons=1.0, units="kappa_prime",
+                kappa_double_prime=p.kappa_double_prime / kp, k_c=p.k_c / kp,
+                k_s=p.k_s / kp, gamma_spm=p.gamma_spm * p.n_photons / kp)
+
     @pytest.mark.parametrize("field, kwargs", [
         ("kappa_double_prime", dict(kappa_prime=1e-300, kappa_double_prime=1e10)),
         ("gamma_spm", dict(gamma_spm=1e300, n_photons=1e10)),

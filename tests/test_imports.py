@@ -1,4 +1,5 @@
-"""What a fresh process loads, and a first simulation that loads on threads.
+"""What a fresh process loads, a first simulation that loads on threads,
+and the memory the stochastic gate holds.
 
 scipy's subpackages load where they are called: ``scipy.signal`` (which
 brings ``scipy.stats`` and ``scipy.optimize``) on the first simulation
@@ -105,3 +106,27 @@ def test_first_simulations_on_worker_threads_keep_the_reference_values(params_pa
     report = json.loads((tmp_path / "report.json").read_text())
     assert [check["measured"] for check in report["checks"]] == [
         1.2671623327080871e-15, 7.065055611250996e-16, 0.04059918121196735]
+
+
+def test_stochastic_gate_holds_no_series(tmp_path):
+    # Gate 3 streams its three runs into their estimates, so the peak
+    # resident set grows by less than the largest run's series would
+    # take (double-squeeze optimal, 26 MB at budget 800).  Stored, the
+    # three overlapping series grew it by about 45 MB; streamed, by 10.
+    proc = run_fresh(
+        "import json, resource\n"
+        "from sqz_sensor import Scenario, stochastic\n"
+        "from sqz_sensor.cli import reference_params, run_validation\n"
+        "params = reference_params()\n"
+        "run_validation(params, budget=20, seed=1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "run_validation(params, budget=800, seed=12345)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "optimal = Scenario.double_squeeze_optimal().materialize(params.with_spm_cancelled())\n"
+        "config = stochastic.spectral_comparison_config(optimal, 800, 12347)\n"
+        "print(json.dumps([1024 * (after - before), 8 * int(config.duration / config.dt)]))\n",
+        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    growth, series = json.loads(proc.stdout)
+    assert series > 25e6
+    assert growth < series

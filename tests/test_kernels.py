@@ -7,21 +7,27 @@ against the per-step reference loops driven by the inputs themselves,
 and its probe response against the loops driven from rest.
 """
 
+import ctypes
 import math
+import mmap
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 
 import sqz_sensor.stochastic as stochastic
 from sqz_sensor import (
     SensorParams,
     SignalWaveform,
     SimulationConfig,
+    SimulationRun,
     drift_matrix,
+    estimate_psd,
     input_noise_psds,
     relaxation_rates,
     simulate,
@@ -280,7 +286,7 @@ class TestStream:
         monkeypatch.setattr(stochastic, "_stream", counting_stream)
         monkeypatch.setattr(stochastic, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
-        simulate(COUPLED, cfg)
+        assert simulate(COUPLED, cfg).d_s.size == n_total
         chunks = math.ceil(n_total / 1000)
         # One generator and one worker; one draw per chunk, none past the end.
         assert seeds == [13] and workers == [1]
@@ -309,12 +315,12 @@ class TestStream:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            run = simulate(params, cfg)
+            n = simulate(params, cfg).d_s.size
         finally:
             sys.setswitchinterval(interval)
         serial = np.random.Generator(np.random.SFC64(np.random.SeedSequence([13, 0])))
         assert len(inputs) == 10
-        assert np.array_equal(np.concatenate(inputs), serial.standard_normal(run.n_samples))
+        assert np.array_equal(np.concatenate(inputs), serial.standard_normal(n))
 
     @pytest.mark.parametrize("case, extra", [
         ("euler_coupled", {}),
@@ -324,10 +330,133 @@ class TestStream:
         params, method, dt = PLANS[case]
         cfg = SimulationConfig(dt=dt, duration=400.0, seed=13, n_segments=4, method=method,
                                **extra)
-        reference = simulate(params, cfg)
+        # Read before the patch: a run is realized when it is read.
+        reference = simulate(params, cfg).d_s
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
-        chunked = simulate(params, cfg)
-        assert np.array_equal(reference.d_s, chunked.d_s)
+        chunked = simulate(params, cfg).d_s
+        assert reference.size == chunked.size == 20_000
+        assert np.array_equal(reference, chunked)
+
+
+def resident_bytes(a: np.ndarray) -> int:
+    """Bytes of the pages under ``a`` (page-aligned) that are resident, by mincore(2)."""
+    page = mmap.PAGESIZE
+    n_pages = -(-a.nbytes // page)
+    vec = (ctypes.c_ubyte * n_pages)()
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mincore.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_void_p]
+    libc.mincore.restype = ctypes.c_int
+    assert a.ctypes.data % page == 0
+    assert libc.mincore(a.ctypes.data, n_pages * page, vec) == 0, ctypes.get_errno()
+    return page * sum(v & 1 for v in vec)
+
+
+def batch_welch_power(d, nperseg):
+    """Welch's power sum in one pass over a stored series: the batches of
+    ``estimate_psd`` (32 segments each, in order) cut from one strided view."""
+    half = nperseg // 2
+    segments = sliding_window_view(d, nperseg)[::half]
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+    power = np.zeros(nperseg + 2)
+    for s0 in range(0, len(segments), 32):
+        flat = np.fft.rfft(segments[s0:s0 + 32] * window).view(np.float64)
+        power += np.einsum("ij,ij->j", flat, flat)
+    return power, len(segments)
+
+
+class TestStreamedEstimate:
+    """A run's estimate is the same whether it is replayed chunk by chunk
+    from its seed or read from a stored series, and it writes nothing."""
+
+    @pytest.mark.parametrize("case, n_out, n_segments, burn_in, extra, nperseg, tail", [
+        # 8000-sample segments, each over eight or nine 1000-sample chunks.
+        ("euler_coupled", 20_000, 4, 0.0, {}, 8000, 0),
+        # 1538 burn-in steps: the first retained chunk is 462 samples.
+        ("euler_cancelled", 30_000, 20, 30.745, {}, 2856, 12),
+        # 40 segments: a batch of 32 and a partial one of 8, then a tail
+        # that no segment covers.
+        ("exact", 41_611, 40, None, {}, 2028, 37),
+        ("exact", 25_000, 9, 10.0, {"signal": SignalWaveform(1.0, 0.7)}, 5000, 0),
+        ("euler_coupled", 25_000, 9, None, {"signal": SignalWaveform(0.5, 2.1)}, 5000, 0),
+    ], ids=["long_segment", "unaligned_burn_in", "partial_batch_and_tail", "driven_exact",
+            "driven_euler"])
+    def test_streamed_equals_recorded(self, case, n_out, n_segments, burn_in, extra, nperseg,
+                                      tail, monkeypatch):
+        params, method, dt = PLANS[case]
+        cfg = SimulationConfig(dt=dt, duration=(n_out + 0.5) * dt, seed=17,
+                               n_segments=n_segments, burn_in=burn_in, method=method, **extra)
+        monkeypatch.setattr(stochastic, "_CHUNK", 1000)
+        grid = np.linspace(0.0, math.pi / dt, 301)
+        streamed = estimate_psd(simulate(params, cfg), grid).values
+        run = simulate(params, cfg)
+        d = run.d_s
+        read = estimate_psd(run, grid).values
+        recorded = estimate_psd(SimulationRun(d.copy(), params, cfg, "recorded"), grid).values
+        assert np.array_equal(streamed, read) and np.array_equal(streamed, recorded)
+        # The one-pass batch loop's bits, on the geometry the case names.
+        power, n_seg = batch_welch_power(d, nperseg)
+        assert d.size == n_out and n_seg == n_segments
+        assert n_out - (n_seg + 1) * (nperseg // 2) == tail
+        window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)[:-1])
+        native = dt / (n_seg * float(np.sum(window * window))) * (power[0::2] + power[1::2])
+        omegas = (2.0 * math.pi / (nperseg * dt)) * np.arange(nperseg // 2 + 1)
+        assert np.array_equal(streamed, np.interp(grid, omegas, native))
+
+    def test_estimates_and_gains_write_no_series(self, monkeypatch):
+        reads, runs = [], []
+        read_d_s, simulate_ = SimulationRun.d_s.fget, stochastic.simulate
+
+        def recording_d_s(run):
+            reads.append(run)
+            return read_d_s(run)
+
+        def recording_simulate(params, config):
+            runs.append(simulate_(params, config))
+            return runs[-1]
+
+        monkeypatch.setattr(SimulationRun, "d_s", property(recording_d_s))
+        monkeypatch.setattr(stochastic, "simulate", recording_simulate)
+        params, _, dt = PLANS["euler_coupled"]
+        cfg = SimulationConfig(dt=dt, duration=400.0, seed=3, n_segments=8)
+        estimate_psd(stochastic.simulate(params, cfg), [0.5, 1.0])
+        stochastic.measure_gain(params, 1.0, 1.0, cfg)
+        assert len(runs) == 2 and reads == []
+        # No page of either run's map is resident: nothing touched it.
+        assert [resident_bytes(run._d_s) for run in runs] == [0, 0]
+        # The check can fail: reading d_s writes the map.
+        assert runs[0].d_s.size == 20_000 and reads == [runs[0]]
+        assert resident_bytes(runs[0]._d_s) >= runs[0]._d_s.nbytes
+
+    def test_first_reads_on_many_threads_realize_once(self):
+        # More readers than cores, switching often: one realizes the run,
+        # and every reader gets that series, whole.
+        params, method, dt = PLANS["exact"]
+        cfg = SimulationConfig(dt=dt, duration=2000.0, seed=5, n_segments=8, method=method)
+        run = simulate(params, cfg)
+        replay, replays = run._replay, []
+
+        def counting_replay(stop):
+            replays.append(stop)
+            return replay(stop)
+
+        run._replay = counting_replay
+        barrier = threading.Barrier(4, timeout=60)
+
+        def first_read():
+            barrier.wait()
+            return run.d_s
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                jobs = [pool.submit(first_read) for _ in range(4)]
+                series = [job.result(timeout=60) for job in jobs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert replays == [100_000]
+        assert all(d is series[0] for d in series)
+        assert np.array_equal(series[0], simulate(params, cfg).d_s)
 
 
 def silent_stream(seed):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sqz_sensor as sq
+import sqz_sensor.stochastic as stochastic
 from sqz_sensor import (
     ConfigError,
     GridError,
@@ -380,7 +381,7 @@ class TestMeasureGain:
                 sq.measure_gain(vacuum_params, 1.0, amplitude, cfg)
 
     @pytest.mark.parametrize("case", ["prime_length", "euler_probe", "exact_probe"])
-    def test_blocked_demodulation_matches_reference_loop(self, fig2_params, case):
+    def test_blocked_demodulation_matches_reference_loop(self, fig2_params, case, monkeypatch):
         dt, omega = 0.02, 1.3
         if case == "prime_length":
             d = np.random.default_rng(45).standard_normal(10007)
@@ -391,10 +392,19 @@ class TestMeasureGain:
             d = sq.simulate(fig2_params, cfg).d_s
         z_probe, offsets = demodulate_loop(d, dt, omega)
         d_omega = 2.0 * math.pi / (d.size * dt)
-        got = _demodulate(d, dt, omega + d_omega * np.r_[0, 3:11, -10:-2])
+        omegas = omega + d_omega * np.r_[0, 3:11, -10:-2]
+        got = _demodulate([d], d.size, dt, omegas)
         # the loop orders its offsets +3, -3, +4, -4, ...
         want = np.r_[z_probe, offsets[0::2], offsets[-1::-2]]
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        # Products of four rows (the last of four to seven), fed in uneven
+        # pieces: the blocking does not depend on the pieces, and the
+        # blocked sum agrees with the loop too.
+        monkeypatch.setattr(stochastic, "_DEMOD_BLOCK", 4 * math.isqrt(d.size))
+        blocked = _demodulate([d], d.size, dt, omegas)
+        pieces = np.split(d, [1, 700, 701, 5000, 9000])
+        assert np.array_equal(_demodulate(pieces, d.size, dt, omegas), blocked)
+        assert np.max(np.abs(blocked - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_too_few_periods(self, vacuum_params):
         cfg = SimulationConfig(dt=0.02, duration=100.0, seed=44, n_segments=10)
