@@ -64,7 +64,7 @@ from .stochastic import (
     spectral_comparison_config,
 )
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 
 __all__ = [
     "PSD_CONVENTION",

@@ -179,8 +179,12 @@ class SensorParams:
     def is_spm_cancelled(self) -> bool:
         """Whether ``k_s == 2 * gamma_spm * n_photons`` exactly, as floats, so that
         :func:`~sqz_sensor.dynamics.drift_matrix`'s residual coupling is 0.  No
-        tolerance: :meth:`with_spm_cancelled` sets the exact value."""
-        return self.k_s == spm_cancelling_ks(self.gamma_spm, self.n_photons)
+        tolerance: :meth:`with_spm_cancelled` sets the exact value.  Where that
+        product overflows, no finite ``k_s`` cancels it: False."""
+        try:
+            return self.k_s == spm_cancelling_ks(self.gamma_spm, self.n_photons)
+        except RangeError:
+            return False
 
     def unit_point(self) -> "SensorParams":
         """The same sensor in units of kappa_prime and per photon.
@@ -203,11 +207,7 @@ class SensorParams:
             gamma = math.ldexp(m_g * m_n / m_k, e_g + e_n - e_k)
         except OverflowError:
             gamma = math.inf
-        try:
-            cancelled = self.is_spm_cancelled
-        except RangeError:  # 2 gamma_spm N overflows, so no finite k_s cancels it
-            cancelled = False
-        k_s = 2.0 * gamma if cancelled else self.k_s / kp
+        k_s = 2.0 * gamma if self.is_spm_cancelled else self.k_s / kp
         rates = {"kappa_double_prime": self.kappa_double_prime / kp, "k_c": self.k_c / kp,
                  "k_s": k_s, "gamma_spm": gamma}
         for name, value in rates.items():

@@ -25,7 +25,8 @@ estimate and the gain demodulation accumulate it chunk by chunk as the
 loop yields it, and its series is written only when ``d_s`` is first
 read.  Runs share no state, so callers may overlap them.  The
 periodogram is Welch's estimate as batched numpy real FFTs; the gain is
-demodulated in blocked products.
+demodulated on the grid the probe is injected on, in products of a
+fixed shape, so gains too keep their bits whatever the core count.
 """
 
 from __future__ import annotations
@@ -68,16 +69,17 @@ BACKEND = "lfilter"
 #: drawn in order and the filter state carries across chunks.
 _CHUNK = 1 << 16
 
-#: Samples per block of the drive's phasor table (32 KiB per column).
+#: Samples per row of the probe grid ``m = q * _BLOCK + k`` of the
+#: retained index, on which the drive is injected from a phasor table
+#: (32 KiB per column) and the gain is demodulated.
 _BLOCK = 4096
 
 #: Periodogram segments transformed per batched FFT; bounds work memory.
 _SEGMENT_BATCH = 32
 
-#: Fewest samples, in whole rows, per product of the gain demodulation:
-#: blocks this large stay on BLAS's blocked path, whose rows do not
-#: depend on the blocking, and bound the buffered samples.
-_DEMOD_BLOCK = 1 << 16
+#: Rows of the probe grid per product of the gain demodulation; bounds
+#: the buffered samples.
+_DEMOD_ROWS = 16
 
 #: Margin against the fastest relaxation rate when validating the step.
 _DT_MARGIN = 0.1
@@ -604,8 +606,9 @@ def measure_gain(
     from nearby orthogonal demodulation bins; an amplitude-SNR below 10
     raises :class:`SnrError`.  The probe must lie below the Nyquist
     frequency ``pi / dt``, where it would otherwise alias.  The run is
-    demodulated chunk by chunk as it is integrated (:func:`_demodulate`),
-    up to the last whole period, and its series is never written.
+    demodulated chunk by chunk as it is integrated, on the probe's own
+    grid (:func:`_demodulate`), up to the last whole period, and its
+    series is never written.
     """
     # The chained comparisons also reject NaN and infinities.
     nyquist = math.pi / config.dt
@@ -646,29 +649,23 @@ def measure_gain(
 def _demodulate(chunks, n: int, dt: float, omegas: np.ndarray) -> np.ndarray:
     """``2 mean(d[m] exp(-i w m dt))`` over ``n`` samples, at each ``w`` in ``omegas``.
 
-    ``chunks`` is the series ``d`` in order, in pieces of any size.  With
-    ``m = r cols + c``, each bin sums the row phases ``exp(-i w r cols
-    dt)`` times the product ``(rows, cols) @ (cols, bins)`` of the
-    series' full rows and the column phases; the short last row takes its
-    own product.  Whatever the pieces, the full rows are multiplied in
-    blocks of at least ``_DEMOD_BLOCK`` samples, the last of them taking
-    up to twice that.  The column phases enter those products as
-    interleaved real pairs, so the series stays real.
+    ``chunks`` is the series ``d`` in order, in pieces of any size.  On
+    the probe grid ``m = q _BLOCK + k``, each bin sums the row phases
+    ``exp(-i w q _BLOCK dt)`` times the product ``(rows, _BLOCK) @
+    (_BLOCK, bins)`` of the series' rows and the column phases ``exp(-i
+    w k dt)``, the last row padded with zeros.  Whatever the pieces, the
+    rows are multiplied ``_DEMOD_ROWS`` at a time, the last product
+    taking what is left, so every product has the same columns and no
+    sum depends on how many threads BLAS runs.  The column phases enter
+    as interleaved real pairs, so the series stays real.
     """
-    cols = math.isqrt(n) + 1
-    rows, tail = divmod(n, cols)
     wdt = dt * np.asarray(omegas)
-    col_phases = np.exp(-1j * np.outer(np.arange(cols), wdt))
-    pairs = col_phases.view(np.float64)
-    inner = np.empty((rows + 1, wdt.size), dtype=np.complex128)
-    block = -(-_DEMOD_BLOCK // cols)
-    # A full block holds two row blocks and multiplies the first, so the
-    # last block (never full) multiplies one row block or more, or all
-    # the rows, and ends with the short row.
-    done = 0
-    for buf in _blocks(chunks, 2 * block * cols, block * cols):
-        k = block if buf.size == 2 * block * cols else rows - done
-        inner[done:done + k] = (buf[:k * cols].reshape(k, cols) @ pairs).view(np.complex128)
-        done += k
-    inner[rows] = buf[k * cols:] @ col_phases[:tail]
-    return (2.0 / n) * np.sum(inner * np.exp(-1j * np.outer(cols * np.arange(rows + 1), wdt)), axis=0)
+    pairs = np.exp(-1j * np.outer(np.arange(_BLOCK), wdt)).view(np.float64)
+    products = []
+    for buf in _blocks(chunks, _DEMOD_ROWS * _BLOCK, 0):
+        if buf.size % _BLOCK:  # the last block: pad its last row with zeros
+            buf = np.pad(buf, (0, _BLOCK - buf.size % _BLOCK))
+        products.append(buf.reshape(-1, _BLOCK) @ pairs)
+    inner = np.concatenate(products).view(np.complex128)
+    row_phases = np.exp(-1j * np.outer(_BLOCK * np.arange(len(inner)), wdt))
+    return (2.0 / n) * np.sum(inner * row_phases, axis=0)

@@ -228,6 +228,17 @@ class TestRateHelpers:
         assert not near.is_spm_cancelled
         assert near.with_spm_cancelled().is_spm_cancelled
 
+    def test_no_finite_k_s_cancels_an_overflowing_2_gamma_n(self):
+        # 2 gamma_spm N is 2e310: the answer is False, and the unit point and
+        # a simulation still refuse the point naming gamma_spm (exit code 2).
+        p = SensorParams(kappa_prime=1.0, kappa_double_prime=0.1, eta=0.7,
+                         n_photons=1e10, gamma_spm=1e300)
+        assert p.is_spm_cancelled is False
+        with pytest.raises(RangeError, match="^gamma_spm = .* beyond floating-point range"):
+            p.unit_point()
+        with pytest.raises(RangeError, match="^gamma_spm = .* overflows"):
+            sq.simulate(p, sq.SimulationConfig(dt=0.01, duration=10.0, seed=1))
+
 
 class TestScenario:
     def test_no_squeeze_materialization(self, fig2_params):

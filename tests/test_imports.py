@@ -1,5 +1,6 @@
 """What a fresh process loads, a first simulation that loads on threads,
-and the memory the stochastic gate holds.
+the memory the stochastic gate holds, and seeded values that do not
+depend on BLAS's thread count.
 
 scipy's subpackages load where they are called: ``scipy.signal`` (which
 brings ``scipy.stats`` and ``scipy.optimize``) on the first simulation
@@ -26,9 +27,10 @@ PACKAGE_ROOT = str(Path(sqz_sensor.__file__).resolve().parents[1])
 DEFERRED = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.fft")
 
 
-def run_fresh(code: str, cwd) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this package."""
-    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+def run_fresh(code: str, cwd, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this package, with
+    ``env`` added to its environment."""
+    env = os.environ | env | {"PYTHONPATH": os.pathsep.join(
         filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120, check=False)
@@ -130,3 +132,25 @@ def test_stochastic_gate_holds_no_series(tmp_path):
     growth, series = json.loads(proc.stdout)
     assert series > 25e6
     assert growth < series
+
+
+def test_seeded_values_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Gains at the reference point (3 M samples), and gate values, under
+    # one and two OpenBLAS threads: the demodulation's products all have
+    # _BLOCK columns, so each sum is taken in one order whatever the
+    # threads.
+    code = ("from sqz_sensor import SimulationConfig, measure_gain\n"
+            "from sqz_sensor.cli import reference_params, run_validation\n"
+            "params = reference_params()\n"
+            "for method, omega in (('euler', 2.0), ('exact', 1.0)):\n"
+            "    config = SimulationConfig(dt=0.01, duration=30000.0, seed=1, method=method)\n"
+            "    print(repr(measure_gain(params, omega, 1.0, config)))\n"
+            "for check in run_validation(params, 20, 12345)['checks']:\n"
+            "    print(repr(check['measured']), repr(check.get('details')))\n")
+    outputs = []
+    for threads in ("1", "2"):
+        proc = run_fresh(code, tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 5
+    assert outputs[0] == outputs[1]

@@ -397,10 +397,13 @@ class TestMeasureGain:
         # the loop orders its offsets +3, -3, +4, -4, ...
         want = np.r_[z_probe, offsets[0::2], offsets[-1::-2]]
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-        # Products of four rows (the last of four to seven), fed in uneven
-        # pieces: the blocking does not depend on the pieces, and the
-        # blocked sum agrees with the loop too.
-        monkeypatch.setattr(stochastic, "_DEMOD_BLOCK", 4 * math.isqrt(d.size))
+        # Rows of 64 samples in products of three rows, so the series spans
+        # many products and a padded last row, fed in uneven pieces: the
+        # blocking does not depend on the pieces, and the blocked sum agrees
+        # with the loop too.
+        monkeypatch.setattr(stochastic, "_BLOCK", 64)
+        monkeypatch.setattr(stochastic, "_DEMOD_ROWS", 3)
+        assert d.size % 64
         blocked = _demodulate([d], d.size, dt, omegas)
         pieces = np.split(d, [1, 700, 701, 5000, 9000])
         assert np.array_equal(_demodulate(pieces, d.size, dt, omegas), blocked)
