@@ -22,7 +22,7 @@ the one before is filtered, and adds the injected sinusoid as the
 filter's steady-state response.  A run from :func:`simulate` is that
 seeded realization, produced when something reads it: the spectral
 estimate and the gain demodulation accumulate it chunk by chunk as the
-loop yields it, and its series is written only when ``d_s`` is first
+loop yields it, and its series is allocated only when ``d_s`` is first
 read.  Runs share no state, so callers may overlap them.  The
 periodogram is Welch's estimate as batched numpy real FFTs; the gain is
 demodulated on the grid the probe is injected on, in products of a
@@ -80,6 +80,10 @@ _SEGMENT_BATCH = 32
 #: Rows of the probe grid per product of the gain demodulation; bounds
 #: the buffered samples.
 _DEMOD_ROWS = 16
+
+#: Most retained samples in a run: their series, 8 bytes a sample, would
+#: fill the 2**47 bytes of a 64-bit Linux process's user address space.
+_MAX_SAMPLES = 1 << 44
 
 #: Margin against the fastest relaxation rate when validating the step.
 _DT_MARGIN = 0.1
@@ -151,18 +155,21 @@ class SimulationRun:
     transient has negative times.
 
     ``SimulationRun(d_s, params, config, backend)`` holds the series
-    ``d_s``.  A run from :func:`simulate` is a seeded realization,
-    produced when read: its series is written into the run's memory map
-    the first time ``d_s`` is read, by whichever thread reads first, and
-    kept.  :func:`estimate_psd` and :func:`measure_gain` replay an unread
-    run chunk by chunk instead, write nothing, and see the same samples.
+    ``d_s``, one-dimensional, as float64.  A run from :func:`simulate` is
+    a seeded realization, produced when read: it holds no series until
+    ``d_s`` is first read, when whichever thread reads first allocates and
+    writes it, and keeps it.  :func:`estimate_psd` and :func:`measure_gain`
+    replay an unread run chunk by chunk instead and allocate no series.
     """
 
     def __init__(self, d_s: np.ndarray, params: SensorParams, config: SimulationConfig,
                  backend: str):
+        d_s = np.asarray(d_s, dtype=np.float64)
+        if d_s.ndim != 1:
+            raise ConfigError(f"d_s must be a one-dimensional series, got shape {d_s.shape}")
         self.params, self.config, self.backend = params, config, backend
-        self._d_s = d_s
-        # Set by simulate while d_s is unwritten: stop -> the chunks of the
+        self._d_s, self.n_samples = d_s, d_s.size
+        # Set by simulate while d_s is unread: stop -> the chunks of the
         # first stop samples, integrated from the seed.
         self._replay = None
         self._lock = threading.Lock()
@@ -172,25 +179,22 @@ class SimulationRun:
         if self._replay is not None:
             with self._lock:
                 if self._replay is not None:
-                    i = 0
+                    d_s, i = np.empty(self.n_samples), 0
                     with closing(self._replay(self.n_samples)) as chunks:
                         for chunk in chunks:
-                            self._d_s[i:i + chunk.size] = chunk
+                            d_s[i:i + chunk.size] = chunk
                             i += chunk.size
-                    self._replay = None
+                    # The series first: a reader that sees no replay reads it.
+                    self._d_s, self._replay = d_s, None
         return self._d_s
 
     @property
     def dt(self) -> float:
         return self.config.dt
 
-    @property
-    def n_samples(self) -> int:
-        return int(self._d_s.size)
-
     def _chunks(self, stop: int):
         """The first ``stop`` samples of the series in order, in chunks:
-        replayed if ``d_s`` is unwritten, else sliced from it."""
+        replayed if ``d_s`` is unread, else sliced from it."""
         replay = self._replay
         if replay is None:
             yield self._d_s[:stop]
@@ -238,13 +242,10 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     relaxation time, and an Euler step must not grow any mode.
 
     Every :class:`ConfigError` is raised here, where the run is planned and
-    sized.  Its series gets its own anonymous memory map, returned to the
-    system when its last view goes (a malloc'd one freed on a worker
-    thread can stay resident in that thread's arena, one per overlapping
-    run), so a run too large to map raises :class:`MemoryError` here, on
-    the calling thread.  Nothing is integrated or written into the map
-    until the run is read (:class:`SimulationRun`), and untouched pages
-    of the map are not resident.
+    sized, and so is the :class:`MemoryError` of a run of more than
+    ``_MAX_SAMPLES`` samples, which no process could address.  The run
+    holds no series: nothing is integrated, allocated or written until it
+    is read (:class:`SimulationRun`).
     """
     rate_min, rate_max = relaxation_rates(params)
     if config.dt * rate_max >= _DT_MARGIN:
@@ -258,15 +259,12 @@ def simulate(params: SensorParams, config: SimulationConfig) -> SimulationRun:
     if n_out < 1:
         raise ConfigError("duration shorter than one step")
     plan = _PLANS[config.method](params, config)
-    # Loaded by the first run, not by the package import.
-    import mmap
-
-    try:
-        d_s = np.frombuffer(mmap.mmap(-1, 8 * n_out), dtype=np.float64)
-    except (OSError, OverflowError) as exc:
-        raise MemoryError(f"cannot map {n_out} samples for the detector series") from exc
-    run = SimulationRun(d_s, params, config, BACKEND)
-    run._replay = partial(_integrate, plan, config, n_burn)
+    if n_out > _MAX_SAMPLES:
+        raise MemoryError(f"cannot address {n_out} samples for the detector series")
+    # The unread run, built past the constructor: it holds no series.
+    run = SimulationRun.__new__(SimulationRun)
+    run.params, run.config, run.backend, run._lock = params, config, BACKEND, threading.Lock()
+    run._d_s, run.n_samples, run._replay = None, n_out, partial(_integrate, plan, config, n_burn)
     return run
 
 
@@ -427,7 +425,7 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_out: int):
     """Run ``plan`` for ``n_burn + n_out`` steps; yield the detector after burn-in.
 
     The one chunk loop, run each time a run from :func:`simulate` is
-    read: once into its map when ``d_s`` is first read, and once for
+    read: once into its series when ``d_s`` is first read, and once for
     each estimate or demodulation made before that.  One normal per
     step, innovations form: the run's one stream through one ``lfilter``
     call per chunk that carries the filter state on.  Each chunk's

@@ -975,8 +975,8 @@ class TestExitCodes:
     def test_sizes_beyond_the_address_space_are_input_errors(self, argv, params_file,
                                                              tmp_path, capsys):
         # All requests are petabytes or more, beyond the address space a
-        # 64-bit process gets, so the allocation fails at once and
-        # reserves nothing.  The larger budgets do not fit in a C size.
+        # 64-bit process gets, so they are refused at once and reserve
+        # nothing.
         out = tmp_path / "x.out"
         rc = main([*argv, "--params", str(params_file), "--out", str(out)])
         assert rc == 2

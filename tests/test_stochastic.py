@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +73,46 @@ class TestSimulate:
         cfg = SimulationConfig(dt=0.02, duration=100.03, seed=1, n_segments=4)
         run = sq.simulate(fig2_params, cfg)
         assert run.n_samples == int(100.03 / 0.02)
+
+    @pytest.mark.parametrize("method", ["euler", "exact"])
+    def test_a_run_holds_no_series_until_read(self, fig2_params, method):
+        # An 8 MiB series; planning it allocates under 1 MiB in all.
+        cfg = SimulationConfig(dt=2.0 ** -6, duration=2.0 ** 14, seed=4, method=method)
+        tracemalloc.start()
+        try:
+            run = sq.simulate(fig2_params.with_spm_cancelled(), cfg)
+            planned = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run._d_s is None and run.n_samples == 2 ** 20 and planned < 1 << 20
+        assert run.d_s is run._d_s and run.d_s.nbytes == 8 << 20
+
+    def test_largest_addressable_run_plans_without_allocating(self):
+        params, dt = SensorParams(1.0, 0.1, 0.7, 1.0), 2.0 ** -10
+        run = sq.simulate(params, SimulationConfig(dt=dt, duration=2.0 ** 44 * dt, seed=0))
+        assert run._d_s is None and run.n_samples == 2 ** 44
+        with pytest.raises(MemoryError, match=f"cannot address {2 ** 44 + 1} samples"):
+            sq.simulate(params, SimulationConfig(dt=dt, duration=(2.0 ** 44 + 1) * dt, seed=0))
+
+    def test_gate_three_runs_at_budget_a_million_plan_without_allocating(self, fig2_params):
+        # 65.5 GB of series in all, 32.8 GB of it double-squeeze: planned, never read.
+        params_c = fig2_params.with_spm_cancelled()
+        runs = {}
+        tracemalloc.start()
+        try:
+            for i, scenario in enumerate((Scenario.no_squeeze(), Scenario.input_squeeze(),
+                                          Scenario.double_squeeze_optimal())):
+                params_m = scenario.materialize(params_c)
+                cfg = spectral_comparison_config(params_m, 10 ** 6, i)
+                runs[scenario.tag] = sq.simulate(params_m, cfg)
+            planned = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(run._d_s is None for run in runs.values())
+        assert {tag: run.n_samples for tag, run in runs.items()} == {
+            "no_squeeze": 2048002048, "input_squeeze": 2048002048,
+            "double_squeeze_optimal": 4096004096}
+        assert planned < 1 << 20
 
     def test_comparison_runs_hold_whole_sized_segments(self):
         # simulate keeps int(duration / dt) samples (see above); one short
@@ -173,6 +215,24 @@ class TestSignalWaveform:
     def test_non_finite_sinusoid_rejected(self, args):
         with pytest.raises(RangeError, match="finite"):
             SignalWaveform(*args)
+
+
+class TestSimulationRun:
+    def test_series_is_read_as_float64(self, vacuum_params):
+        cfg = SimulationConfig(dt=0.05, duration=51.2, seed=0, n_segments=4)
+        d = np.random.default_rng(7).standard_normal(1024)
+        stored = sq.SimulationRun(d, vacuum_params, cfg, "synthetic")
+        listed = sq.SimulationRun(d.tolist(), vacuum_params, cfg, "synthetic")
+        assert stored.d_s is d and listed.n_samples == 1024
+        grid = np.linspace(0.0, 3.0, 7)
+        assert np.array_equal(sq.estimate_psd(listed, grid).values,
+                              sq.estimate_psd(stored, grid).values)
+
+    @pytest.mark.parametrize("d_s, shape", [(np.zeros((2, 512)), "(2, 512)"), (None, "()")])
+    def test_series_must_be_one_dimensional(self, vacuum_params, d_s, shape):
+        cfg = SimulationConfig(dt=0.05, duration=51.2, seed=0, n_segments=4)
+        with pytest.raises(ConfigError, match=re.escape(f"got shape {shape}")):
+            sq.SimulationRun(d_s, vacuum_params, cfg, "synthetic")
 
 
 class TestEstimatePsd:
