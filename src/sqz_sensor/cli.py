@@ -90,8 +90,9 @@ def _provenance(command: str, params: SensorParams, source=None, **fields) -> di
     return {
         "command": command,
         "tool_version": __version__,
-        # Bit-for-bit recomputation depends on numpy's noise generators
-        # and FFT and on scipy's lfilter.
+        # Bit-for-bit recomputation depends on numpy's noise generators,
+        # FFT and elementwise arithmetic (the Langevin filter), and on
+        # scipy's scalar minimizer (the numeric optima).
         "library_versions": {"numpy": np.__version__, "scipy": scipy.__version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "psd_convention": PSD_CONVENTION,
@@ -253,10 +254,8 @@ def _gate(name: str, comparison: str, gate: float, measured: float, t0: float, *
             "passed": measured <= gate, **fields, "runtime_s": time.perf_counter() - t0}
 
 
-def _band_estimate(params: SensorParams, config: stochastic.SimulationConfig,
-                   band: np.ndarray) -> np.ndarray:
+def _band_estimate(run: stochastic.SimulationRun, band: np.ndarray) -> np.ndarray:
     """Signal-referred spectrum of one simulated run on ``band``."""
-    run = stochastic.simulate(params, config)
     return stochastic.estimate_psd(run, band, xi_referred=True).values
 
 
@@ -267,9 +266,11 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
     The gates run with the self-phase-modulation coupling cancelled, so
     each check records the parameters it ran at (``params``; the
     stochastic gate one set and seed per scenario, under ``runs``).
-    The stochastic gate's three runs overlap on up to three threads,
-    longest first, and are read in scenario order, so the report does
-    not depend on the core count.  ``mutate`` perturbs the closed-form
+    The stochastic gate's three runs are planned on the calling thread,
+    in scenario order, so a run too large to address stops the gate
+    before any is integrated; they are then integrated on up to three
+    threads, longest first, and read in scenario order, so the report
+    does not depend on the core count.  ``mutate`` perturbs the closed-form
     reference by one part per million as a negative control; the gates
     must then fail.  ``source``, the parameter file's ``(name, SHA-256)``
     from :func:`_read_params`, is recorded; this function opens no file.
@@ -308,19 +309,21 @@ def run_validation(params: SensorParams, budget: int, seed: int, mutate: bool = 
                         1e-8, max(deltas), t0, params=params_to_dict(params_c)))
 
     # Gate 3: stochastic simulator against the closed forms.  Every run
-    # is sized, and its closed form evaluated, before any starts.
+    # is sized, then planned on this thread in scenario order, and its
+    # closed form evaluated, before any is integrated: a run that no
+    # process could address stops the gate before any run is spent.
     t0 = time.perf_counter()
     band = np.linspace(0.2 * params_c.kappa_prime, 3.0 * params_c.kappa_prime, 36)
-    jobs, closed, runs = [], {}, {}
+    configs, closed, runs = {}, {}, {}
     for i, (tag, params_m) in enumerate(materialized.items()):
-        config = stochastic.spectral_comparison_config(params_m, budget, seed + i)
-        jobs.append((tag, params_m, config))
+        configs[tag] = stochastic.spectral_comparison_config(params_m, budget, seed + i)
         closed[tag] = spectra.measurement_psd_raw(params_m, band)
-        runs[tag] = {"params": params_to_dict(params_m), "seed": config.seed}
-    longest_first = sorted(jobs, key=lambda job: job[2].duration / job[2].dt, reverse=True)
-    with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-        futures = {tag: pool.submit(_band_estimate, params_m, config, band)
-                   for tag, params_m, config in longest_first}
+        runs[tag] = {"params": params_to_dict(params_m), "seed": configs[tag].seed}
+    planned = {tag: stochastic.simulate(materialized[tag], config)
+               for tag, config in configs.items()}
+    longest_first = sorted(planned, key=lambda tag: planned[tag].n_samples, reverse=True)
+    with ThreadPoolExecutor(max_workers=min(len(planned), os.cpu_count() or 1)) as pool:
+        futures = {tag: pool.submit(_band_estimate, planned[tag], band) for tag in longest_first}
         estimates = {tag: futures[tag].result() for tag in runs}
     details = {tag: float(np.sqrt(np.mean((estimates[tag] / closed[tag] - 1.0) ** 2)))
                for tag in runs}

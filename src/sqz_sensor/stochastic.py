@@ -14,17 +14,18 @@ is ``|C|^2 / |A|^2`` with ``|C|^2`` the sum of their squared moduli; one
 normal per step through the minimum-phase factor ``C`` over ``A`` gives
 the same Gaussian process (Box & Jenkins 1976, ARMA models).  The
 normals come from one SFC64 generator seeded by ``SeedSequence([seed,
-0])`` and the filter is :func:`scipy.signal.lfilter`, so within one tool
-version a seed reproduces its realization bit for bit for pinned
-numpy/scipy versions, whatever the core count.  One chunked loop runs
-either plan in cache-sized chunks, drawing each chunk's normals while
-the one before is filtered, and adds the injected sinusoid as the
-filter's steady-state response.  A run from :func:`simulate` is that
-seeded realization, produced when something reads it: the spectral
-estimate and the gain demodulation accumulate it chunk by chunk as the
-loop yields it, and its series is allocated only when ``d_s`` is first
-read.  Runs share no state, so callers may overlap them.  The
-periodogram is Welch's estimate as batched numpy real FFTs; the gain is
+0])``, and the filter is a blocked prefix scan in numpy's elementwise
+ufuncs on a grid tied to the step index (:func:`_filter`), so within
+one tool version a seed reproduces its realization bit for bit for a
+pinned numpy version, whatever the core count or the chunk size.  One
+chunked loop runs either plan in cache-sized chunks, drawing each
+chunk's normals while the one before is filtered, and adds the injected
+sinusoid as the filter's steady-state response.  A run from
+:func:`simulate` is that seeded realization, produced when something
+reads it: the spectral estimate and the gain demodulation accumulate it
+chunk by chunk as the loop yields it, and its series is allocated only
+when ``d_s`` is first read.  Runs share no state, so callers may
+overlap them.  The periodogram is Welch's estimate as batched numpy real FFTs; the gain is
 demodulated on the grid the probe is injected on, in products of a
 fixed shape, so gains too keep their bits whatever the core count.
 """
@@ -37,7 +38,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,15 +60,23 @@ from .errors import ConfigError, GridError, RangeError, SnrError
 METHOD_EULER = "euler"
 METHOD_EXACT = "exact"
 
-#: Integrator implementation recorded on every run.
-BACKEND = "lfilter"
+#: Integrator implementation recorded on every run: the blocked prefix
+#: scan of :func:`_filter`.
+BACKEND = "blocked_scan"
 
 #: Samples per chunk.  At 2**16 each per-chunk array (512 KiB) stays in
 #: a core's L2 cache, and a chunk's arrays (a few MB in all) are small
 #: against the recorded series, so overlapping runs keep the peak
 #: resident set low.  Realizations do not depend on it: the stream is
-#: drawn in order and the filter state carries across chunks.
+#: drawn in order, and the filter works on whole blocks of the step
+#: index, carrying its state and the normals of an incomplete block
+#: across chunks.
 _CHUNK = 1 << 16
+
+#: Steps per row of the filter's grid: a block of the step index, from
+#: its first step, is ``_BLOCK // _ROW`` rows, and the filter scans the
+#: steps of every row of a chunk at once (:func:`_section`).
+_ROW = 64
 
 #: Samples per row of the probe grid ``m = q * _BLOCK + k`` of the
 #: retained index, on which the drive is injected from a phasor table
@@ -117,8 +126,8 @@ class SimulationConfig:
     ``duration`` is the retained span; a transient of ``burn_in`` seconds
     (default: eight times the slowest relaxation time) is integrated
     first and discarded, so retained samples are effectively stationary.
-    The seed fully determines the realization for pinned numpy/scipy
-    versions.  Only the detected quadrature is recorded.  ``signal`` is
+    The seed fully determines the realization for a pinned numpy
+    version.  Only the detected quadrature is recorded.  ``signal`` is
     the injected perturbation; the default zero amplitude is no drive.
     """
 
@@ -284,6 +293,54 @@ class _Plan:
     den: np.ndarray
     probe: np.ndarray
 
+    @cached_property
+    def sections(self) -> tuple:
+        """``noise / den / noise[0]`` as first-order sections ``(pole, lead,
+        powers)``, applied in order.
+
+        A section's output is ``u[n] + lead v[n-1]``, ``v[n] = u[n] + pole
+        v[n-1]`` (:func:`_section`): ``lead = pole`` outputs ``v``, ``1 / (1
+        - pole/z)``, and a first-order numerator ``1 + c/z`` rides on its
+        section as ``lead = pole + c``, since ``(1 + c/z) / (1 - pole/z) =
+        1 + (pole + c)/z / (1 - pole/z)``.  A second-order numerator is
+        applied before the sections (:func:`_filter`).  ``powers[r]`` is
+        ``pole ** (_ROW r)`` for ``r = 0 .. _BLOCK // _ROW``.
+
+        Real poles ``p, q`` of a second-order ``den`` are ``1 / (1 - p/z)``
+        then ``1 / (1 - q/z)``.  A complex pair ``l, conj(l)`` is ``1 / (1
+        - l/z)``, whose real part then passes ``1 / (1 - Re(l)/z)``: for
+        real input ``u``, ``Re(u / (1 - l/z)) = u (1 - Re(l)/z) / |1 -
+        l/z|^2``.  Each section carries one output, whose scan is as well
+        conditioned as its pole.  A pair ``(y[n-1], y[n-2])`` is not: near
+        ``z = 1`` its scan multiplies large terms that cancel.  Computed
+        poles realize ``den`` to rounding even near a double pole, where
+        they are themselves ill conditioned.
+        """
+        if self.den.size == 2:
+            pole = -float(self.den[1])
+            ratio = float(self.noise[1] / self.noise[0]) if self.noise[0] else 0.0
+            leads = [(pole, pole + ratio)]
+        else:
+            d1, d2 = float(self.den[1]), float(self.den[2])
+            disc = d1 * d1 - 4.0 * d2
+            if disc >= 0.0:
+                p = -0.5 * (d1 + math.copysign(math.sqrt(disc), d1))
+                poles = [p, d2 / p if p else 0.0]
+            else:
+                pair = complex(-0.5 * d1, 0.5 * math.sqrt(-disc))
+                poles = [pair, pair.real]
+            leads = [(pole, pole) for pole in poles]
+        sections = []
+        for pole, lead in leads:
+            row = pole ** 0
+            for _ in range(_ROW):
+                row *= pole
+            powers = [row ** 0]
+            for _ in range(_BLOCK // _ROW):
+                powers.append(powers[-1] * row)
+            sections.append((pole, lead, np.array(powers)))
+        return tuple(sections)
+
 
 def _innovations(numerators: list) -> np.ndarray:
     """Minimum-phase ``C`` with ``|C|^2 = sum_j |N_j|^2`` on the unit circle.
@@ -427,16 +484,18 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_out: int):
     The one chunk loop, run each time a run from :func:`simulate` is
     read: once into its series when ``d_s`` is first read, and once for
     each estimate or demodulation made before that.  One normal per
-    step, innovations form: the run's one stream through one ``lfilter``
-    call per chunk that carries the filter state on.  Each chunk's
-    normals are drawn on a one-worker pool (numpy releases the GIL while
-    it draws) while the one before is filtered, so the stream yields a
-    serial draw's sequence and nothing past the last step.  The pool
-    ends with the loop, so no idle worker outlives it or is inherited by
-    a forked child; a consumer that stops early closes the generator.
-    The yielded chunks are the retained samples in order, each a new
-    array: the first is cut at the burn-in, so it need not be a whole
-    chunk.
+    step, innovations form: the run's one stream through one
+    :func:`_filter` call per chunk, which carries the filter state on.
+    Each chunk's normals are drawn on a one-worker pool (numpy releases
+    the GIL while it draws) while the one before is filtered, so the
+    stream yields a serial draw's sequence and nothing past the last
+    step.  The pool ends with the loop, so no idle worker outlives it or
+    is inherited by a forked child; a consumer that stops early closes
+    the generator.  The yielded chunks are the retained samples in
+    order, each valid until the next is yielded (the filter reuses its
+    work arrays): the filter returns whole blocks of the step grid, and
+    the first retained chunk is cut at the burn-in, so a chunk need not
+    be a whole ``_CHUNK``.
 
     A driven run adds the steady-state response ``Im(H amplitude e^{i w
     t})``, ``H = probe / den`` at ``z = e^{i w dt}``, to the retained
@@ -445,11 +504,9 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_out: int):
     ``a_q = w q _BLOCK dt`` and ``C[k] + i S[k] = H amplitude e^{i w k
     dt}``, so a sample's value depends on its index alone.
     """
-    from scipy.signal import lfilter
-
     gen = _stream(config.seed)
     n_total = n_burn + n_out
-    zi = np.zeros(plan.den.size - 1)
+    state = None
     omega, dt = config.signal.frequency, config.dt
     driven = config.signal.amplitude != 0.0
     if driven:
@@ -464,14 +521,17 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_out: int):
             return z, pool.submit(gen.standard_normal, out=z)
 
         pending = draw(0)
-        for i0 in range(0, n_total, _CHUNK):
+        i1 = 0  # the step after the last filtered
+        for j0 in range(0, n_total, _CHUNK):
             z, job = pending
             job.result()
-            i1 = i0 + z.size
-            pending = draw(i1) if i1 < n_total else None
-            y, zi = lfilter(plan.noise, plan.den, z, zi=zi)
+            j1 = j0 + z.size
+            pending = draw(j1) if j1 < n_total else None
+            y, state = _filter(plan, z, state, final=j1 == n_total)
             del z  # the next chunk's normals are being drawn
-            if i1 <= n_burn:
+            # The filtered steps n run over [i0, i1).
+            i0, i1 = i1, i1 + y.size
+            if i1 <= n_burn or not y.size:
                 continue
             # The retained index m = n - n_burn runs over [m0, m1).
             m0, m1 = max(i0 - n_burn, 0), i1 - n_burn
@@ -486,6 +546,166 @@ def _integrate(plan: _Plan, config: SimulationConfig, n_burn: int, n_out: int):
                     seg += math.sin(a_q) * table_cos[lo - base:hi - base]
                     seg += math.cos(a_q) * table_sin[lo - base:hi - base]
             yield d
+
+
+def _filter(plan: _Plan, x: np.ndarray, state, final: bool):
+    """Filter the next normals ``x`` through ``noise / den`` on the step grid.
+
+    Returns ``(y, state)``: ``y`` the outputs of every block of the grid
+    that ``x`` completes, valid until the next call, and ``state`` what
+    that call continues from (``None`` is rest).  The grid is tied to
+    the step index: blocks of ``_BLOCK`` steps from the first, each
+    ``_BLOCK // _ROW`` rows of ``_ROW`` steps.  The normals of an
+    incomplete block wait in ``state`` for the next call; with ``final``
+    the last block is padded with zeros instead, and ``y`` ends at the
+    last normal.  So an output depends on the normals and its step index
+    alone, however they are cut into calls.
+
+    The filter is ``noise[0]`` times ``noise / noise[0] / den``, one or
+    two first-order sections (``_Plan.sections``), each a blocked prefix
+    scan of its recursion (:func:`_section`).  A first-order numerator
+    rides on its section; a second-order one is applied first.
+    Elementwise ufuncs only, so no sum depends on a BLAS kernel or its
+    thread count.  The work arrays are kept in ``state`` and reused, so
+    a call of a chunk's size allocates nothing of that size.
+    """
+    m = plan.den.size - 1
+    if state is None:
+        state = (np.empty(0), np.zeros(m), tuple(0.0 * pole for pole, _, _ in plan.sections), {})
+    waiting, past, outs, work = state
+    data = np.concatenate((waiting, x)) if waiting.size else x
+    n_valid = n = data.size - data.size % _BLOCK
+    if final and n < data.size:
+        n_valid, n = data.size, n + _BLOCK
+        data = np.concatenate((data, np.zeros(n - data.size)))
+    if n == 0:
+        return data[:0], (data.copy(), past, outs, work)
+    gain = float(plan.noise[0])
+    u = _work(work, "y", (n,))
+    source = data[:n]
+    if m == 2:
+        # The numerator over its first coefficient, one pass per lag, the
+        # first steps reading the two normals before.  A zero numerator
+        # (first coefficient 0) scales every output to 0.
+        c1, c2 = plan.noise[1:] / gain if gain else np.zeros(2)
+        term = _work(work, "term", (n,))
+        np.multiply(source[:-1], c1, out=u[1:])
+        np.multiply(past[1:], c1, out=u[:1])
+        np.multiply(source[:-2], c2, out=term[2:])
+        np.multiply(past, c2, out=term[:2])
+        np.add(u, term, out=u)
+        source = np.add(u, source, out=u)
+    # The grid: a row's steps in bit-reversed order (_section), each one
+    # contiguous line across the rows; written block by block as the
+    # reversal of all axes of the block's (rows, 2, .. 2) steps.
+    rows, per_block = n // _ROW, _BLOCK // _ROW
+    bits = (2,) * (_ROW.bit_length() - 1)
+    grid = _work(work, "grid", (_ROW, rows))
+    lines = grid.reshape(bits + (rows,))
+    for r in range(0, rows, per_block):
+        block = source[r * _ROW:(r + per_block) * _ROW]
+        lines[..., r:r + per_block] = block.reshape((per_block,) + bits).T
+    # u is free until the output is written: the sections work in it.
+    outs_next = []
+    for (pole, lead, powers), out in zip(plan.sections, outs):
+        if isinstance(pole, complex):
+            # A complex pair's first section runs on a complex grid, and
+            # its real part is the second's input.
+            pair = _work(work, "pair", (2, _ROW, rows), np.complex128)
+            np.copyto(pair[0], grid)
+            outs_next.append(_section(pair[0], pole, lead, powers, out, pair[1]))
+            np.copyto(grid, pair[0].real)
+        else:
+            outs_next.append(_section(grid, pole, lead, powers, out, u.reshape(_ROW, rows)))
+    steps = u.reshape((rows,) + bits)
+    for r in range(0, rows, per_block):
+        np.multiply(lines[..., r:r + per_block], gain, out=steps[r:r + per_block].T)
+    return u[:n_valid], (data[n:].copy(), data[n - m:n].copy(), tuple(outs_next), work)
+
+
+def _work(work: dict, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The work array ``name``: the last call's if it has this shape, else new."""
+    array = work.get(name)
+    if array is None or array.shape != shape or array.dtype != dtype:
+        array = work[name] = np.empty(shape, dtype)
+    return array
+
+
+def _section(grid: np.ndarray, pole, lead, powers: np.ndarray, out, spare: np.ndarray):
+    """``u[n] + lead v[n-1]``, ``v[n] = u[n] + pole v[n-1]``, in place on
+    ``grid``, laid out as in :func:`_filter`.
+
+    ``grid[j, r]`` holds ``u`` at step ``k`` of row ``r``, ``j`` being
+    ``k`` with its bits reversed, and is overwritten with the output
+    there.  ``out`` is ``v`` before the first step; ``spare``, of the
+    grid's shape, is overwritten.  Returns ``v`` at the last step, as
+    the scan gives it.  ``powers[r]`` is ``pole ** (_ROW r)``, ``r = 0
+    .. _BLOCK // _ROW``.  A blocked prefix scan of the recursion
+    (Blelloch 1990), each stage of one shape whatever the call and run
+    across all rows at once:
+
+    - up the tree of each row's segments of 2, 4, .. _ROW steps, each
+      segment's ``v`` at its end from rest at its start;
+    - within each block, a doubling scan over its rows (Hillis & Steele
+      1986) gives each row's start from the block's;
+    - block starts are carried in order from ``out``;
+    - down the tree, a segment's first half starts where the segment
+      does and its second half where the first ends, down to each
+      step's ``v[n-1]``.
+
+    In bit-reversed order the even and the odd segments of every level
+    are the two contiguous halves of its lines, so each stage is a few
+    calls on contiguous lines.
+    """
+    half = _ROW // 2
+    tree, scratch = spare[:half], spare[half:]
+    # Up: segment ends from rest, pairs into the tree, and each later
+    # level into the second half of the one before.
+    np.multiply(grid[:half], pole, tree)
+    np.add(tree, grid[half:], tree)
+    levels, scale, lo = [], pole, 0
+    while lo < half - 1:
+        scale, size = scale * scale, (half - lo) // 2
+        levels.append((lo, size, scale))
+        evens, odds = tree[lo:lo + size], tree[lo + size:half]
+        np.multiply(evens, scale, scratch[:size])
+        np.add(odds, scratch[:size], odds)
+        lo += size
+    # tree[-1] holds each row's end from rest at its start; within a
+    # block, doubling turns those into each row's end from rest at the
+    # block's start, laid out (row, block).
+    ends = tree[-1].reshape(-1, _BLOCK // _ROW).T.copy()
+    span = 1
+    while span < len(ends):
+        ends[span:] += powers[span] * ends[:-span]
+        span *= 2
+    starts, carry = [], powers[-1].item()
+    for end in ends[-1].tolist():
+        starts.append(out)
+        out = end + carry * out
+    firsts = np.empty_like(ends)
+    firsts[0] = 0.0
+    firsts[1:] = ends[:-1]
+    firsts += powers[:-1, None] * np.array(starts)
+    # Down: tree[-1] becomes each row's start, and every level the
+    # starts of its segments.
+    tree[-1] = firsts.T.reshape(-1)
+    for lo, size, scale in reversed(levels):
+        evens, odds = tree[lo:lo + size], tree[lo + size:lo + 2 * size]
+        np.multiply(odds, scale, scratch[:size])
+        np.add(scratch[:size], evens, scratch[:size])
+        np.copyto(evens, odds)
+        np.copyto(odds, scratch[:size])
+    # The steps: v[n-1] of each even one is its pair's start, and of
+    # each odd one the even one's v.
+    evens, odds = grid[:half], grid[half:]
+    np.multiply(tree, pole, scratch)
+    np.add(evens, scratch, scratch)
+    np.multiply(tree, lead, tree)
+    np.add(evens, tree, evens)
+    np.multiply(scratch, lead, scratch)
+    np.add(odds, scratch, odds)
+    return out
 
 
 def estimate_psd(run: SimulationRun, omega_grid, xi_referred: bool = False) -> SpectrumCurve:

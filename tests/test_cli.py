@@ -406,14 +406,14 @@ class TestValidateCommand:
 
 
 #: The stochastic gate's three rms values at the reference point, budget
-#: 800 and seed 12345, for the pinned numpy and scipy versions.  They fix
+#: 800 and seed 12345, for the pinned numpy version.  They fix
 #: the realizations of one tool version: a change that moves them changes
 #: realizations, and must bump the version with them.  The version here
 #: is a copy on purpose: it is what the values are pinned to.
-PINNED_REALIZATION = ("0.4.2", {
-    "no_squeeze": 0.03845814748974901,
-    "input_squeeze": 0.03577558432663353,
-    "double_squeeze_optimal": 0.04059918121196735,
+PINNED_REALIZATION = ("0.4.3", {
+    "no_squeeze": 0.03845814748974897,
+    "input_squeeze": 0.035775584326633594,
+    "double_squeeze_optimal": 0.040599181211966894,
 })
 
 
@@ -446,20 +446,20 @@ class TestStochasticGateRuns:
     def test_report_does_not_depend_on_core_count(self, params, seed, monkeypatch):
         report = run_validation(params, budget=20, seed=seed)
         workers, started = [], []
-        simulate = stochastic.simulate
+        estimate = stochastic.estimate_psd
 
         class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 workers.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        def recording_simulate(params, config):
-            started.append((config.duration / config.dt, config.seed - seed))
-            return simulate(params, config)
+        def recording_estimate(run, *args, **kwargs):
+            started.append((run.n_samples, run.config.seed - seed))
+            return estimate(run, *args, **kwargs)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(stochastic, "simulate", recording_simulate)
+        monkeypatch.setattr(stochastic, "estimate_psd", recording_estimate)
         serial = run_validation(params, budget=20, seed=seed)
         assert workers == [1]
         # One worker starts the runs in submission order: longest first,
@@ -471,23 +471,37 @@ class TestStochasticGateRuns:
         assert list(gate["details"]) == list(gate["runs"]) == SCENARIO_ORDER
 
     def test_first_error_in_scenario_order_surfaces(self, monkeypatch):
-        simulate = stochastic.simulate
+        estimate = stochastic.estimate_psd
         third_failed = threading.Event()
 
-        def failing_simulate(params, config):
-            if config.seed == 7:
+        def failing_estimate(run, *args, **kwargs):
+            if run.config.seed == 7:
                 # Fail only after the third scenario's run has failed.
                 third_failed.wait(timeout=30)
                 raise sq.ConfigError("first scenario")
-            if config.seed == 9:
+            if run.config.seed == 9:
                 third_failed.set()
                 raise sq.RangeError("third scenario")
-            return simulate(params, config)
+            return estimate(run, *args, **kwargs)
 
-        monkeypatch.setattr(stochastic, "simulate", failing_simulate)
+        monkeypatch.setattr(stochastic, "estimate_psd", failing_estimate)
         with pytest.raises(sq.ConfigError, match="first scenario"):
             run_validation(reference_params(), budget=20, seed=7)
         assert third_failed.is_set()
+
+    def test_runs_are_planned_in_scenario_order_on_the_calling_thread(self, monkeypatch):
+        simulate, planned = stochastic.simulate, []
+
+        def failing_simulate(params, config):
+            planned.append((config.seed, threading.current_thread()))
+            if config.seed in (8, 9):
+                raise sq.ConfigError(f"run {config.seed}")
+            return simulate(params, config)
+
+        monkeypatch.setattr(stochastic, "simulate", failing_simulate)
+        with pytest.raises(sq.ConfigError, match="run 8"):
+            run_validation(reference_params(), budget=20, seed=7)
+        assert planned == [(7, threading.main_thread()), (8, threading.main_thread())]
 
     def test_a_settings_error_raises_before_any_run_starts(self, monkeypatch):
         # Every run is sized before any starts, so no simulation is spent
@@ -515,22 +529,27 @@ class TestStochasticGateRuns:
         run_validation(reference_params(), budget=20, seed=1)
         assert threading.active_count() == before
 
-    def test_memory_error_in_a_worker_is_an_input_error(self, params_file, tmp_path,
-                                                        monkeypatch, capsys):
-        simulate = stochastic.simulate
-        threads = []
+    def test_a_run_too_large_to_address_stops_the_gate_before_any_estimate(
+            self, params_file, tmp_path, monkeypatch, capsys):
+        # At budget 20 the double-squeeze run has 86 016 samples and the
+        # other two 43 008 each, so under a 60 000-sample limit only the
+        # last is refused.  All three are planned before any estimate
+        # starts, so none does: validate exits 2 and writes no report.
+        estimated = []
+        estimate = stochastic.estimate_psd
 
-        def recording_simulate(params, config):
-            threads.append(threading.current_thread())
-            return simulate(params, config)
+        def recording_estimate(run, *args, **kwargs):
+            estimated.append(run.n_samples)
+            return estimate(run, *args, **kwargs)
 
-        monkeypatch.setattr(stochastic, "simulate", recording_simulate)
+        monkeypatch.setattr(stochastic, "_MAX_SAMPLES", 60_000)
+        monkeypatch.setattr(stochastic, "estimate_psd", recording_estimate)
         out = tmp_path / "report.json"
-        rc = main(["validate", "--params", str(params_file), "--budget", str(10 ** 12),
+        rc = main(["validate", "--params", str(params_file), "--budget", "20",
                    "--out", str(out)])
         assert rc == 2
-        assert "exceeds the available memory" in capsys.readouterr().err
-        assert threads and threading.main_thread() not in threads
+        assert "cannot address 86016 samples" in capsys.readouterr().err
+        assert estimated == []
         assert not out.exists()
 
 

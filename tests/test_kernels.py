@@ -11,6 +11,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -256,7 +257,7 @@ class TestStream:
                                n_segments=1, burn_in=0.0)
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
         events, seeds, drawn, workers = [], [], [], []
-        stream, lfilter = stochastic._stream, scipy.signal.lfilter
+        stream, filter_ = stochastic._stream, stochastic._filter
 
         def counting_stream(seed):
             seeds.append(seed)
@@ -277,13 +278,13 @@ class TestStream:
                 events.append("draw")
                 return super().submit(fn, *args, **kwargs)
 
-        def recording_lfilter(num, den, x, zi):
+        def recording_filter(plan, x, state, final):
             events.append("filter")
-            return lfilter(num, den, x, zi=zi)
+            return filter_(plan, x, state, final)
 
         monkeypatch.setattr(stochastic, "_stream", counting_stream)
         monkeypatch.setattr(stochastic, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
+        monkeypatch.setattr(stochastic, "_filter", recording_filter)
         assert simulate(COUPLED, cfg).d_s.size == n_total
         chunks = math.ceil(n_total / 1000)
         # One generator and one worker; one draw per chunk, none past the end.
@@ -302,14 +303,14 @@ class TestStream:
         params, method, dt = PLANS[case]
         cfg = SimulationConfig(dt=dt, duration=200.0, seed=13, n_segments=4, burn_in=0.0,
                                method=method)
-        inputs, lfilter = [], scipy.signal.lfilter
+        inputs, filter_ = [], stochastic._filter
 
-        def recording_lfilter(num, den, x, zi):
+        def recording_filter(plan, x, state, final):
             inputs.append(x.copy())
-            return lfilter(num, den, x, zi=zi)
+            return filter_(plan, x, state, final)
 
         monkeypatch.setattr(stochastic, "_CHUNK", 1000)
-        monkeypatch.setattr(scipy.signal, "lfilter", recording_lfilter)
+        monkeypatch.setattr(stochastic, "_filter", recording_filter)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -334,6 +335,58 @@ class TestStream:
         chunked = simulate(params, cfg).d_s
         assert reference.size == chunked.size == 20_000
         assert np.array_equal(reference, chunked)
+
+
+class TestFilter:
+    """The blocked scan of ``noise / den`` against its oracle,
+    :func:`scipy.signal.lfilter`, and its step grid."""
+
+    @pytest.mark.parametrize("case", sorted(PLANS))
+    def test_matches_lfilter_from_rest_and_from_a_state(self, case):
+        plan = plan_of(case)
+        m = plan.den.size - 1
+        # Three whole blocks, then two and a padded part of a third.
+        x = np.random.default_rng(31).standard_normal(6 * stochastic._BLOCK - 1000)
+        head = 3 * stochastic._BLOCK
+        want, zi = scipy.signal.lfilter(plan.noise, plan.den, x[:head], zi=np.zeros(m))
+        got, state = stochastic._filter(plan, x[:head], None, final=False)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # On from the state the head left, which is not rest.
+        want = scipy.signal.lfilter(plan.noise, plan.den, x[head:], zi=zi)[0]
+        got = stochastic._filter(plan, x[head:], state, final=True)[0]
+        assert got.size == x.size - head and np.any(zi)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("chunk", [1000, 4095, 4097, 7000])
+    @pytest.mark.parametrize("case, extra", [
+        ("euler_coupled", {}),
+        ("exact", {"signal": SignalWaveform(1.0, 0.7)}),
+        ("euler_oscillating", {}),
+    ], ids=["real_poles", "driven_exact", "complex_poles"])
+    def test_realization_does_not_depend_on_how_the_stream_is_cut(self, case, extra, chunk,
+                                                                  monkeypatch):
+        # Burn-in and retained steps fit one default chunk, so the
+        # reference is filtered in one call; the chunks cut blocks anywhere.
+        params, method, dt = PLANS[case]
+        cfg = SimulationConfig(dt=dt, duration=20_000.5 * dt, seed=13, n_segments=4,
+                               method=method, **extra)
+        reference = simulate(params, cfg)
+        n_total = reference.n_samples + math.ceil(8.0 / relaxation_rates(params)[0] / dt)
+        assert n_total < stochastic._CHUNK and n_total % stochastic._BLOCK
+        reference = reference.d_s
+        monkeypatch.setattr(stochastic, "_CHUNK", chunk)
+        assert np.array_equal(simulate(params, cfg).d_s, reference)
+
+    @pytest.mark.parametrize("case", ["euler_coupled", "euler_oscillating"])
+    def test_a_shorter_run_is_a_prefix_of_a_longer_one(self, case):
+        # Only a run's last block is padded, so a sample depends on its
+        # step and the stream alone, not on where the run ends.
+        params, method, dt = PLANS[case]
+        cfg = SimulationConfig(dt=dt, duration=9000.5 * dt, seed=13, n_segments=4,
+                               method=method, burn_in=0.0)
+        short = simulate(params, cfg).d_s
+        longer = simulate(params, replace(cfg, duration=30_000.5 * dt)).d_s
+        assert short.size == 9000 and np.array_equal(longer[:9000], short)
 
 
 def batch_welch_power(d, nperseg):
